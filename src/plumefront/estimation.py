@@ -11,9 +11,13 @@ leave-one-out cross-validation, and threshold-crossing boundary detection
 gated by a paired bootstrap test of total decline so that flat profiles are
 rejected rather than assigned spurious boundaries.
 
-The bootstrap and cross-validation inner loops run on a binned
-representation of the data (400 bins, far narrower than any admissible
-bandwidth); the reported fit itself is always computed exactly.
+Every local-linear sum comes from one kernel: the Epanechnikov weight is a
+polynomial inside its window, so the sums at all grid points follow from
+prefix sums of powers of distance over the sorted data (Fan and Marron 1994;
+Seifert et al. 1994), centred per block of grid points at most 4 bandwidths
+wide to hold the cancellation near 1e-12.  The reported fit is exact;
+cross-validation and the bootstrap still run on 400 bins, far narrower than
+any admissible bandwidth.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ CV_GRID_SIZE = 10
 CV_GRID_SPAN = 4.0  # bandwidth grid from rot/span to rot*span
 N_BINS = 400
 DEFAULT_CLAMP = 1e-6
+_BLOCK_BANDWIDTHS = 4.0  # widest grid block sharing one prefix-sum centre
+_DRAW_CHUNK = 1 << 16  # most bootstrap indices drawn in one call (cache-sized)
 # Bootstrap intervals refit at a mildly undersmoothed bandwidth so the
 # resampling spread is not masked by smoothing bias (the usual coverage
 # device for kernel-smoothing intervals).
@@ -77,8 +83,6 @@ class NonparFit:
     grid: np.ndarray
     m_hat: np.ndarray
     bandwidth: float
-    boundary: float | None
-    reject_null: bool
     distances: np.ndarray
     outcomes: np.ndarray
 
@@ -127,6 +131,17 @@ class ProfileSelection:
     rss: float
     runs_z: float | None
     lr_stat: float | None
+
+
+def _as_xy(distances, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and outcomes as finite 1-D float arrays of equal length."""
+    d = np.asarray(distances, dtype=float)
+    y = np.asarray(outcomes, dtype=float)
+    if d.shape != y.shape or d.ndim != 1:
+        raise DataError("distances and outcomes must be 1-D arrays of equal length")
+    if not (np.isfinite(d).all() and np.isfinite(y).all()):
+        raise DataError("distances and outcomes must be finite (no NaN or inf)")
+    return d, y
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +207,7 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
     cutoff under a triangular (Bartlett) weight; the implied-boundary
     interval then uses the robust standard error.
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if d.shape != y.shape or d.ndim != 1:
-        raise DataError("distances and outcomes must be 1-D arrays of equal length")
+    d, y = _as_xy(distances, outcomes)
     n = d.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
@@ -246,33 +258,76 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
 # ---------------------------------------------------------------------------
 
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    out = 1.0 - u * u
-    out[out < 0] = 0.0
-    return 0.75 * out
+def _loclin_sums(xs, w, wy, grid, h):
+    """Local-linear sums (count, S0, S1, S2, T0, T1) at every grid point a.
+
+    xs and grid ascending; w, wy: weights and weighted outcomes of xs, one
+    vector or a batch of rows.  S_k = sum w K (x - a)^k, T_k = sum wy K
+    (x - a)^k, count = positive-weight points strictly inside the window.
+    The grid is cut into blocks at most _BLOCK_BANDWIDTHS bandwidths wide.
+    One vector: K = 0.75 (1 - u^2), u = (x - a)/h, is a polynomial in the
+    window, so the sums follow from prefix sums of w z^i (i <= 4) and wy z^i
+    (i <= 3), z = (x - c)/h centred on the block, shifted to each a.  A
+    batch multiplies the block's exact kernel weights instead (BLAS beats
+    batched prefix sums there).
+    """
+    lo = np.searchsorted(xs, grid - h, side="right")
+    hi = np.searchsorted(xs, grid + h, side="left")
+    block = np.floor((grid - grid[0]) / (_BLOCK_BANDWIDTHS * h))
+    starts = np.flatnonzero(np.diff(block, prepend=-1.0))
+    ends = np.append(starts[1:], grid.size)
+    if w.ndim > 1:
+        out = np.empty((6, w.shape[0], grid.size))
+        for g0, g1 in zip(starts, ends):
+            a, b = lo[g0], hi[g1 - 1]
+            du = xs[a:b, None] - grid[g0:g1]
+            k = 0.75 * np.maximum(1.0 - (du / h) ** 2, 0.0)
+            out[0, :, g0:g1] = (w[:, a:b] > 0) @ (k > 0).astype(float)
+            out[1:4, :, g0:g1] = [w[:, a:b] @ k, w[:, a:b] @ (k * du), w[:, a:b] @ (k * du * du)]
+            out[4:, :, g0:g1] = [wy[:, a:b] @ k, wy[:, a:b] @ (k * du)]
+        return out
+
+    centre = np.repeat(0.5 * (grid[starts] + grid[ends - 1]), ends - starts)
+    p = np.empty((10, grid.size))
+    for g0, g1 in zip(starts, ends):
+        a, b = lo[g0], hi[g1 - 1]
+        zp = ((xs[a:b] - centre[g0]) / h) ** np.arange(5)[:, None]
+        cs = np.zeros((10, b - a + 1))  # column 0 is the empty prefix
+        np.cumsum(np.vstack([w[a:b] * zp, wy[a:b] * zp[:4], w[a:b] > 0]), axis=1, out=cs[:, 1:])
+        p[:, g0:g1] = cs[:, hi[g0:g1] - a] - cs[:, lo[g0:g1] - a]
+    # sum w (1 - u^2) u^k, u = z - dl, by the binomial shift of the window
+    # moments p_i = sum w z^i (q_i = sum wy z^i)
+    p0, p1, p2, p3, p4, q0, q1, q2, q3, count = p
+    dl = (grid - centre) / h
+    d2 = dl * dl
+    return np.array([
+        count,
+        0.75 * ((1.0 - d2) * p0 + 2.0 * dl * p1 - p2),
+        0.75 * h * ((d2 - 1.0) * dl * p0 + (1.0 - 3.0 * d2) * p1 + 3.0 * dl * p2 - p3),
+        0.75 * h * h * ((d2 - d2 * d2) * p0 + (4.0 * d2 - 2.0) * dl * p1
+                        + (1.0 - 6.0 * d2) * p2 + 4.0 * dl * p3 - p4),
+        0.75 * ((1.0 - d2) * q0 + 2.0 * dl * q1 - q2),
+        0.75 * h * ((d2 - 1.0) * dl * q0 + (1.0 - 3.0 * d2) * q1 + 3.0 * dl * q2 - q3),
+    ])
+
+
+def _loclin_solve(sums):
+    """Fitted values from `_loclin_sums`, S0 S2 - S1^2, and where the fit is
+    local-linear: with two or more points in the window (by count) unless
+    they nearly coincide, S0 S2 - S1^2 <= 1e-10 S0 S2; local-constant with
+    one point or coincident points; NaN with none."""
+    count, s0, s1, s2, t0, t1 = sums
+    denom = s0 * s2 - s1 * s1
+    linear = (count >= 2) & (denom > 1e-10 * s0 * s2)
+    const = np.where(count >= 1, t0 / np.where(count >= 1, s0, 1.0), np.nan)
+    m = np.where(linear, (s2 * t0 - s1 * t1) / np.where(linear, denom, 1.0), const)
+    return m, denom, linear
 
 
 def _loclin_curve(d: np.ndarray, y: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
-    """Exact local-linear fit at each grid point (vectorised, chunked)."""
-    m = np.empty(grid.size)
-    chunk = max(1, int(2e6 / max(d.size, 1)))
-    for start in range(0, grid.size, chunk):
-        g = grid[start : start + chunk, None]
-        u = (d[None, :] - g) / h
-        w = _epanechnikov(u)
-        du = d[None, :] - g
-        s0 = w.sum(axis=1)
-        s1 = (w * du).sum(axis=1)
-        s2 = (w * du * du).sum(axis=1)
-        t0 = w @ y
-        t1 = (w * du) @ y
-        denom = s0 * s2 - s1 * s1
-        block = np.where(
-            denom > 1e-300,
-            (s2 * t0 - s1 * t1) / np.where(denom > 1e-300, denom, 1.0),
-            np.where(s0 > 0, t0 / np.where(s0 > 0, s0, 1.0), np.nan),
-        )
-        m[start : start + chunk] = block
+    """Exact local-linear fit at each grid point."""
+    order = np.argsort(d, kind="stable")
+    m = _loclin_solve(_loclin_sums(d[order], np.ones(d.size), y[order], grid, h))[0]
     # A grid point with an empty window inherits its nearest neighbour's value.
     bad = np.isnan(m)
     if bad.any():
@@ -301,28 +356,13 @@ def _bin_data(d: np.ndarray, y: np.ndarray, n_bins: int = N_BINS):
     return centers, counts, ysum, yssq, ids
 
 
-def _binned_sums(centers, counts, ysum, grid, h):
-    """Local-linear building blocks on binned data; returns S0..S2, T0, T1."""
-    du = centers[None, :] - grid[:, None]
-    w = _epanechnikov(du / h)
-    wdu = w * du
-    wdu2 = wdu * du
-    s0 = w @ counts
-    s1 = wdu @ counts
-    s2 = wdu2 @ counts
-    t0 = w @ ysum
-    t1 = wdu @ ysum
-    return s0, s1, s2, t0, t1
-
-
 def _cv_score_binned(centers, counts, ysum, yssq, h: float) -> float:
     """Leave-one-out CV for local-linear fits, evaluated on the binned sample."""
-    s0, s1, s2, t0, t1 = _binned_sums(centers, counts, ysum, centers, h)
-    denom = s0 * s2 - s1 * s1
-    if np.any(denom <= 1e-300):
+    sums = _loclin_sums(centers, counts, ysum, centers, h)
+    m, denom, linear = _loclin_solve(sums)
+    if not linear.all():
         return math.inf
-    m = (s2 * t0 - s1 * t1) / denom
-    self_w = 0.75 * s2 / denom  # kernel weight of an observation on itself
+    self_w = 0.75 * sums[3] / denom  # kernel weight of an observation on itself
     one_minus = 1.0 - self_w
     if np.any(one_minus <= 1e-8):
         return math.inf
@@ -332,8 +372,7 @@ def _cv_score_binned(centers, counts, ysum, yssq, h: float) -> float:
 
 def cross_validated_bandwidth(distances, outcomes, h0: float | None = None) -> float:
     """LOO cross-validation over a 10-point log grid around the rule of thumb."""
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    d, y = _as_xy(distances, outcomes)
     if h0 is None:
         h0 = rule_of_thumb_bandwidth(d)
     centers, counts, ysum, yssq, _ = _bin_data(d, y)
@@ -354,10 +393,7 @@ def nonparametric_fit(
     or "auto-cv" (rule of thumb refined by leave-one-out cross-validation
     over a 10-point logarithmic grid around it).
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if d.shape != y.shape or d.ndim != 1:
-        raise DataError("distances and outcomes must be 1-D arrays of equal length")
+    d, y = _as_xy(distances, outcomes)
     if d.size < 50:
         raise InsufficientDataError(f"nonparametric fit needs n >= 50, got {d.size}")
     if n_grid < 200:
@@ -374,84 +410,61 @@ def nonparametric_fit(
 
     grid = np.linspace(float(d.min()), float(d.max()), n_grid)
     m_hat = _loclin_curve(d, y, grid, h)
-    return NonparFit(
-        grid=grid,
-        m_hat=m_hat,
-        bandwidth=h,
-        boundary=None,
-        reject_null=False,
-        distances=d,
-        outcomes=y,
-    )
-
-
-def _crossing_from_curve(grid: np.ndarray, m_hat: np.ndarray, p: float) -> float | None:
-    """First grid point at or after the fitted peak where the curve falls to
-    its decay threshold.
-
-    Primary threshold: p * m_hat at the near edge.  When the curve has an
-    interior peak and never decays that far (it plateaus above zero, as
-    hump-shaped profiles do), the threshold is referenced to the fitted
-    peak-to-floor amplitude instead: floor + p * (peak - floor).
-    """
-    i_peak = int(np.argmax(m_hat))
-    thr = p * m_hat[0]
-    after = m_hat[i_peak:]
-    crossed = np.nonzero(after <= thr)[0]
-    if crossed.size:
-        return float(grid[i_peak + crossed[0]])
-    interior = i_peak > max(2, int(0.02 * m_hat.size))
-    if interior:
-        floor = float(after.min())
-        peak = float(m_hat[i_peak])
-        thr2 = floor + p * (peak - floor)
-        crossed = np.nonzero(after <= thr2)[0]
-        if crossed.size:
-            return float(grid[i_peak + crossed[0]])
-    return None
-
-
-def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
-    """Pair-bootstrap local-linear curves on the grid (binned evaluation).
-
-    Observations are resampled exactly; only the kernel sums run over bins,
-    whose width is far below any admissible bandwidth.
-    """
-    centers, _, _, _, ids = _bin_data(d, y, n_bins)
-    n = d.size
-    counts_b = np.empty((n_boot, n_bins))
-    ysum_b = np.empty((n_boot, n_bins))
-    for b in range(n_boot):
-        take = rng.integers(0, n, size=n)
-        counts_b[b] = np.bincount(ids[take], minlength=n_bins)
-        ysum_b[b] = np.bincount(ids[take], weights=y[take], minlength=n_bins)
-
-    du = centers[None, :] - grid[:, None]
-    w = _epanechnikov(du / h)
-    wdu = w * du
-    wdu2 = wdu * du
-    s0 = counts_b @ w.T
-    s1 = counts_b @ wdu.T
-    s2 = counts_b @ wdu2.T
-    t0 = ysum_b @ w.T
-    t1 = ysum_b @ wdu.T
-    denom = s0 * s2 - s1 * s1
-    safe = denom > 1e-300
-    curves = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), np.nan)
-    fallback = np.where(s0 > 0, t0 / np.where(s0 > 0, s0, 1.0), np.nan)
-    return np.where(safe, curves, fallback)
+    return NonparFit(grid=grid, m_hat=m_hat, bandwidth=h, distances=d, outcomes=y)
 
 
 def _boundaries_from_curves(grid, curves, p):
-    out = np.full(curves.shape[0], np.nan)
-    for b in range(curves.shape[0]):
-        m = curves[b]
-        if np.isnan(m).any():
-            continue
-        cand = _crossing_from_curve(grid, m, p)
-        if cand is not None:
-            out[b] = cand
-    return out
+    """Threshold crossing of each curve (row); NaN where there is none.
+
+    The first grid point at or after the peak where the curve falls to p
+    times its near-edge value.  A curve with an interior peak that never
+    decays that far (a hump plateauing above zero) uses floor + p * (peak -
+    floor) instead.  A curve holding a NaN has none.
+    """
+    rows = np.arange(curves.shape[0])
+    i_peak = np.argmax(curves, axis=1)
+    after = np.arange(curves.shape[1]) >= i_peak[:, None]
+    below = after & (curves <= p * curves[:, :1])
+    floor = np.where(after, curves, np.inf).min(axis=1)
+    peak = curves[rows, i_peak]
+    below_amp = after & (curves <= (floor + p * (peak - floor))[:, None])
+    interior = i_peak > max(2, int(0.02 * curves.shape[1]))
+    use_amp = ~below.any(axis=1) & interior
+    first = np.where(use_amp, np.argmax(below_amp, axis=1), np.argmax(below, axis=1))
+    found = np.where(use_amp, below_amp.any(axis=1), below.any(axis=1))
+    found &= ~np.isnan(curves).any(axis=1)
+    return np.where(found, grid[first], np.nan)
+
+
+def _resample_bins(ids, y, n_bins, n_boot, rng):
+    """Bin counts and outcome sums of n_boot pair-bootstrap resamples.
+
+    Rows are drawn a chunk at a time (at most _DRAW_CHUNK indices) and binned
+    by one flat bincount per chunk; the PCG64 stream, and so every count and
+    sum, is that of one `rng.integers(0, n, size=n)` call per resample.
+    """
+    n = ids.size
+    rows = max(1, _DRAW_CHUNK // n)
+    counts, ysum = np.empty((2, n_boot, n_bins))
+    for start in range(0, n_boot, rows):
+        r = min(rows, n_boot - start)
+        take = rng.integers(0, n, size=(r, n))
+        flat = (ids[take] + n_bins * np.arange(r)[:, None]).ravel()
+        counts[start : start + r] = np.bincount(flat, minlength=r * n_bins).reshape(r, -1)
+        ysum[start : start + r] = np.bincount(flat, y[take].ravel(), r * n_bins).reshape(r, -1)
+    return counts, ysum
+
+
+def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
+    """Pair-bootstrap local-linear curves on the grid, one row per resample.
+
+    Observations are resampled exactly; `_loclin_sums` then runs on the 400
+    bin centres with the resampled bin counts and outcome sums as one batch
+    of weights.  An empty window gives NaN, not a neighbour fill.
+    """
+    centers, _, _, _, ids = _bin_data(d, y, n_bins)
+    counts, ysum = _resample_bins(ids, y, n_bins, n_boot, rng)
+    return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
 def detect_boundary(
@@ -459,16 +472,17 @@ def detect_boundary(
     fraction: float,
     n_boot: int = 200,
     alpha_level: float = 0.05,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> tuple[float | None, bool]:
     """Boundary from the fitted curve, declared only past a decline gate.
 
     The candidate is the threshold crossing of the fitted curve.  It is
     reported only when the paired bootstrap (resampling observations,
-    refitting) rejects H0: m(0) - m(d_max) <= 0 at alpha_level, i.e. the
-    alpha quantile of the bootstrapped total decline is positive, and the
-    crossing lies inside the observed distance range.  Absence of a boundary
-    is a value, not an error.
+    refitting the range endpoints) rejects H0: m(0) - m(d_max) <= 0 at
+    alpha_level, i.e. the alpha quantile of the bootstrapped total decline
+    is positive.  Absence of a boundary is a value, not an error.  seed may
+    be a Generator, which the draws then advance.  Returns (boundary or
+    None, rejected).
     """
     if not 0 < fraction < 1:
         raise DomainError(f"fraction must be in (0,1), got {fraction}")
@@ -476,18 +490,12 @@ def detect_boundary(
         raise DomainError(f"n_boot must be >= 1, got {n_boot}")
     if not 0 < alpha_level < 1:
         raise DomainError(f"alpha_level must be in (0,1), got {alpha_level}")
-
-    cand = _crossing_from_curve(fit.grid, fit.m_hat, fraction)
-    rng = np.random.default_rng(seed)
-    endpoints = np.array([fit.grid[0], fit.grid[-1]])
-    curves = _bootstrap_curves(
-        fit.distances, fit.outcomes, fit.bandwidth, endpoints, n_boot, rng
-    )
-    decline = curves[:, 0] - curves[:, 1]
-    reject = bool(np.nanquantile(decline, alpha_level) > 0.0)
-    in_range = cand is not None and fit.grid[0] <= cand <= fit.grid[-1]
-    if reject and in_range:
-        return cand, True
+    cand = _boundaries_from_curves(fit.grid, fit.m_hat[None, :], fraction)[0]
+    curves = _bootstrap_curves(fit.distances, fit.outcomes, fit.bandwidth, fit.grid[[0, -1]],
+                               n_boot, np.random.default_rng(seed))
+    reject = bool(np.nanquantile(curves[:, 0] - curves[:, 1], alpha_level) > 0.0)
+    if reject and not math.isnan(cand):
+        return float(cand), True
     return None, reject
 
 
@@ -496,13 +504,15 @@ def bootstrap_boundary_interval(
     fraction: float,
     n_boot: int = 200,
     alpha_level: float = 0.05,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> tuple[float, float] | None:
-    """Percentile interval of the bootstrapped boundary estimates."""
-    rng = np.random.default_rng(seed)
-    curves = _bootstrap_curves(
-        fit.distances, fit.outcomes, CI_UNDERSMOOTH * fit.bandwidth, fit.grid, n_boot, rng
-    )
+    """Percentile interval of the bootstrapped boundary estimates.
+
+    The curves are refitted at the undersmoothed bandwidth; None when fewer
+    than max(10, n_boot/2) of them cross.  seed may be a Generator.
+    """
+    curves = _bootstrap_curves(fit.distances, fit.outcomes, CI_UNDERSMOOTH * fit.bandwidth,
+                               fit.grid, n_boot, np.random.default_rng(seed))
     samples = _boundaries_from_curves(fit.grid, curves, fraction)
     ok = samples[~np.isnan(samples)]
     if ok.size < max(10, n_boot // 2):
@@ -557,8 +567,7 @@ def diagnostics(distances, outcomes, n_bins: int = 8) -> DiagnosticsReport:
     Non-positive outcomes are floored at 1e-6 for the log-linear screen, the
     same convention the naive parametric detector uses.
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    d, y = _as_xy(distances, outcomes)
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1, got {n_bins}")
     if d.size < 5 * n_bins:
@@ -618,8 +627,7 @@ def regional_heterogeneity(
     one-sided 5%) and the far side rises (kappa < 0, one-sided 5%), the
     pattern that flags a different source class dominating the far field.
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    d, y = _as_xy(distances, outcomes)
     near_sel = d < split_distance
     n_near, n_far = int(near_sel.sum()), int((~near_sel).sum())
     if n_near < 30:

@@ -21,12 +21,10 @@ import numpy as np
 
 from .errors import DomainError, PlumefrontError
 from .estimation import (
-    CI_UNDERSMOOTH,
     LN10,
-    _boundaries_from_curves,
-    _bootstrap_curves,
-    _crossing_from_curve,
     boundary_from_kappa,
+    bootstrap_boundary_interval,
+    detect_boundary,
     fit_field_nls,
     fit_loglinear,
     nonparametric_fit,
@@ -159,26 +157,15 @@ def _parametric_detect(d, y):
 def _nonparametric_detect(d, y, fraction, n_boot, alpha_level, n_grid, seed):
     """Local-linear crossing with the bootstrap decline gate and percentile CI.
 
-    The gate refits only the range endpoints at the fit bandwidth; the
-    interval refits the whole curve at the undersmoothed bandwidth.
+    The gate and the interval draw from one generator seeded with `seed`,
+    the gate first.
     """
     fit = nonparametric_fit(d, y, bandwidth="auto-cv", n_grid=n_grid)
-    cand = _crossing_from_curve(fit.grid, fit.m_hat, fraction)
     rng = np.random.default_rng(seed)
-    endpoints = np.array([fit.grid[0], fit.grid[-1]])
-    gate_curves = _bootstrap_curves(d, y, fit.bandwidth, endpoints, n_boot, rng)
-    decline = gate_curves[:, 0] - gate_curves[:, -1]
-    reject = bool(np.nanquantile(decline, alpha_level) > 0.0)
-    if not reject or cand is None:
+    boundary, _ = detect_boundary(fit, fraction, n_boot, alpha_level, seed=rng)
+    if boundary is None:
         return None, None
-    curves = _bootstrap_curves(d, y, CI_UNDERSMOOTH * fit.bandwidth, fit.grid, n_boot, rng)
-    samples = _boundaries_from_curves(fit.grid, curves, fraction)
-    ok = samples[~np.isnan(samples)]
-    ci = None
-    if ok.size >= max(10, n_boot // 2):
-        lo, hi = np.quantile(ok, [alpha_level / 2.0, 1.0 - alpha_level / 2.0])
-        ci = (float(lo), float(hi))
-    return cand, ci
+    return boundary, bootstrap_boundary_interval(fit, fraction, n_boot, alpha_level, seed=rng)
 
 
 def _summarize(spec, method, records, n_obs):

@@ -136,6 +136,22 @@ class TestEstimateCommand:
         assert float(record["bandwidth_km"]) > 0
 
 
+    def test_non_finite_outcome_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        d = 100.0 * (1.0 - rng.random(300))
+        y = np.exp(1.0 - 0.05 * d + 0.2 * rng.standard_normal(300))
+        rows = [f"{a},{b}" for a, b in zip(d, y)]
+        rows[17] = f"{d[17]},inf"
+        data = tmp_path / "inf.csv"
+        data.write_text("distance_km,outcome\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            ["estimate", "--input", str(data), "--method", "both", "--n-boot", "20"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestOtherProfilesAndReports:
     def test_decaying_profile_field_and_boundary(self, capsys):
         code, out, _ = run_cli(

@@ -88,6 +88,36 @@ class TestFitLoglinear:
             fit_loglinear([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d, y: fit_loglinear(d, y),
+            lambda d, y: cross_validated_bandwidth(d, y),
+            lambda d, y: nonparametric_fit(d, y),
+            lambda d, y: diagnostics(d, y),
+            lambda d, y: regional_heterogeneity(d, y, 50.0),
+        ],
+        ids=["fit_loglinear", "cross_validated_bandwidth", "nonparametric_fit",
+             "diagnostics", "regional_heterogeneity"],
+    )
+    @pytest.mark.parametrize("bad", ["nan_distance", "inf_outcome", "length", "2-D"])
+    def test_bad_input_is_data_error(self, call, bad):
+        rng = np.random.default_rng(0)
+        d = rng.uniform(1.0, 100.0, 200)
+        y = np.exp(-0.05 * d) + 0.01
+        if bad == "nan_distance":
+            d[3] = np.nan
+        elif bad == "inf_outcome":
+            y[5] = np.inf
+        elif bad == "length":
+            y = y[:-1]
+        else:
+            d, y = d.reshape(20, 10), y.reshape(20, 10)
+        with pytest.raises(DataError):
+            call(d, y)
+
+
 class TestNonparametricFit:
     def test_affine_reproduction(self):
         rng = np.random.default_rng(1)

@@ -1,0 +1,219 @@
+"""The prefix-sum local-linear kernel against the dense fit it replaced, the
+vectorised bootstrap crossings against the per-curve rule, and the chunked
+bootstrap draws against one draw per resample."""
+
+import numpy as np
+import pytest
+
+from plumefront import estimation
+from plumefront.estimation import (
+    _bin_data,
+    _boundaries_from_curves,
+    _loclin_curve,
+    _loclin_solve,
+    _loclin_sums,
+    _resample_bins,
+    cross_validated_bandwidth,
+)
+from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+
+def _epanechnikov(u):
+    out = 1.0 - u * u
+    out[out < 0] = 0.0
+    return 0.75 * out
+
+
+def _dense_loclin_curve(d, y, grid, h):
+    """The dense O(n x grid) fit the kernel replaced, kept as an oracle."""
+    m = np.empty(grid.size)
+    chunk = max(1, int(2e6 / max(d.size, 1)))
+    for start in range(0, grid.size, chunk):
+        g = grid[start : start + chunk, None]
+        u = (d[None, :] - g) / h
+        w = _epanechnikov(u)
+        du = d[None, :] - g
+        s0 = w.sum(axis=1)
+        s1 = (w * du).sum(axis=1)
+        s2 = (w * du * du).sum(axis=1)
+        t0 = w @ y
+        t1 = (w * du) @ y
+        denom = s0 * s2 - s1 * s1
+        block = np.where(
+            denom > 1e-300,
+            (s2 * t0 - s1 * t1) / np.where(denom > 1e-300, denom, 1.0),
+            np.where(s0 > 0, t0 / np.where(s0 > 0, s0, 1.0), np.nan),
+        )
+        m[start : start + chunk] = block
+    # A grid point with an empty window inherits its nearest neighbour's value.
+    bad = np.isnan(m)
+    if bad.any():
+        good = np.nonzero(~bad)[0]
+        for i in np.nonzero(bad)[0]:
+            m[i] = m[good[np.argmin(np.abs(good - i))]]
+    return m
+
+
+def _crossing_from_curve(grid, m_hat, p):
+    """The per-curve crossing rule the vectorised one replaced."""
+    i_peak = int(np.argmax(m_hat))
+    thr = p * m_hat[0]
+    after = m_hat[i_peak:]
+    crossed = np.nonzero(after <= thr)[0]
+    if crossed.size:
+        return float(grid[i_peak + crossed[0]])
+    interior = i_peak > max(2, int(0.02 * m_hat.size))
+    if interior:
+        floor = float(after.min())
+        peak = float(m_hat[i_peak])
+        thr2 = floor + p * (peak - floor)
+        crossed = np.nonzero(after <= thr2)[0]
+        if crossed.size:
+            return float(grid[i_peak + crossed[0]])
+    return None
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+class TestKernelAgainstDenseFit:
+    @pytest.mark.parametrize("dgp", sorted(STANDARD_DGPS))
+    def test_standard_dgps(self, dgp):
+        d, y = generate_dgp(STANDARD_DGPS[dgp], 5000, seed=11)
+        h_cv = cross_validated_bandwidth(d, y)
+        grid = np.linspace(d.min(), d.max(), 512)
+        for h in (h_cv, 0.7 * h_cv, h_cv / 4.0, 4.0 * h_cv):
+            fit = _loclin_curve(d, y, grid, h)
+            assert _max_rel(fit, _dense_loclin_curve(d, y, grid, h)) <= 1e-10
+
+    @pytest.mark.parametrize("h", [0.5, 2.0, 6.0])
+    def test_offset_distances(self, h):
+        # distances far from zero: prefix sums centred on the whole range
+        # would lose digits here.  Outcomes stay away from zero so that a
+        # relative error is defined at every grid point.
+        rng = np.random.default_rng(0)
+        d = rng.uniform(1000.0, 1100.0, 5000)
+        y = 2.0 + np.sin(d / 7.0) + 0.1 * rng.standard_normal(5000)
+        grid = np.linspace(d.min(), d.max(), 512)
+        assert _max_rel(_loclin_curve(d, y, grid, h), _dense_loclin_curve(d, y, grid, h)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gap_sample_branches(self, seed):
+        """Empty windows, one-point windows and sparse windows at a gap.
+
+        The branch follows the integer window count.  In the dense oracle a
+        one-point window has S0 S2 - S1^2 = 0 up to rounding, and that
+        rounding sometimes passes its 1e-300 test and yields a meaningless
+        local-linear value; there the oracle's local-constant value (the
+        point's own outcome) is the reference.  Elsewhere the values agree
+        to the 1e-12 relative error of the sums times the conditioning
+        S0 S2 / (S0 S2 - S1^2) of the window.
+        """
+        rng = np.random.default_rng(seed)
+        d = np.concatenate([rng.uniform(0.0, 30.0, 300), rng.uniform(70.0, 100.0, 300)])
+        y = 1.0 + 0.01 * d + 0.1 * rng.standard_normal(600)
+        h = 3.0
+        grid = np.linspace(d.min(), d.max(), 512)
+
+        inside = np.abs(d[None, :] - grid[:, None]) < h
+        count = inside.sum(axis=1)
+        du = d[None, :] - grid[:, None]
+        w = _epanechnikov(du / h)
+        s0, s1, s2 = w.sum(axis=1), (w * du).sum(axis=1), (w * du * du).sum(axis=1)
+        cond = s0 * s2 / np.where(count >= 2, s0 * s2 - s1 * s1, 1.0)
+        assert (count == 0).sum() >= 150 and (count == 1).any()
+
+        order = np.argsort(d)
+        sums = _loclin_sums(d[order], np.ones(d.size), y[order], grid, h)
+        assert np.array_equal(sums[0], count)
+        m_raw, _, linear = _loclin_solve(sums)
+        assert np.array_equal(linear, count >= 2)
+        assert np.array_equal(np.isnan(m_raw), count == 0)
+
+        m = _loclin_curve(d, y, grid, h)
+        oracle = _dense_loclin_curve(d, y, grid, h)
+        one = np.flatnonzero(count == 1)
+        np.testing.assert_allclose(m[one], [y[inside[i]][0] for i in one], rtol=1e-9)
+        many = count >= 2
+        rel = np.abs(m[many] - oracle[many]) / np.abs(oracle[many])
+        assert np.all(rel <= 1e-10 * cond[many])
+        # an empty window takes the value of its nearest non-empty neighbour
+        good = np.flatnonzero(count > 0)
+        for i in np.flatnonzero(count == 0):
+            assert m[i] == m[good[np.argmin(np.abs(good - i))]]
+
+    def test_batch_matches_single_rows(self):
+        d, y = generate_dgp(STANDARD_DGPS["hump"], 3000, seed=5)
+        centers, counts, ysum, _, _ = _bin_data(d, y)
+        rng = np.random.default_rng(1)
+        w = rng.poisson(counts, size=(3, counts.size)).astype(float)
+        wy = w * (ysum / np.maximum(counts, 1.0))
+        grid = np.linspace(d.min(), d.max(), 300)
+        batch = _loclin_sums(centers, w, wy, grid, 4.0)
+        for r in range(3):
+            single = _loclin_sums(centers, w[r], wy[r], grid, 4.0)
+            assert np.array_equal(batch[0, r], single[0])
+            np.testing.assert_allclose(batch[1:, r], single[1:], rtol=1e-10, atol=1e-10)
+
+
+class TestBoundariesFromCurves:
+    @staticmethod
+    def _per_curve(grid, curves, p):
+        out = np.full(curves.shape[0], np.nan)
+        for b, m in enumerate(curves):
+            cand = None if np.isnan(m).any() else _crossing_from_curve(grid, m, p)
+            if cand is not None:
+                out[b] = cand
+        return out
+
+    def test_matches_per_curve_rule(self):
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0.0, 100.0, 512)
+        decaying = 0.8 * np.exp(-0.05 * grid) + 0.02 * rng.standard_normal((40, 512))
+        hump = 0.5 + 0.2 * np.exp(-((grid - 20.0) ** 2) / 200.0)
+        hump = hump + 0.005 * rng.standard_normal((40, 512))
+        rising = 0.1 + 0.004 * grid + 0.01 * rng.standard_normal((20, 512))
+        # peak at or near the edge (not interior) and never decays that far
+        no_crossing = np.vstack([
+            np.tile(1.0 - 0.001 * grid, (3, 1)),
+            np.tile(1.0 - 0.001 * np.abs(grid - grid[5]), (2, 1)),
+        ])
+        with_nan = decaying[:10].copy()
+        with_nan[np.arange(10), rng.integers(0, 512, 10)] = np.nan
+        curves = np.vstack([decaying, hump, rising, no_crossing, with_nan])
+        for p in (0.1, 0.5):
+            got = _boundaries_from_curves(grid, curves, p)
+            assert np.array_equal(got, self._per_curve(grid, curves, p), equal_nan=True)
+        got = _boundaries_from_curves(grid, curves, 0.1)
+        assert not np.isnan(got[:80]).any()
+        assert np.all(got[40:80] > 20.0)  # hump rows cross past the peak, by the amplitude rule
+        assert np.isnan(got[100:]).all()  # no crossing, or a NaN in the curve
+
+
+class TestChunkedDraws:
+    @staticmethod
+    def _per_resample(ids, y, n_bins, n_boot, rng):
+        counts = np.empty((n_boot, n_bins))
+        ysum = np.empty((n_boot, n_bins))
+        for b in range(n_boot):
+            take = rng.integers(0, ids.size, size=ids.size)
+            counts[b] = np.bincount(ids[take], minlength=n_bins)
+            ysum[b] = np.bincount(ids[take], weights=y[take], minlength=n_bins)
+        return counts, ysum
+
+    @pytest.mark.parametrize("chunk, n, n_boot", [(None, 5000, 200), (1000, 301, 10), (50, 301, 3)])
+    def test_bit_identical_to_one_draw_per_resample(self, monkeypatch, chunk, n, n_boot):
+        if chunk is not None:
+            monkeypatch.setattr(estimation, "_DRAW_CHUNK", chunk)
+        rows = max(1, estimation._DRAW_CHUNK // n)
+        assert n_boot % rows or rows == 1  # a short last chunk, or one row per call
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], n, seed=2)
+        _, _, _, _, ids = _bin_data(d, y)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        counts, ysum = _resample_bins(ids, y, 400, n_boot, rng_a)
+        ref_counts, ref_ysum = self._per_resample(ids, y, 400, n_boot, rng_b)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(ysum, ref_ysum)
+        # the generator continues from the same state (the interval draws next)
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
