@@ -206,28 +206,29 @@ def _run_montecarlo(args):
 
 
 def _read_columns(path, names):
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delim = "\t" if sample.count("\t") > sample.count(",") else ","
-        reader = _csv.DictReader(fh, delimiter=delim)
+    handle, reader = ingest._open_reader(path)
+    with handle:
         if reader.fieldnames is None:
             raise PlumefrontError(f"{path}: empty input file")
         missing = [n for n in names if n not in reader.fieldnames]
         if missing:
             raise PlumefrontError(f"{path}: missing columns: {', '.join(missing)}")
-        cols = {n: [] for n in names}
-        for row in reader:
-            for n in names:
+        # a repeated header name reads its last column, as a DictReader would
+        position = {n: i for i, n in enumerate(reader.fieldnames)}
+        wanted = [(n, position[n], []) for n in names]
+        rows = reader.reader  # the plain csv reader, already past the header
+        for row in rows:
+            if not row:
+                continue
+            for n, i, col in wanted:
+                text = row[i] if i < len(row) else None
                 try:
-                    cols[n].append(float(row[n]))
+                    col.append(float(text))
                 except (TypeError, ValueError):
                     raise PlumefrontError(
-                        f"{path} row {reader.line_num}: column {n!r} is not numeric: {row[n]!r}"
+                        f"{path} row {rows.line_num}: column {n!r} is not numeric: {text!r}"
                     ) from None
-        return [np.array(cols[n]) for n in names]
+        return [np.array(col) for _, _, col in wanted]
 
 
 def _run_estimate(args):
@@ -307,9 +308,9 @@ def _run_ingest(args):
         for o in sample
     ]
     # mirror the observation file's delimiter convention on the way out
-    with open(args.observations, encoding="utf-8") as fh:
-        head = fh.read(4096)
-    delim = "\t" if head.count("\t") > head.count(",") else ","
+    handle, reader = ingest._open_reader(args.observations)
+    handle.close()
+    delim = reader.reader.dialect.delimiter
     _write_table(rows, ["lat", "lon", "period", "outcome", "nearest_source_id",
                         "distance_km"], args, delimiter=delim)
     sys.stderr.write(f"# ingested {len(rows)} observations "

@@ -133,15 +133,19 @@ class ProfileSelection:
     lr_stat: float | None
 
 
-def _as_xy(distances, outcomes) -> tuple[np.ndarray, np.ndarray]:
+def _as_columns(label: str, *arrays) -> list[np.ndarray]:
+    """The arrays as finite 1-D float arrays of equal length; label names them."""
+    cols = [np.asarray(a, dtype=float) for a in arrays]
+    if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+        raise DataError(f"{label} must be 1-D arrays of equal length")
+    if not all(np.isfinite(c).all() for c in cols):
+        raise DataError(f"{label} must be finite (no NaN or inf)")
+    return cols
+
+
+def _as_xy(distances, outcomes) -> list[np.ndarray]:
     """Distances and outcomes as finite 1-D float arrays of equal length."""
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if d.shape != y.shape or d.ndim != 1:
-        raise DataError("distances and outcomes must be 1-D arrays of equal length")
-    if not (np.isfinite(d).all() and np.isfinite(y).all()):
-        raise DataError("distances and outcomes must be finite (no NaN or inf)")
-    return d, y
+    return _as_columns("distances and outcomes", distances, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +553,7 @@ def _norm_sf(z: float) -> float:
 
 def spearman_correlation(x, y) -> tuple[float, float]:
     """Spearman rank correlation with a large-sample normal p-value."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_xy(x, y)
     rx, ry = _rank(x), _rank(y)
     rho = float(np.corrcoef(rx, ry)[0, 1])
     z = rho * math.sqrt(max(x.size - 1, 1))
@@ -751,11 +754,7 @@ def fit_field_nls(
     """
     if field_class not in _MODELS:
         raise DomainError(f"unknown field class {field_class!r}")
-    r = np.asarray(distances, dtype=float)
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
-    if not (r.shape == t.shape == y.shape) or r.ndim != 1:
-        raise DataError("distances, times, outcomes must be 1-D arrays of equal length")
+    r, t, y = _as_columns("distances, times, outcomes", distances, times, outcomes)
     if r.size < 50:
         raise InsufficientDataError(f"field fit needs n >= 50, got {r.size}")
     if np.unique(t).size < 2:
@@ -826,9 +825,7 @@ def select_profile_model(
     """
     if geometry_hint not in ("cylindrical", "none"):
         raise DomainError(f"geometry_hint must be 'cylindrical' or 'none', got {geometry_hint!r}")
-    r = np.asarray(distances, dtype=float)
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(outcomes, dtype=float)
+    r, t, y = _as_columns("distances, times, outcomes", distances, times, outcomes)
     if r.size < 100:
         raise InsufficientDataError(f"model selection needs n >= 100, got {r.size}")
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
 from .specfun import bessel_k0, bessel_k1, kummer_m
@@ -253,6 +252,8 @@ class DecayingSourceField:
 
     def _quad(self, r: float, t: float, power: int) -> float:
         """2 * int_0^sqrt(t) e^{-lam w^2} w^{-power} exp(-r^2/(4 nu w^2)) dw."""
+        from scipy.integrate import quad
+
         p = self.params
         a = r * r / (4.0 * p.nu)
 

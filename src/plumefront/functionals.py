@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NonMonotoneFieldWarning, NumericalError
 from .specfun import unit_sphere_area
@@ -186,6 +185,7 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
         if horizon == t_min:
             return 0.0
         raise DomainError("horizon must be >= t_min")
+    from scipy.integrate import quad
 
     integrand = lambda t: field.value(r, t) if t > 0 else 0.0
 
@@ -224,6 +224,7 @@ def spatial_moment(field, k: int, t: float) -> MomentResult:
     omega = unit_sphere_area(dim)
     r_max = _radial_cutoff(field, t, k)
     r_lo = getattr(field, "r_min", 0.0)
+    from scipy.integrate import quad
 
     integrand = lambda r: r ** (k + dim - 1) * field.value(r, t)
     val, err = quad(
@@ -242,6 +243,8 @@ def energy(field, t: float) -> float:
     omega = unit_sphere_area(dim)
     r_max = _radial_cutoff(field, t, 0)
     r_lo = getattr(field, "r_min", 0.0)
+    from scipy.integrate import quad
+
     integrand = lambda r: r ** (dim - 1) * field.value(r, t) ** 2
     val, err = quad(integrand, r_lo, r_max, epsabs=1e-300, epsrel=1e-9, limit=400)
     if err > 1e-7 * max(abs(val), 1e-300):

@@ -97,9 +97,10 @@ class TestInputValidation:
             lambda d, y: nonparametric_fit(d, y),
             lambda d, y: diagnostics(d, y),
             lambda d, y: regional_heterogeneity(d, y, 50.0),
+            lambda d, y: spearman_correlation(d, y),
         ],
         ids=["fit_loglinear", "cross_validated_bandwidth", "nonparametric_fit",
-             "diagnostics", "regional_heterogeneity"],
+             "diagnostics", "regional_heterogeneity", "spearman_correlation"],
     )
     @pytest.mark.parametrize("bad", ["nan_distance", "inf_outcome", "length", "2-D"])
     def test_bad_input_is_data_error(self, call, bad):
@@ -116,6 +117,30 @@ class TestInputValidation:
             d, y = d.reshape(20, 10), y.reshape(20, 10)
         with pytest.raises(DataError):
             call(d, y)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, t, y: fit_field_nls(r, t, y),
+            lambda r, t, y: select_profile_model(r, y, t),
+        ],
+        ids=["fit_field_nls", "select_profile_model"],
+    )
+    @pytest.mark.parametrize("bad", ["nan_outcome", "inf_distance", "nan_time", "length"])
+    def test_bad_field_fit_input_is_data_error(self, call, bad, capfd):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 150, (0.5, 1.0, 2.0), 1e-3, seed=0)
+        if bad == "nan_outcome":
+            y[3] = np.nan
+        elif bad == "inf_distance":
+            r[7] = np.inf
+        elif bad == "nan_time":
+            t[11] = np.nan
+        else:
+            t = t[:-1]
+        with pytest.raises(DataError):
+            call(r, t, y)
+        # rejected before any LAPACK routine could complain on stderr
+        assert capfd.readouterr().err == ""
 
 
 class TestNonparametricFit:

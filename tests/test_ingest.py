@@ -1,14 +1,17 @@
 """File loading, great-circle distances, nearest-source matching, filters."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumefront import ingest
 from plumefront.errors import DataError, DomainError
 from plumefront.ingest import (
+    BRUTE_FORCE_MAX_PAIRS,
     EARTH_RADIUS_KM,
     GridObservation,
     SourceSite,
@@ -167,6 +170,59 @@ class TestNearestSourceMatching:
         ids, dists = self._brute(observations, sources)
         assert [m.nearest_source_id for m in matched] == ids
         assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-7, atol=1e-7)
+
+    @staticmethod
+    def _spy_on_pair_scan(monkeypatch):
+        calls = []
+        scan = ingest._haversine_matrix
+
+        def spy(lat1, lon1, lat2, lon2):
+            calls.append((len(lat1), len(lat2)))
+            return scan(lat1, lon1, lat2, lon2)
+
+        monkeypatch.setattr(ingest, "_haversine_matrix", spy)
+        return calls
+
+    def test_repeated_cells_are_scanned_once(self, monkeypatch):
+        # every cell observed in 24 months: the rows exceed the pair limit,
+        # the distinct cells do not, so the exact pair scan runs on the cells
+        cells, sources = _grid_fixture(40, 300, seed=2)
+        observations = [
+            replace(o, period=f"{2019 + m // 12}-{m % 12 + 1:02d}")
+            for m in range(24)
+            for o in cells
+        ]
+        assert len(observations) * len(sources) > BRUTE_FORCE_MAX_PAIRS
+        assert len(cells) * len(sources) <= BRUTE_FORCE_MAX_PAIRS
+        # exhaustive search row by row, in chunks to bound the pair matrix
+        src_lat = np.array([s.lat for s in sources])
+        src_lon = np.array([s.lon for s in sources])
+        ids, dists = [], []
+        for k in range(0, len(observations), len(cells)):
+            chunk = observations[k : k + len(cells)]
+            dm = ingest._haversine_matrix(
+                np.array([o.lat for o in chunk]), np.array([o.lon for o in chunk]),
+                src_lat, src_lon,
+            )
+            best = np.argmin(dm, axis=1)
+            ids += [sources[i].id for i in best]
+            dists += list(dm[np.arange(len(chunk)), best])
+
+        calls = self._spy_on_pair_scan(monkeypatch)
+        matched = match_nearest_source(observations, sources)
+        assert calls == [(len(cells), len(sources))]
+        assert [m.nearest_source_id for m in matched] == ids
+        assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-12, atol=0.0)
+        assert [(m.lat, m.lon, m.period) for m in matched] == [
+            (o.lat, o.lon, o.period) for o in observations
+        ]
+
+    def test_tree_fixture_takes_tree_branch(self, monkeypatch):
+        observations, sources = _grid_fixture(60, 300, seed=1)
+        assert len(observations) * len(sources) > BRUTE_FORCE_MAX_PAIRS
+        calls = self._spy_on_pair_scan(monkeypatch)
+        match_nearest_source(observations, sources)
+        assert calls == []
 
 
 class TestBuildSample:
