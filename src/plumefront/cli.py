@@ -30,21 +30,30 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.10g}"
+        return f"{value:.10g}"  # "nan" for NaN
     return str(value)
 
 
-def _write_table(rows, columns, args, delimiter=","):
+def _format_column(values) -> list[str]:
+    """`_fmt` of every value, with the formatter picked once for the column."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return [f"{v:.10g}" for v in values]
+    return values if kinds == {str} else list(map(_fmt, values))
+
+
+def _columns(rows, names) -> dict:
+    return {c: [r.get(c) for r in rows] for c in names}
+
+
+def _write_table(table, args, delimiter=","):
+    """Write a table given as columns (name -> list of values)."""
     if args.format == "json":
-        payload = [{c: r.get(c) for c in columns} for r in rows]
+        payload = [dict(zip(table, row)) for row in zip(*table.values())]
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
-        lines = [delimiter.join(columns)]
-        for r in rows:
-            lines.append(delimiter.join(_fmt(r.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        cells = zip(*map(_format_column, table.values()))
+        text = "\n".join([delimiter.join(table), *map(delimiter.join, cells)]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -118,7 +127,7 @@ def _run_field(args):
             else:
                 rows.append({"r_km": r, "t": t, "value": fld.value(r, t),
                              "d_dr": None, "d_dt": None})
-    _write_table(rows, ["r_km", "t", "value", "d_dr", "d_dt"], args)
+    _write_table(_columns(rows, ["r_km", "t", "value", "d_dr", "d_dt"]), args)
     return 0
 
 
@@ -131,7 +140,7 @@ def _run_boundary(args):
     if len(rows) == 1 and args.out is None and args.format == "csv":
         sys.stdout.write(_fmt(rows[0]["boundary_km"]) + "\n")
     else:
-        _write_table(rows, ["t", "boundary_km"], args)
+        _write_table(_columns(rows, ["t", "boundary_km"]), args)
     return 0
 
 
@@ -144,7 +153,7 @@ def _run_moments(args):
             res = functionals.spatial_moment(fld, int(k), t)
             rows.append({"k": int(k), "t": t, "value": res.value,
                          "quadrature_error": res.quadrature_error})
-    _write_table(rows, ["k", "t", "value", "quadrature_error"], args)
+    _write_table(_columns(rows, ["k", "t", "value", "quadrature_error"]), args)
     return 0
 
 
@@ -163,7 +172,7 @@ def _run_exposure(args):
          "exposure": functionals.cumulative_exposure(fld, r, args.t_min, horizon)}
         for r in _parse_floats(args.r)
     ]
-    _write_table(rows, ["r_km", "t_min", "horizon", "exposure"], args)
+    _write_table(_columns(rows, ["r_km", "t_min", "horizon", "exposure"]), args)
     return 0
 
 
@@ -191,7 +200,7 @@ def _run_montecarlo(args):
          "n_obs": s.n_obs, "n_detected": s.n_detected, "n_failed": s.n_failed}
         for s in summaries
     ]
-    _write_table(rows, columns, args)
+    _write_table(_columns(rows, columns), args)
     if records is not None:
         rep_rows = [
             {"dgp_id": r.dgp_id, "method": r.method, "rep": r.rep, "seed": r.seed,
@@ -200,35 +209,20 @@ def _run_montecarlo(args):
             for r in records
         ]
         rep_args = argparse.Namespace(out=args.per_rep, format=args.format)
-        _write_table(rep_rows, ["dgp_id", "method", "rep", "seed", "estimate_km",
-                                "ci_lo_km", "ci_hi_km", "failed"], rep_args)
+        _write_table(_columns(rep_rows, ["dgp_id", "method", "rep", "seed", "estimate_km",
+                                         "ci_lo_km", "ci_hi_km", "failed"]), rep_args)
     return 0
 
 
 def _read_columns(path, names):
-    handle, reader = ingest._open_reader(path)
-    with handle:
-        if reader.fieldnames is None:
-            raise PlumefrontError(f"{path}: empty input file")
-        missing = [n for n in names if n not in reader.fieldnames]
-        if missing:
-            raise PlumefrontError(f"{path}: missing columns: {', '.join(missing)}")
-        # a repeated header name reads its last column, as a DictReader would
-        position = {n: i for i, n in enumerate(reader.fieldnames)}
-        wanted = [(n, position[n], []) for n in names]
-        rows = reader.reader  # the plain csv reader, already past the header
-        for row in rows:
-            if not row:
-                continue
-            for n, i, col in wanted:
-                text = row[i] if i < len(row) else None
-                try:
-                    col.append(float(text))
-                except (TypeError, ValueError):
-                    raise PlumefrontError(
-                        f"{path} row {rows.line_num}: column {n!r} is not numeric: {text!r}"
-                    ) from None
-        return [np.array(col) for _, _, col in wanted]
+    table = ingest._read_text_columns(path, names, f"{path}:")
+    if table is None:
+        raise PlumefrontError(f"{path}: empty input file")
+    _, texts, lines = table
+    parsed = [ingest._float_column(t) for t in texts]
+    ingest._raise_first(lines, [(bad, ingest._not_numeric(n, t))
+                                for n, t, (_, bad) in zip(names, texts, parsed)], f"{path} ")
+    return [values for values, _ in parsed]
 
 
 def _run_estimate(args):
@@ -260,10 +254,10 @@ def _run_estimate(args):
             curve_rows = [{"distance_km": g, "m_hat": m}
                           for g, m in zip(fit.grid, fit.m_hat)]
             curve_args = argparse.Namespace(out=args.curve_out, format=args.format)
-            _write_table(curve_rows, ["distance_km", "m_hat"], curve_args)
-    _write_table(rows, ["method", "kappa_per_km", "intercept", "se_classical", "se_spatial",
-                        "r_squared", "n", "d_star_km", "ci_lo_km", "ci_hi_km",
-                        "bandwidth_km", "boundary_km", "reject_null"], args)
+            _write_table(_columns(curve_rows, ["distance_km", "m_hat"]), curve_args)
+    _write_table(_columns(rows, ["method", "kappa_per_km", "intercept", "se_classical",
+                                 "se_spatial", "r_squared", "n", "d_star_km", "ci_lo_km",
+                                 "ci_hi_km", "bandwidth_km", "boundary_km", "reject_null"]), args)
     return 0
 
 
@@ -288,33 +282,23 @@ def _run_diagnose(args):
             f"kappa_near={_fmt(regional.near.kappa_s)} kappa_far={_fmt(regional.far.kappa_s)} "
             f"sign_reversal={str(regional.sign_reversal).lower()}\n"
         )
-    _write_table(rows, ["bin_lo_km", "bin_hi_km", "mean", "se", "count",
-                        "pct_decline_from_first_bin"], args)
+    _write_table(_columns(rows, ["bin_lo_km", "bin_hi_km", "mean", "se", "count",
+                                 "pct_decline_from_first_bin"]), args)
     return 0
 
 
 def _run_ingest(args):
     _require(args, "sources", "observations")
     sources = ingest.load_sources(args.sources, min_capacity=args.min_capacity)
-    observations = ingest.load_observations(args.observations)
-    sample = ingest.build_sample(
-        observations, sources,
-        max_distance_km=args.max_distance,
-        min_monthly_obs_per_year=args.min_months,
-    )
-    rows = [
-        {"lat": o.lat, "lon": o.lon, "period": o.period, "outcome": o.outcome,
-         "nearest_source_id": o.nearest_source_id, "distance_km": o.distance_km}
-        for o in sample
-    ]
-    # mirror the observation file's delimiter convention on the way out
-    handle, reader = ingest._open_reader(args.observations)
-    handle.close()
-    delim = reader.reader.dialect.delimiter
-    _write_table(rows, ["lat", "lon", "period", "outcome", "nearest_source_id",
-                        "distance_km"], args, delimiter=delim)
-    sys.stderr.write(f"# ingested {len(rows)} observations "
-                     f"({len(observations)} read, {len(sources)} sources kept)\n")
+    obs, delimiter = ingest.read_observation_columns(args.observations)
+    rows, idx, dist = ingest.sample_rows(obs, sources, args.max_distance, args.min_months)
+    table = {c: obs[c][rows].tolist() for c in ingest.OBSERVATION_COLUMNS}
+    table["nearest_source_id"] = [sources[i].id for i in idx.tolist()]
+    table["distance_km"] = dist.tolist()
+    # the output keeps the observation file's delimiter
+    _write_table(table, args, delimiter=delimiter)
+    sys.stderr.write(f"# ingested {rows.size} observations "
+                     f"({obs['lat'].size} read, {len(sources)} sources kept)\n")
     return 0
 
 

@@ -262,6 +262,17 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
 # ---------------------------------------------------------------------------
 
 
+def _loclin_blocks(xs, grid, h):
+    """Window bounds lo, hi of each grid point in xs (points strictly inside
+    (a - h, a + h)) and the grid blocks [starts, ends) of `_loclin_sums`;
+    block [g0, g1) reads xs[lo[g0]:hi[g1 - 1]]."""
+    lo = np.searchsorted(xs, grid - h, side="right")
+    hi = np.searchsorted(xs, grid + h, side="left")
+    block = np.floor((grid - grid[0]) / (_BLOCK_BANDWIDTHS * h))
+    starts = np.flatnonzero(np.diff(block, prepend=-1.0))
+    return lo, hi, starts, np.append(starts[1:], grid.size)
+
+
 def _loclin_sums(xs, w, wy, grid, h):
     """Local-linear sums (count, S0, S1, S2, T0, T1) at every grid point a.
 
@@ -275,11 +286,7 @@ def _loclin_sums(xs, w, wy, grid, h):
     batch multiplies the block's exact kernel weights instead (BLAS beats
     batched prefix sums there).
     """
-    lo = np.searchsorted(xs, grid - h, side="right")
-    hi = np.searchsorted(xs, grid + h, side="left")
-    block = np.floor((grid - grid[0]) / (_BLOCK_BANDWIDTHS * h))
-    starts = np.flatnonzero(np.diff(block, prepend=-1.0))
-    ends = np.append(starts[1:], grid.size)
+    lo, hi, starts, ends = _loclin_blocks(xs, grid, h)
     if w.ndim > 1:
         out = np.empty((6, w.shape[0], grid.size))
         for g0, g1 in zip(starts, ends):
@@ -440,20 +447,28 @@ def _boundaries_from_curves(grid, curves, p):
     return np.where(found, grid[first], np.nan)
 
 
-def _resample_bins(ids, y, n_bins, n_boot, rng):
+def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
     """Bin counts and outcome sums of n_boot pair-bootstrap resamples.
 
     Rows are drawn a chunk at a time (at most _DRAW_CHUNK indices) and binned
     by one flat bincount per chunk; the PCG64 stream, and so every count and
-    sum, is that of one `rng.integers(0, n, size=n)` call per resample.
+    sum, is that of one `rng.integers(0, n, size=n)` call per resample.  With
+    a mask `used` of bins, only the draws landing in those bins are binned
+    (in draw order, so their sums are unchanged); the other bins read 0.
     """
     n = ids.size
     rows = max(1, _DRAW_CHUNK // n)
+    keep = None if used is None or used.all() else used[ids]
     counts, ysum = np.empty((2, n_boot, n_bins))
     for start in range(0, n_boot, rows):
         r = min(rows, n_boot - start)
         take = rng.integers(0, n, size=(r, n))
-        flat = (ids[take] + n_bins * np.arange(r)[:, None]).ravel()
+        if keep is None:
+            offset = n_bins * np.arange(r)[:, None]
+        else:
+            at = np.flatnonzero(keep[take])
+            take, offset = take.ravel()[at], n_bins * (at // n)
+        flat = (ids[take] + offset).ravel()
         counts[start : start + r] = np.bincount(flat, minlength=r * n_bins).reshape(r, -1)
         ysum[start : start + r] = np.bincount(flat, y[take].ravel(), r * n_bins).reshape(r, -1)
     return counts, ysum
@@ -464,10 +479,16 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
 
     Observations are resampled exactly; `_loclin_sums` then runs on the 400
     bin centres with the resampled bin counts and outcome sums as one batch
-    of weights.  An empty window gives NaN, not a neighbour fill.
+    of weights.  Only the bins its grid blocks read are binned, so a grid of
+    the two range endpoints (the gate) bins only the draws near them.  An
+    empty window gives NaN, not a neighbour fill.
     """
     centers, _, _, _, ids = _bin_data(d, y, n_bins)
-    counts, ysum = _resample_bins(ids, y, n_bins, n_boot, rng)
+    lo, hi, starts, ends = _loclin_blocks(centers, grid, h)
+    used = np.zeros(n_bins, dtype=bool)
+    for g0, g1 in zip(starts, ends):
+        used[lo[g0] : hi[g1 - 1]] = True
+    counts, ysum = _resample_bins(ids, y, n_bins, n_boot, rng, used)
     return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
@@ -531,19 +552,13 @@ def bootstrap_boundary_interval(
 
 
 def _rank(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, ties given the average of the ranks they span."""
     order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size)
-    ranks[order] = np.arange(1, a.size + 1, dtype=float)
-    # average ranks over ties
     sorted_a = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    size = np.diff(np.append(first, a.size))
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(first + 0.5 * (size - 1) + 1.0, size)
     return ranks
 
 

@@ -6,6 +6,11 @@ capacity_mw; the observations file carries lat, lon, period (YYYY-MM),
 outcome (may be empty for missing).  Distances are great-circle kilometres
 on the mean Earth radius 6371.0088 km.
 
+Observations are read, checked, matched and filtered as numpy columns
+(`read_observation_columns`, `sample_rows`); the row functions
+`load_observations`, `match_nearest_source` and `build_sample` are adapters
+that build a GridObservation only for each row they return.
+
 Nearest-source matching is exact and runs once per distinct (lat, lon) cell:
 small problems scan all cell-source pairs, large ones use a k-d tree on
 unit-sphere 3D coordinates (chord length is monotone in central angle, so the
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +105,78 @@ def _unit_vectors(lat, lon) -> np.ndarray:
     )
 
 
-def _parse_float(text: str, column: str, line_num: int) -> float:
+def _read_text_columns(path, names, label):
+    """(delimiter, the named columns as lists of text, each row's line number).
+
+    names: two or more column names.  None for a file with no header.  The
+    delimiter is a tab when the first 4 kB hold more tabs than commas.  Blank
+    lines are skipped; a short row reads None past its end and a repeated
+    header name its last column, as csv.DictReader would.  Only the named
+    fields of a row are kept.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        sample = handle.read(4096)
+        handle.seek(0)
+        tabs = sample.count("\t") > sample.count(",")
+        rows = csv.reader(handle, delimiter="\t" if tabs else ",")
+        header = next(rows, None)
+        if header is None:
+            return None
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise DataError(f"{label} missing columns: {', '.join(missing)}")
+        index = {n: i for i, n in enumerate(header)}
+        position = [index[n] for n in names]
+        get, top, pad = operator.itemgetter(*position), max(position), [None] * len(header)
+        numbered = [get(row if len(row) > top else row + pad) + (rows.line_num,)
+                    for row in rows if row]
+    *columns, lines = ([t[k] for t in numbered] for k in range(len(names) + 1))
+    return rows.dialect.delimiter, columns, lines
+
+
+def _float_column(texts):
+    """float() of every text (NaN where it fails) and the mask of failures."""
+    values, bad = np.full(len(texts), np.nan), np.zeros(len(texts), bool)
     try:
-        return float(text)
+        values[:] = list(map(float, texts))
     except (TypeError, ValueError):
-        raise DataError(f"row {line_num}: column {column!r} is not numeric: {text!r}") from None
+        for i, text in enumerate(texts):
+            try:
+                values[i] = float(text)
+            except (TypeError, ValueError):
+                bad[i] = True
+    return values, bad
 
 
-def _open_reader(path):
-    handle = open(path, newline="", encoding="utf-8")
-    sample = handle.read(4096)
-    handle.seek(0)
-    delimiter = "\t" if sample.count("\t") > sample.count(",") else ","
-    return handle, csv.DictReader(handle, delimiter=delimiter)
+def _raise_first(lines, checks, where=""):
+    """Raise DataError for the first row in file order that fails a check.
+
+    checks: (mask of failing rows, message of row i and its label "row N"),
+    in the order one row is checked, so a row failing two reports the first.
+    """
+    failed = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if failed:
+        i, k = min(failed)
+        raise DataError(checks[k][1](i, f"{where}row {lines[i]}"))
+
+
+def _not_numeric(column, texts):
+    return lambda i, row: f"{row}: column {column!r} is not numeric: {texts[i]!r}"
+
+
+def _coordinate_checks(lat, lon):
+    # NaN fails both comparisons: a NaN coordinate is out of range
+    return [
+        (~((lat >= -90.0) & (lat <= 90.0)),
+         lambda i, row: f"{row}: latitude {float(lat[i])} outside [-90, 90]"),
+        (~((lon >= -180.0) & (lon <= 180.0)),
+         lambda i, row: f"{row}: longitude {float(lon[i])} outside [-180, 180]"),
+    ]
+
+
+def _is_period(text: str) -> bool:
+    parts = text.split("-")
+    return len(parts) == 2 and len(parts[0]) == 4 and parts[0].isdigit() and parts[1].isdigit()
 
 
 def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
@@ -120,83 +185,85 @@ def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
     Parse failures cite the offending file row; duplicate ids are rejected
     by name.
     """
-    handle, reader = _open_reader(path)
-    with handle:
-        if reader.fieldnames is None:
-            return []
-        missing = [c for c in SOURCE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"sources file missing columns: {', '.join(missing)}")
-        seen = set()
-        sites = []
-        for row in reader:
-            line = reader.line_num
-            sid = (row["id"] or "").strip()
-            if not sid:
-                raise DataError(f"row {line}: empty source id")
-            if sid in seen:
-                raise DataError(f"duplicate source id {sid!r} at row {line}")
-            seen.add(sid)
-            try:
-                site = SourceSite(
-                    id=sid,
-                    lat=_parse_float(row["lat"], "lat", line),
-                    lon=_parse_float(row["lon"], "lon", line),
-                    capacity_mw=_parse_float(row["capacity_mw"], "capacity_mw", line),
-                )
-            except DomainError as exc:
-                raise DataError(f"row {line}: {exc}") from None
-            if site.capacity_mw > min_capacity:
-                sites.append(site)
-        return sites
+    table = _read_text_columns(path, SOURCE_COLUMNS, "sources file")
+    if table is None:
+        return []
+    _, (raw_id, lat_text, lon_text, capacity_text), lines = table
+    ids = [(text or "").strip() for text in raw_id]
+    first = {}
+    repeated = np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
+    (lat, bad_lat), (lon, bad_lon), (capacity, bad_capacity) = map(
+        _float_column, (lat_text, lon_text, capacity_text))
+    _raise_first(lines, [
+        (np.array([not sid for sid in ids], dtype=bool), lambda i, row: f"{row}: empty source id"),
+        (repeated, lambda i, row: f"duplicate source id {ids[i]!r} at {row}"),
+        (bad_lat, _not_numeric("lat", lat_text)),
+        (bad_lon, _not_numeric("lon", lon_text)),
+        (bad_capacity, _not_numeric("capacity_mw", capacity_text)),
+        *_coordinate_checks(lat, lon),
+        (capacity < 0, lambda i, row: f"{row}: capacity must be >= 0, got {float(capacity[i])}"),
+    ])
+    return [SourceSite(id=sid, lat=a, lon=b, capacity_mw=c)
+            for sid, a, b, c in zip(ids, lat.tolist(), lon.tolist(), capacity.tolist())
+            if c > min_capacity]
+
+
+def _observation_columns(observations) -> dict:
+    outcome = [o.outcome for o in observations]
+    return {"lat": np.array([o.lat for o in observations], dtype=float),
+            "lon": np.array([o.lon for o in observations], dtype=float),
+            "period": np.array([o.period for o in observations], dtype=object),
+            "outcome": np.array([np.nan if v is None else v for v in outcome], dtype=float),
+            "missing": np.array([v is None for v in outcome], dtype=bool)}
+
+
+def read_observation_columns(path) -> tuple[dict, str]:
+    """Grid observations as columns, in file order, and the file's delimiter.
+
+    The columns are arrays keyed lat, lon, period (strings), outcome (NaN
+    where missing) and missing (an empty outcome field).  The period format
+    is checked once per distinct string and the coordinates by array masks;
+    the first bad row in file order is reported with the first check it
+    fails.
+    """
+    table = _read_text_columns(path, OBSERVATION_COLUMNS, "observations file")
+    if table is None:
+        return _observation_columns([]), ","
+    delimiter, (lat_text, lon_text, raw_period, raw_outcome), lines = table
+    strip = {raw: (raw or "").strip() for raw in set(raw_period)}
+    period = np.array([strip[raw] for raw in raw_period], dtype=object)
+    bad_periods = {raw for raw, p in strip.items() if not _is_period(p)}
+    outcome_text = [(text or "").strip() for text in raw_outcome]
+    outcome, bad_outcome = _float_column([text or "nan" for text in outcome_text])
+    (lat, bad_lat), (lon, bad_lon) = _float_column(lat_text), _float_column(lon_text)
+    _raise_first(lines, [
+        (np.array([raw in bad_periods for raw in raw_period], dtype=bool),
+         lambda i, row: f"{row}: period {period[i]!r} is not YYYY-MM"),
+        (bad_outcome, _not_numeric("outcome", outcome_text)),
+        (bad_lat, _not_numeric("lat", lat_text)),
+        (bad_lon, _not_numeric("lon", lon_text)),
+        *_coordinate_checks(lat, lon),
+    ])
+    missing = np.array([not text for text in outcome_text], dtype=bool)
+    return dict(lat=lat, lon=lon, period=period, outcome=outcome, missing=missing), delimiter
 
 
 def load_observations(path) -> list[GridObservation]:
     """Read grid observations; an empty outcome field means missing."""
-    handle, reader = _open_reader(path)
-    with handle:
-        if reader.fieldnames is None:
-            return []
-        missing = [c for c in OBSERVATION_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"observations file missing columns: {', '.join(missing)}")
-        out = []
-        for row in reader:
-            line = reader.line_num
-            period = (row["period"] or "").strip()
-            parts = period.split("-")
-            if len(parts) != 2 or len(parts[0]) != 4 or not parts[0].isdigit() or not parts[1].isdigit():
-                raise DataError(f"row {line}: period {period!r} is not YYYY-MM")
-            raw = (row["outcome"] or "").strip()
-            outcome = None if raw == "" else _parse_float(raw, "outcome", line)
-            try:
-                out.append(
-                    GridObservation(
-                        lat=_parse_float(row["lat"], "lat", line),
-                        lon=_parse_float(row["lon"], "lon", line),
-                        period=period,
-                        outcome=outcome,
-                    )
-                )
-            except DomainError as exc:
-                raise DataError(f"row {line}: {exc}") from None
-        return out
+    obs, _ = read_observation_columns(path)
+    columns = (obs[c].tolist() for c in (*OBSERVATION_COLUMNS, "missing"))
+    return [GridObservation(lat=a, lon=b, period=p, outcome=None if m else v)
+            for a, b, p, v, m in zip(*columns)]
 
 
-def match_nearest_source(observations, sources):
-    """Attach nearest_source_id and distance_km to every observation.
-
-    Each distinct (lat, lon) is matched once and its result shared by every
-    row at that cell.  Exact for any input size; the k-d tree path kicks in
-    above one million cell-source pairs.
-    """
+def _nearest(lat, lon, sources):
+    """(nearest source index, distance, cell) of every point; each distinct
+    (lat, lon) cell is matched once."""
     if not sources:
         raise DataError("no sources to match against")
-    obs_lat = np.array([o.lat for o in observations])
-    obs_lon = np.array([o.lon for o in observations])
     # The complex key lat + i lon sorts by (lat, lon); it finds the same cells
     # as np.unique(axis=0) on the coordinate pairs, about ten times faster.
-    cells, row_cell = np.unique(obs_lat + 1j * obs_lon, return_inverse=True)
+    cells, row_cell = np.unique(lat + 1j * lon, return_inverse=True)
     src_lat = np.array([s.lat for s in sources])
     src_lon = np.array([s.lon for s in sources])
 
@@ -210,11 +277,47 @@ def match_nearest_source(observations, sources):
         tree = cKDTree(_unit_vectors(src_lat, src_lon))
         chord, idx = tree.query(_unit_vectors(cells.real, cells.imag))
         dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    return idx[row_cell], dist[row_cell], row_cell
 
-    return [
-        replace(o, nearest_source_id=sources[int(i)].id, distance_km=float(dd))
-        for o, i, dd in zip(observations, idx[row_cell], dist[row_cell])
-    ]
+
+def _matched(observations, sources, idx, dist) -> list[GridObservation]:
+    return [GridObservation(lat=o.lat, lon=o.lon, period=o.period, outcome=o.outcome,
+                            nearest_source_id=sources[i].id, distance_km=d)
+            for o, i, d in zip(observations, idx.tolist(), dist.tolist())]
+
+
+def match_nearest_source(observations, sources):
+    """Attach nearest_source_id and distance_km to every observation.
+
+    Each distinct (lat, lon) is matched once and its result shared by every
+    row at that cell.  Exact for any input size; the k-d tree path kicks in
+    above one million cell-source pairs.
+    """
+    observations = list(observations)
+    obs = _observation_columns(observations)
+    return _matched(observations, sources, *_nearest(obs["lat"], obs["lon"], sources)[:2])
+
+
+def sample_rows(obs: dict, sources, max_distance_km: float = 200.0,
+                min_monthly_obs_per_year: int = 10):
+    """`build_sample` on observation columns: (rows of obs in input order,
+    their nearest source index, distance)."""
+    if obs["lat"].size == 0 or not sources:
+        raise DataError("build_sample requires non-empty observations and sources")
+    rows = np.flatnonzero(~obs["missing"] & (obs["outcome"] >= 0))
+    idx, dist, cell = _nearest(obs["lat"][rows], obs["lon"][rows], sources)
+    near = dist <= max_distance_km
+    rows, idx, dist, cell = rows[near], idx[near], dist[near], cell[near]
+    # count the distinct (cell-year, period) pairs of each cell-year
+    periods = {}
+    period = np.array([periods.setdefault(p, len(periods)) for p in obs["period"][rows].tolist()],
+                      dtype=int)
+    years, year = np.unique([int(p.split("-")[0]) for p in periods], return_inverse=True)
+    cell_years, cell_year = np.unique(cell * len(years) + year[period], return_inverse=True)
+    months = np.bincount(np.unique(cell_year * len(periods) + period) // len(periods),
+                         minlength=len(cell_years))
+    keep = months[cell_year] >= min_monthly_obs_per_year
+    return rows[keep], idx[keep], dist[keep]
 
 
 def build_sample(
@@ -232,21 +335,7 @@ def build_sample(
     filter applies per cell-year, so a cell can contribute some years and
     not others).
     """
-    observations = list(observations)
-    sources = list(sources)
-    if not observations or not sources:
-        raise DataError("build_sample requires non-empty observations and sources")
-
-    valid = [o for o in observations if o.outcome is not None and o.outcome >= 0]
-    matched = match_nearest_source(valid, sources)
-    near = [o for o in matched if o.distance_km <= max_distance_km]
-
-    months_per_cell_year: dict[tuple, set] = {}
-    for o in near:
-        key = (o.lat, o.lon, o.year)
-        months_per_cell_year.setdefault(key, set()).add(o.period)
-    return [
-        o
-        for o in near
-        if len(months_per_cell_year[(o.lat, o.lon, o.year)]) >= min_monthly_obs_per_year
-    ]
+    observations, sources = list(observations), list(sources)
+    rows, idx, dist = sample_rows(_observation_columns(observations), sources,
+                                  max_distance_km, min_monthly_obs_per_year)
+    return _matched([observations[r] for r in rows.tolist()], sources, idx, dist)

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumefront.errors import DataError, DomainError, InsufficientDataError
 from plumefront.estimation import (
     LN10,
+    _rank,
     boundary_from_kappa,
     bootstrap_boundary_interval,
     cross_validated_bandwidth,
@@ -262,6 +265,16 @@ class TestDiagnostics:
         y = x + rng.normal(0, 0.5, 300)
         rho, _ = spearman_correlation(x, y)
         assert rho == pytest.approx(spearmanr(x, y).statistic, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.0 + 2**-52, 3.0, 1e300]),
+                    min_size=1, max_size=60))
+    def test_rank_averages_ties(self, values):
+        a = np.array(values)
+        # brute force: one plus the number below, plus half the other equal values
+        below = (a[None, :] < a[:, None]).sum(axis=1)
+        equal = (a[None, :] == a[:, None]).sum(axis=1)
+        assert np.array_equal(_rank(a), 1.0 + below + 0.5 * (equal - 1))
 
     def test_bin_counts_sum_to_n(self):
         rng = np.random.default_rng(6)

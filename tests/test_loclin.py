@@ -1,14 +1,17 @@
 """The prefix-sum local-linear kernel against the dense fit it replaced, the
-vectorised bootstrap crossings against the per-curve rule, and the chunked
-bootstrap draws against one draw per resample."""
+vectorised bootstrap crossings against the per-curve rule, the chunked
+bootstrap draws against one draw per resample, and the gate's endpoint-only
+binning against binning every draw."""
 
 import numpy as np
 import pytest
 
 from plumefront import estimation
 from plumefront.estimation import (
+    N_BINS,
     _bin_data,
     _boundaries_from_curves,
+    _bootstrap_curves,
     _loclin_curve,
     _loclin_solve,
     _loclin_sums,
@@ -217,3 +220,41 @@ class TestChunkedDraws:
         assert np.array_equal(ysum, ref_ysum)
         # the generator continues from the same state (the interval draws next)
         assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
+class TestEndpointBinning:
+    """The gate refits only the two range endpoints, so only the bins their
+    kernel windows read are binned; the curves and the generator stream are
+    those of binning every draw."""
+
+    @staticmethod
+    def _samples():
+        for dgp in sorted(STANDARD_DGPS):
+            yield generate_dgp(STANDARD_DGPS[dgp], 5000, seed=4)
+        rng = np.random.default_rng(8)
+        d = rng.uniform(1000.0, 1100.0, 3000)
+        yield d, 2.0 + np.sin(d / 7.0) + 0.1 * rng.standard_normal(d.size)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_gate_curves_bitwise_equal_to_full_binning(self, scale):
+        for d, y in self._samples():
+            h = scale * estimation.rule_of_thumb_bandwidth(d)
+            ends = np.array([d.min(), d.max()])
+            rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+            gate = _bootstrap_curves(d, y, h, ends, 200, rng_a)
+            centers, _, _, _, ids = _bin_data(d, y)
+            counts, ysum = _resample_bins(ids, y, N_BINS, 200, rng_b)
+            full = _loclin_solve(_loclin_sums(centers, counts, ysum, ends, h))[0]
+            assert np.array_equal(gate, full, equal_nan=True)
+            # the interval continues the same stream after the gate
+            assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+    def test_only_endpoint_bins_are_binned(self):
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 5000, seed=4)
+        centers, _, _, _, ids = _bin_data(d, y)
+        used = (centers < d.min() + 5.0) | (centers > d.max() - 5.0)
+        counts, ysum = _resample_bins(ids, y, N_BINS, 50, np.random.default_rng(1), used)
+        ref_counts, ref_ysum = _resample_bins(ids, y, N_BINS, 50, np.random.default_rng(1))
+        assert np.array_equal(counts[:, used], ref_counts[:, used])
+        assert np.array_equal(ysum[:, used], ref_ysum[:, used])
+        assert not counts[:, ~used].any() and not ysum[:, ~used].any()
