@@ -43,7 +43,6 @@ from .fields import (
     GaussianField,
     KummerField,
     SourceEvent,
-    SuperposedField,
     bessel_field,
     decaying_source_field,
     gaussian_field,

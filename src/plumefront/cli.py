@@ -67,10 +67,6 @@ def _echo_config(args):
 
 
 def _parse_floats(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
@@ -214,20 +210,9 @@ def _run_montecarlo(args):
     return 0
 
 
-def _read_columns(path, names):
-    table = ingest._read_text_columns(path, names, f"{path}:")
-    if table is None:
-        raise PlumefrontError(f"{path}: empty input file")
-    _, texts, lines = table
-    parsed = [ingest._float_column(t) for t in texts]
-    ingest._raise_first(lines, [(bad, ingest._not_numeric(n, t))
-                                for n, t, (_, bad) in zip(names, texts, parsed)], f"{path} ")
-    return [values for values, _ in parsed]
-
-
 def _run_estimate(args):
     _require(args, "input")
-    d, y = _read_columns(args.input, [args.distance_col, args.outcome_col])
+    d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
     rows = []
     if args.method in ("loglinear", "both"):
         fit = estimation.fit_loglinear(d, y, robust_cutoff=args.robust_cutoff)
@@ -263,7 +248,7 @@ def _run_estimate(args):
 
 def _run_diagnose(args):
     _require(args, "input")
-    d, y = _read_columns(args.input, [args.distance_col, args.outcome_col])
+    d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
     report = estimation.diagnostics(d, y, n_bins=args.bins)
     rows = [
         {"bin_lo_km": lo, "bin_hi_km": hi, "mean": mean, "se": se, "count": count,
@@ -334,7 +319,9 @@ def _add_output_options(p):
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The plumefront parser; defaults (dest -> flag text) replace every
+    subcommand's option defaults, and argparse types them as it types flags."""
     parser = argparse.ArgumentParser(
         prog="plumefront",
         description="Point-source diffusion fields, spatial boundaries, and their estimation.",
@@ -421,29 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(func=_run_ingest)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
-
-
-def _merge_config(parser, args, argv, config):
-    """Fill parsed args from a config mapping; explicit flags keep priority.
-
-    A key is skipped when its long option appears verbatim in argv.  Values
-    are coerced through the option's declared type when given as strings.
-    """
-    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_action.choices[args.command]
-    types = {a.dest: a.type for a in subparser._actions}
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr not in vars(args):
-            raise _Usage(f"config key {key!r} is not a recognised option")
-        flag = "--" + attr.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue
-        coerce = types.get(attr)
-        if coerce is not None and isinstance(value, str):
-            value = coerce(value)
-        setattr(args, attr, value)
 
 
 def _load_config(path) -> dict:
@@ -459,19 +426,38 @@ def _load_config(path) -> dict:
     return config
 
 
+def _flag_text(value):
+    """A config value as the text of its flag; a list joins with commas."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
+    return json.dumps(value)
+
+
+def _config_defaults(args) -> dict:
+    """The --config file of parsed args as option defaults (dest -> flag text)."""
+    defaults = {}
+    for key, value in _load_config(args.config).items():
+        dest = key.replace("-", "_")
+        if dest not in vars(args) or dest in ("command", "func"):
+            raise _Usage(f"config key {key!r} is not a recognised option")
+        defaults[dest] = _flag_text(value)
+    return defaults
+
+
 def dispatch(argv) -> int:
     """Parse tokens, run the named pipeline, return the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            # flags, abbreviated ones too, override the config's defaults
+            args = build_parser(_config_defaults(args)).parse_args(argv)
+        _echo_config(args)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 on --help
         return 0 if exc.code == 0 else 1
-    try:
-        if getattr(args, "config", None) is not None:
-            _merge_config(parser, args, argv, _load_config(args.config))
-        _echo_config(args)
-        return args.func(args)
     except _Usage as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -352,7 +352,7 @@ def _loclin_curve(d: np.ndarray, y: np.ndarray, grid: np.ndarray, h: float) -> n
 
 def rule_of_thumb_bandwidth(distances) -> float:
     """1.06 sigma_d n^(-1/5)."""
-    d = np.asarray(distances, dtype=float)
+    (d,) = _as_columns("distances", distances)
     return 1.06 * float(d.std()) * d.size ** (-0.2)
 
 
@@ -386,6 +386,8 @@ def cross_validated_bandwidth(distances, outcomes, h0: float | None = None) -> f
     d, y = _as_xy(distances, outcomes)
     if h0 is None:
         h0 = rule_of_thumb_bandwidth(d)
+    if not 0 < h0 < math.inf:
+        raise DomainError(f"h0 must be finite and > 0, got {h0}")
     centers, counts, ysum, yssq, _ = _bin_data(d, y)
     grid_h = np.geomspace(h0 / CV_GRID_SPAN, h0 * CV_GRID_SPAN, CV_GRID_SIZE)
     scores = [_cv_score_binned(centers, counts, ysum, yssq, float(h)) for h in grid_h]
@@ -492,6 +494,15 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
     return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
+def _check_bootstrap_args(fraction, n_boot, alpha_level):
+    if not 0 < fraction < 1:
+        raise DomainError(f"fraction must be in (0,1), got {fraction}")
+    if n_boot < 1:
+        raise DomainError(f"n_boot must be >= 1, got {n_boot}")
+    if not 0 < alpha_level < 1:
+        raise DomainError(f"alpha_level must be in (0,1), got {alpha_level}")
+
+
 def detect_boundary(
     fit: NonparFit,
     fraction: float,
@@ -509,12 +520,7 @@ def detect_boundary(
     be a Generator, which the draws then advance.  Returns (boundary or
     None, rejected).
     """
-    if not 0 < fraction < 1:
-        raise DomainError(f"fraction must be in (0,1), got {fraction}")
-    if n_boot < 1:
-        raise DomainError(f"n_boot must be >= 1, got {n_boot}")
-    if not 0 < alpha_level < 1:
-        raise DomainError(f"alpha_level must be in (0,1), got {alpha_level}")
+    _check_bootstrap_args(fraction, n_boot, alpha_level)
     cand = _boundaries_from_curves(fit.grid, fit.m_hat[None, :], fraction)[0]
     curves = _bootstrap_curves(fit.distances, fit.outcomes, fit.bandwidth, fit.grid[[0, -1]],
                                n_boot, np.random.default_rng(seed))
@@ -536,6 +542,7 @@ def bootstrap_boundary_interval(
     The curves are refitted at the undersmoothed bandwidth; None when fewer
     than max(10, n_boot/2) of them cross.  seed may be a Generator.
     """
+    _check_bootstrap_args(fraction, n_boot, alpha_level)
     curves = _bootstrap_curves(fit.distances, fit.outcomes, CI_UNDERSMOOTH * fit.bandwidth,
                                fit.grid, n_boot, np.random.default_rng(seed))
     samples = _boundaries_from_curves(fit.grid, curves, fraction)

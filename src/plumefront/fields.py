@@ -1,8 +1,7 @@
 """Closed-form intensity fields for point-source diffusion.
 
 Every field here is radially symmetric about its source, so the working
-signature is (r, t); a thin point-based wrapper computes r = |x - x0|.
-Field objects expose
+signature is (r, t).  Field objects expose
 
     value(r, t), d_dr(r, t), d_dt(r, t)   exact closed forms (or quadrature
                                           of differentiated integrands for
@@ -82,26 +81,30 @@ class SourceEvent:
             raise DomainError(f"strength must be > 0, got {self.strength}")
 
 
-def _radius(x, source_pos) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(source_pos, dtype=float)))
-
-
-class GaussianField:
-    """Instantaneous point source in 3D: tau = Q (4 pi nu t)^(-3/2) exp(-r^2/4 nu t)."""
+class _RadialField:
+    """What the fields below share: r_min, the (t, r) domain check and the
+    diffusion length."""
 
     r_min = 0.0
-
-    def __init__(self, params: FieldParams):
-        if params.dim != 3:
-            raise DomainError("GaussianField requires dim = 3")
-        self.params = params
-        self.dim = 3
 
     def _check(self, r: float, t: float):
         if not t > 0:
             raise DomainError(f"time must be > 0, got {t}")
         if r < 0:
             raise DomainError(f"radius must be >= 0, got {r}")
+
+    def diffusion_scale(self, t: float) -> float:
+        return math.sqrt(self.params.nu * t)
+
+
+class GaussianField(_RadialField):
+    """Instantaneous point source in 3D: tau = Q (4 pi nu t)^(-3/2) exp(-r^2/4 nu t)."""
+
+    def __init__(self, params: FieldParams):
+        if params.dim != 3:
+            raise DomainError("GaussianField requires dim = 3")
+        self.params = params
+        self.dim = 3
 
     def value(self, r: float, t: float) -> float:
         self._check(r, t)
@@ -116,19 +119,7 @@ class GaussianField:
         return self.value(r, t) * (-1.5 / t + r * r / (4.0 * p.nu * t * t))
 
     def eval(self, r: float, t: float) -> FieldEval:
-        v = self.value(r, t)
-        p = self.params
-        return FieldEval(
-            value=v,
-            d_dr=-r / (2.0 * p.nu * t) * v,
-            d_dt=v * (-1.5 / t + r * r / (4.0 * p.nu * t * t)),
-        )
-
-    def value_at(self, x, t: float) -> float:
-        return self.value(_radius(x, self.params.source_pos), t)
-
-    def diffusion_scale(self, t: float) -> float:
-        return math.sqrt(self.params.nu * t)
+        return FieldEval(self.value(r, t), self.d_dr(r, t), self.d_dt(r, t))
 
     def exposure_tail_bound(self, r: float, t_lo: float) -> float:
         # int_T^inf tau dt <= Q/(4 pi nu)^{3/2} * 2/sqrt(T)
@@ -136,7 +127,7 @@ class GaussianField:
         return p.q / (4.0 * math.pi * p.nu) ** 1.5 * 2.0 / math.sqrt(t_lo)
 
 
-class BesselField:
+class BesselField(_RadialField):
     """Line source with cylindrical symmetry: tau = (A/t) K0(r / (2 sqrt(nu t))).
 
     The amplitude A is a free parameter distinct from q; no closed relation
@@ -144,8 +135,7 @@ class BesselField:
     dedicated K1 implementation (K0' = -K1) rather than finite differences.
     """
 
-    r_min = 0.0  # open: any r > 0 is valid
-    diverges_at_origin = True
+    diverges_at_origin = True  # open: any r > 0 is valid
 
     def __init__(self, params: FieldParams, amplitude: float):
         if params.dim != 2:
@@ -185,20 +175,12 @@ class BesselField:
             d_dt=-a_t / t * (k0 - 0.5 * w * k1),
         )
 
-    def value_at(self, x, t: float) -> float:
-        return self.value(_radius(x, self.params.source_pos), t)
 
-    def diffusion_scale(self, t: float) -> float:
-        return math.sqrt(self.params.nu * t)
-
-
-class KummerField:
+class KummerField(_RadialField):
     """Truncated confluent-hypergeometric profile for cylindrical symmetry:
 
         tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t))
     """
-
-    r_min = 0.0
 
     def __init__(self, coeffs, params: FieldParams):
         self.coeffs = [(float(c), int(n)) for c, n in coeffs]
@@ -209,24 +191,15 @@ class KummerField:
         self.dim = params.dim
 
     def value(self, r: float, t: float) -> float:
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if r < 0:
-            raise DomainError(f"radius must be >= 0, got {r}")
+        self._check(r, t)
         z = r * r / (4.0 * self.params.nu * t)
         total = 0.0
         for c, n in self.coeffs:
             total += c * kummer_m(n + 0.5, 2.0 * n + 1.0, z).value
         return total / t
 
-    def value_at(self, x, t: float) -> float:
-        return self.value(_radius(x, self.params.source_pos), t)
 
-    def diffusion_scale(self, t: float) -> float:
-        return math.sqrt(self.params.nu * t)
-
-
-class DecayingSourceField:
+class DecayingSourceField(_RadialField):
     """Sustained point source whose emitted intensity decays at rate lam.
 
     tau(r, t) = Q/(4 pi nu)^{3/2} * int_0^t e^{-lam u} u^{-3/2}
@@ -239,8 +212,7 @@ class DecayingSourceField:
     returns in closed form.
     """
 
-    r_min = 0.0  # open: any r > 0 is valid
-    diverges_at_origin = True
+    diverges_at_origin = True  # open: any r > 0 is valid
 
     def __init__(self, params: FieldParams):
         if params.dim != 3:
@@ -274,28 +246,25 @@ class DecayingSourceField:
             )
         return 2.0 * val
 
-    def value(self, r: float, t: float) -> float:
+    def _check(self, r: float, t: float):
         if not t > 0:
             raise DomainError(f"time must be > 0, got {t}")
         if not r > 0:
             raise DomainError(f"radius must be > 0, got {r}")
+
+    def value(self, r: float, t: float) -> float:
+        self._check(r, t)
         p = self.params
         return p.q / (4.0 * math.pi * p.nu) ** 1.5 * self._quad(r, t, 2)
 
     def d_dr(self, r: float, t: float) -> float:
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if not r > 0:
-            raise DomainError(f"radius must be > 0, got {r}")
+        self._check(r, t)
         p = self.params
         return -p.q / (4.0 * math.pi * p.nu) ** 1.5 * r / (2.0 * p.nu) * self._quad(r, t, 4)
 
     def d_dt(self, r: float, t: float) -> float:
         # Only the integral's upper limit depends on t.
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if not r > 0:
-            raise DomainError(f"radius must be > 0, got {r}")
+        self._check(r, t)
         p = self.params
         expo = -p.lam * t - r * r / (4.0 * p.nu * t)
         if expo < -700.0:
@@ -305,21 +274,12 @@ class DecayingSourceField:
     def eval(self, r: float, t: float) -> FieldEval:
         return FieldEval(self.value(r, t), self.d_dr(r, t), self.d_dt(r, t))
 
-    def value_at(self, x, t: float) -> float:
-        return self.value(_radius(x, self.params.source_pos), t)
-
     def steady_state_value(self, r: float) -> float:
         """Long-time (Yukawa) limit Q e^{-r sqrt(lam/nu)} / (4 pi nu r)."""
         if not r > 0:
             raise DomainError(f"radius must be > 0, got {r}")
         p = self.params
         return p.q * math.exp(-r * math.sqrt(p.lam / p.nu)) / (4.0 * math.pi * p.nu * r)
-
-    def screening_length(self) -> float:
-        return math.sqrt(self.params.nu / self.params.lam)
-
-    def diffusion_scale(self, t: float) -> float:
-        return math.sqrt(self.params.nu * t)
 
 
 def gaussian_field(p: FieldParams, r: float, t: float) -> FieldEval:
@@ -360,20 +320,3 @@ def superpose(events, nu: float, x, t: float) -> float:
     """Sum of Green's-function responses, linear in the event strengths."""
     return sum(ev.strength * greens_eval(x, t, ev.pos, ev.time, nu) for ev in events)
 
-
-@dataclass
-class SuperposedField:
-    """Radial view of a superposition of events, centred on a reference point."""
-
-    events: list
-    nu: float
-    center: tuple[float, ...] = (0.0, 0.0, 0.0)
-    dim: int = 3
-    r_min: float = 0.0
-
-    def value(self, r: float, t: float) -> float:
-        # Events off-centre break radial symmetry; this evaluates along the
-        # first axis from the reference point.
-        x = np.asarray(self.center, dtype=float).copy()
-        x[0] += r
-        return superpose(self.events, self.nu, x, t)

@@ -164,6 +164,22 @@ def _not_numeric(column, texts):
     return lambda i, row: f"{row}: column {column!r} is not numeric: {texts[i]!r}"
 
 
+def read_numeric_columns(path, names) -> list[np.ndarray]:
+    """The named columns of a delimited table as float arrays.
+
+    The first cell that is not a number is reported with its row; a file
+    with no header is a DataError.
+    """
+    table = _read_text_columns(path, names, f"{path}:")
+    if table is None:
+        raise DataError(f"{path}: empty input file")
+    _, texts, lines = table
+    parsed = [_float_column(t) for t in texts]
+    _raise_first(lines, [(bad, _not_numeric(n, t)) for n, t, (_, bad) in zip(names, texts, parsed)],
+                 f"{path} ")
+    return [values for values, _ in parsed]
+
+
 def _coordinate_checks(lat, lon):
     # NaN fails both comparisons: a NaN coordinate is out of range
     return [

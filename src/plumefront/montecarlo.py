@@ -14,13 +14,13 @@ order and bitwise reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PlumefrontError
 from .estimation import (
+    DEFAULT_CLAMP,
     LN10,
     boundary_from_kappa,
     bootstrap_boundary_interval,
@@ -30,8 +30,6 @@ from .estimation import (
     nonparametric_fit,
     simulate_gaussian_field_sample,
 )
-
-OUTCOME_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ def generate_dgp(spec: DGPSpec, n: int, seed: int):
 def _parametric_detect(d, y):
     """Naive always-report rule: log-linear fit on floored outcomes, boundary
     whenever the fitted decay is positive, no significance gate."""
-    fit = fit_loglinear(d, np.maximum(y, OUTCOME_FLOOR))
+    fit = fit_loglinear(d, np.maximum(y, DEFAULT_CLAMP))
     d_star, ci = boundary_from_kappa(fit.kappa_s, fit.se_classical)
     return d_star, ci
 
@@ -285,38 +283,14 @@ class RecoverySummary:
     estimates_q: np.ndarray
 
 
-def _norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0,1), got {p}")
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    e = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((e[0] * q + e[1]) * q + e[2]) * q + e[3]) * q + 1.0
-        )
-    if p > 1.0 - p_low:
-        return -_norm_ppf(1.0 - p)
-    q = p - 0.5
-    s = q * q
-    return (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * q / (
-        ((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0
-    )
-
-
 def _qq_corr(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    # imported here: statistics adds about 2 ms to every process that imports it
+    from statistics import NormalDist
+
     ordered = np.sort(values)
     std = (ordered - ordered.mean()) / ordered.std(ddof=1)
     n = ordered.size
-    theo = np.array([_norm_ppf((i + 0.5) / n) for i in range(n)])
+    theo = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
     return float(np.corrcoef(theo, std)[0, 1]), theo, std
 
 

@@ -286,6 +286,34 @@ class TestConfigFile:
         code, _, _ = run_cli(["boundary", "--config", str(config), "--epsilon", "0.1", "--t", "1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("boundary", {"nu": "abc", "epsilon": 0.1, "t": "4"}),
+            ("montecarlo", {"reps": 10.5}),
+            ("boundary", {"nu": True, "epsilon": 0.1, "t": "4"}),
+            ("boundary", {"nu": [1, 2], "epsilon": 0.1, "t": "4"}),
+            ("boundary", {"func": 1, "epsilon": 0.1, "t": "4"}),
+            ("boundary", {"command": "field", "epsilon": 0.1, "t": "4"}),
+        ],
+        ids=["text-for-float", "float-for-int", "bool-for-float", "list-for-float", "func",
+             "command"],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"epsilon": 0.1, "t": "4", "nu": 4.0}))
+        code, out, _ = run_cli(
+            ["boundary", "--config", str(config), "--eps", "0.5", "--nu", "1"], capsys
+        )
+        assert code == 0
+        assert out == "3.330218445\n"
+
     def test_bad_json_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text("{not json")

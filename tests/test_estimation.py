@@ -121,6 +121,18 @@ class TestInputValidation:
         with pytest.raises(DataError):
             call(d, y)
 
+    @pytest.mark.parametrize("h0", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_cv_start_is_domain_error(self, h0):
+        d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
+        with pytest.raises(DomainError):
+            cross_validated_bandwidth(d, np.exp(-0.05 * d), h0=h0)
+
+    @pytest.mark.parametrize("d", [[1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [[1.0, 2.0]]],
+                             ids=["nan", "inf", "2-D"])
+    def test_bad_rule_of_thumb_input_is_data_error(self, d):
+        with pytest.raises(DataError):
+            rule_of_thumb_bandwidth(d)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -245,6 +257,16 @@ class TestDetectBoundary:
             detect_boundary(fit, 1.5)
         with pytest.raises(DomainError):
             detect_boundary(fit, 0.1, n_boot=0)
+
+    @pytest.mark.parametrize("bad", [{"fraction": 1.5}, {"alpha_level": 2.0}, {"n_boot": 0}],
+                             ids=["fraction", "alpha_level", "n_boot"])
+    def test_interval_contracts(self, bad):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, seed=1)
+        fit = nonparametric_fit(d, y)
+        with pytest.raises(DomainError):
+            bootstrap_boundary_interval(fit, **{"fraction": 0.1, "seed": 1, **bad})
 
 
 class TestDiagnostics:

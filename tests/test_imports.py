@@ -1,4 +1,5 @@
-"""Importing the package and running a closed-form command load no scipy."""
+"""Importing the package and running a closed-form command load neither scipy
+nor statistics."""
 
 import os
 import subprocess
@@ -10,16 +11,17 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = """
 import sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def lazy_modules():
+    # statistics, too, is imported only where it is used
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "statistics"))
 
 import plumefront, plumefront.cli
-assert not scipy_modules(), scipy_modules()
+assert not lazy_modules(), lazy_modules()
 code = plumefront.cli.dispatch(
     ["boundary", "--profile", "gaussian", "--nu", "1", "--epsilon", "0.1", "--t", "4"]
 )
 assert code == 0, code
-assert not scipy_modules(), scipy_modules()
+assert not lazy_modules(), lazy_modules()
 """
 
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from plumefront.errors import DomainError
 from plumefront.estimation import fit_loglinear
@@ -153,6 +154,9 @@ class TestParameterRecovery:
         assert rs.n_failed == 0
         assert len(rs.qq_table) == 30
         assert -1.0 <= rs.qq_normality_corr_nu <= 1.0
+        levels = (np.arange(30) + 0.5) / 30
+        normal = [row[0] for row in rs.qq_table]
+        np.testing.assert_allclose(normal, ndtri(levels), rtol=1e-12, atol=0)
 
     def test_estimates_approximately_normal(self):
         rs = parameter_recovery_campaign(n_reps=60, seed=2)
