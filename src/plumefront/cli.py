@@ -292,9 +292,13 @@ def _run_ingest(args):
 # ---------------------------------------------------------------------------
 
 
+# Options with choices; argparse checks a flag's value, _config_defaults a config's.
+_CHOICES = {"profile": ("gaussian", "bessel", "decaying", "kummer"),
+            "method": ("loglinear", "nonparametric", "both"), "format": ("csv", "json")}
+
+
 def _add_field_options(p, need_r=True, need_t=True):
-    p.add_argument("--profile", default="gaussian",
-                   choices=["gaussian", "bessel", "decaying", "kummer"])
+    p.add_argument("--profile", default="gaussian", choices=_CHOICES["profile"])
     p.add_argument("--nu", type=float, default=1.0, help="diffusion coefficient (km^2/time)")
     p.add_argument("--q", type=float, default=1.0, help="source strength")
     p.add_argument("--amplitude", type=float, default=1.0, help="Bessel profile amplitude")
@@ -315,7 +319,7 @@ def _require(args, *names):
 
 def _add_output_options(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument("--format", default="csv", choices=_CHOICES["format"])
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
@@ -375,8 +379,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="input table (required)")
     p.add_argument("--distance-col", dest="distance_col", default="distance_km")
     p.add_argument("--outcome-col", dest="outcome_col", default="outcome")
-    p.add_argument("--method", default="loglinear",
-                   choices=["loglinear", "nonparametric", "both"])
+    p.add_argument("--method", default="loglinear", choices=_CHOICES["method"])
     p.add_argument("--robust-cutoff", dest="robust_cutoff", type=float, default=None,
                    help="spatial HAC cutoff in km (e.g. 50)")
     p.add_argument("--bandwidth", default="auto",
@@ -443,6 +446,8 @@ def _config_defaults(args) -> dict:
         if dest not in vars(args) or dest in ("command", "func"):
             raise _Usage(f"config key {key!r} is not a recognised option")
         defaults[dest] = _flag_text(value)
+        if dest in _CHOICES and defaults[dest] not in _CHOICES[dest]:
+            raise _Usage(f"config {key!r} must be one of {', '.join(_CHOICES[dest])}")
     return defaults
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams, GaussianField
-from .specfun import bessel_k0, bessel_k1, kummer_m
+from .specfun import bessel_k0, kummer_m
 
 LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -112,8 +112,7 @@ class FieldFitResult:
     q: float
     cov: np.ndarray
     rss: float
-    n_iter: int
-    converged: bool
+    n_iter: int  # rss evaluations
 
     @property
     def se_nu(self) -> float:
@@ -402,7 +401,7 @@ def nonparametric_fit(
 ) -> NonparFit:
     """Local-linear regression on an evenly spaced grid spanning the data.
 
-    bandwidth: a positive number, "auto" (rule of thumb 1.06 sigma n^-1/5),
+    bandwidth: a finite number > 0, "auto" (rule of thumb 1.06 sigma n^-1/5),
     or "auto-cv" (rule of thumb refined by leave-one-out cross-validation
     over a 10-point logarithmic grid around it).
     """
@@ -417,9 +416,12 @@ def nonparametric_fit(
     elif bandwidth == "auto-cv":
         h = cross_validated_bandwidth(d, y)
     else:
-        h = float(bandwidth)
-        if not h > 0:
-            raise DomainError(f"bandwidth must be > 0, got {bandwidth}")
+        try:
+            h = float(bandwidth)
+        except (TypeError, ValueError):
+            h = math.nan
+        if not 0 < h < math.inf:
+            raise DomainError(f"bandwidth must be finite > 0, 'auto' or 'auto-cv': {bandwidth!r}")
 
     grid = np.linspace(float(d.min()), float(d.max()), n_grid)
     m_hat = _loclin_curve(d, y, grid, h)
@@ -673,112 +675,62 @@ def regional_heterogeneity(
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_model(r, t, nu, q):
-    amp = q / (4.0 * math.pi * nu * t) ** 1.5
-    m = amp * np.exp(-r * r / (4.0 * nu * t))
-    dm_dq = m / q
-    dm_dnu = m * (-1.5 / nu + r * r / (4.0 * nu * nu * t))
-    return m, np.column_stack([dm_dnu, dm_dq])
+def _gaussian_model(r, t, nu):
+    return np.exp(-r * r / (4.0 * nu * t)) / (4.0 * math.pi * nu * t) ** 1.5
 
 
 _k0_vec = np.vectorize(lambda z: bessel_k0(z).value, otypes=[float])
-_k1_vec = np.vectorize(lambda z: bessel_k1(z).value, otypes=[float])
 _m_half_vec = np.vectorize(lambda z: kummer_m(0.5, 1.0, z).value, otypes=[float])
-_m_three_half_vec = np.vectorize(lambda z: kummer_m(1.5, 2.0, z).value, otypes=[float])
 
 
-def _bessel_model(r, t, nu, a):
-    w = r / (2.0 * np.sqrt(nu * t))
-    k0 = _k0_vec(w)
-    m = a / t * k0
-    dm_da = m / a
-    dm_dnu = a / t * _k1_vec(w) * w / (2.0 * nu)
-    return m, np.column_stack([dm_dnu, dm_da])
+def _bessel_model(r, t, nu):
+    return _k0_vec(r / (2.0 * np.sqrt(nu * t))) / t
 
 
-def _kummer_model(r, t, nu, c):
-    z = r * r / (4.0 * nu * t)
-    mval = _m_half_vec(z)
-    m = c / t * mval
-    dm_dc = m / c
-    dm_dnu = c / t * 0.5 * _m_three_half_vec(z) * (-z / nu)
-    return m, np.column_stack([dm_dnu, dm_dc])
+def _kummer_model(r, t, nu):
+    return _m_half_vec(r * r / (4.0 * nu * t)) / t
 
 
 _MODELS = {"gaussian": _gaussian_model, "bessel": _bessel_model, "kummer": _kummer_model}
 
 
-def _gauss_newton(model, r, t, y, theta0, max_iter):
-    """Damped Gauss-Newton on log-parameters (keeps both parameters positive)."""
-    log_theta = np.log(theta0)
-    m, jac = model(r, t, *np.exp(log_theta))
-    res = y - m
-    rss = float(res @ res)
-    damp = 1e-3
-    for it in range(1, max_iter + 1):
-        jac_log = jac * np.exp(log_theta)[None, :]
-        grad = jac_log.T @ res
-        a = jac_log.T @ jac_log
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(a + damp * np.diag(np.diag(a)) + 1e-300 * np.eye(2), grad)
-            except np.linalg.LinAlgError:
-                damp *= 10.0
-                continue
-            trial = log_theta + step
-            if np.any(np.abs(trial) > 200):
-                damp *= 10.0
-                continue
-            m_t, jac_t = model(r, t, *np.exp(trial))
-            res_t = y - m_t
-            rss_t = float(res_t @ res_t)
-            if np.isfinite(rss_t) and rss_t <= rss:
-                improve = rss - rss_t
-                log_theta, m, jac, res, rss = trial, m_t, jac_t, res_t, rss_t
-                damp = max(damp / 3.0, 1e-12)
-                accepted = True
-                break
-            damp *= 10.0
-        if not accepted:
-            return np.exp(log_theta), rss, it, False
-        if float(np.max(np.abs(step))) < 1e-12 or improve < 1e-15 * max(rss, 1e-300):
-            return np.exp(log_theta), rss, it, True
-    return np.exp(log_theta), rss, max_iter, False
-
-
-def _init_gaussian(r, t, y):
-    ly = np.log(np.maximum(y, 1e-12))
-    x = np.column_stack([np.ones_like(r), np.log(t), r * r / t])
-    beta, *_ = np.linalg.lstsq(x, ly, rcond=None)
-    nu0 = -1.0 / (4.0 * beta[2]) if beta[2] < 0 else 1.0
-    nu0 = min(max(nu0, 1e-6), 1e6)
-    q0 = math.exp(beta[0]) * (4.0 * math.pi * nu0) ** 1.5
-    return np.array([nu0, max(q0, 1e-12)])
+def _golden_section(f, a, b):
+    """Shrink [a, b] around a minimum of f to 1e-10 by golden sections."""
+    w = 0.5 * (math.sqrt(5.0) - 1.0)  # inverse golden ratio
+    c, d = b - w * (b - a), a + w * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - w * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + w * (b - a)
+            fd = f(d)
 
 
 def fit_field_nls(
-    distances,
-    times,
-    outcomes,
-    field_class: str = "gaussian",
-    x0=None,
-    max_iter: int = 500,
-    n_restarts: int = 5,
-    seed: int | None = None,
+    distances, times, outcomes, field_class: str = "gaussian", seed: int | None = None
 ) -> FieldFitResult:
-    """Least-squares fit of an analytic field by damped Gauss-Newton.
+    """Least-squares fit of amplitude * g(r, t; nu) by variable projection.
 
-    Uses the analytic Jacobian of the field solution; the parameter
-    covariance comes from the Jacobian at the optimum with the residual
-    variance.  Restarts from randomly perturbed initial values before
-    declaring failure.
+    The amplitude is closed form for each nu, so the rss with it projected
+    out is scanned at 49 points of log nu (log median r^2 / 4t, r != 0, +- 12) and
+    minimised by golden sections inside the best cell to 1e-10 (Golub and
+    Pereyra 1973).  cov = sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with
+    dg/dnu a central difference.  FitError when the minimum is on the scan
+    edge, the rss is not finite or the amplitude is not positive: the
+    single-term Kummer profile grows with r, so on decaying data its least
+    squares lie at nu -> infinity.  The fit is deterministic; seed is unused.
     """
     if field_class not in _MODELS:
         raise DomainError(f"unknown field class {field_class!r}")
     r, t, y = _as_columns("distances, times, outcomes", distances, times, outcomes)
     if r.size < 50:
         raise InsufficientDataError(f"field fit needs n >= 50, got {r.size}")
+    if np.any(t <= 0) or not r.any():
+        raise DomainError("times must be > 0 and some distance nonzero")
     if np.unique(t).size < 2:
         warnings.warn(
             "all observations share one time: nu and q are only weakly "
@@ -787,38 +739,40 @@ def fit_field_nls(
         )
 
     model = _MODELS[field_class]
-    if x0 is not None:
-        theta0 = np.asarray(x0, dtype=float)
-    elif field_class == "gaussian":
-        theta0 = _init_gaussian(r, t, y)
-    else:
-        theta0 = np.array([1.0, max(float(np.median(y * t)), 1e-6)])
+    evals = []  # (rss, log nu, amplitude) of every evaluation
 
-    rng = np.random.default_rng(seed)
-    best = None
-    for attempt in range(n_restarts):
-        start = theta0 if attempt == 0 else theta0 * np.exp(rng.normal(0, 1.0, size=2))
-        theta, rss, n_iter, converged = _gauss_newton(model, r, t, y, start, max_iter)
-        if best is None or rss < best[1]:
-            best = (theta, rss, n_iter, converged)
-        if converged and attempt == 0:
-            break
-    theta, rss, n_iter, converged = best
-    if not converged:
-        raise FitError(
-            f"{field_class} field fit did not converge after {n_restarts} restarts: "
-            f"last rss={rss:.6e}, theta={theta}"
-        )
+    def rss_at(log_nu):
+        g = model(r, t, math.exp(log_nu))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gg = float(g @ g)
+        amp, rss = math.nan, math.inf
+        if 0.0 < gg < math.inf:
+            # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
+            amp = float(g @ y) / gg
+            res = y - amp * g
+            rss = float(res @ res)
+        evals.append((rss, log_nu, amp))
+        return rss
 
-    m, jac = model(r, t, *theta)
-    sigma2 = rss / max(r.size - 2, 1)
+    centre = math.log(float(np.median((r * r / (4.0 * t))[r != 0])))
+    grid = centre + np.linspace(-12.0, 12.0, 49)
+    i = int(np.argmin([rss_at(x) for x in grid]))
+    inside = 0 < i < grid.size - 1
+    if inside:
+        _golden_section(rss_at, grid[i - 1], grid[i + 1])
+    rss, log_nu, amp = min(evals)
+    if not (inside and math.isfinite(rss) and amp > 0):
+        raise FitError(f"{field_class} field fit failed at nu={math.exp(log_nu):.6e} "
+                       f"(scan edge: {not inside}), rss={rss:.6e}, amplitude={amp:.6e}")
+
+    nu = math.exp(log_nu)
+    dg = (model(r, t, nu * (1.0 + 1e-6)) - model(r, t, nu * (1.0 - 1e-6))) / (2e-6 * nu)
+    jac = np.column_stack([amp * dg, model(r, t, nu)])
     try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
+        cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
-    return FieldFitResult(
-        nu=float(theta[0]), q=float(theta[1]), cov=cov, rss=rss, n_iter=n_iter, converged=True
-    )
+    return FieldFitResult(nu=nu, q=amp, cov=cov, rss=rss, n_iter=len(evals))
 
 
 def _runs_z(residuals: np.ndarray) -> float:
@@ -842,8 +796,11 @@ def select_profile_model(
     Cylindrical geometry goes straight to the Bessel field.  Otherwise the
     Gaussian is fitted first and upgraded to a single-term Kummer profile
     only when the residual-sum-of-squares improvement is significant at 1%
-    on a likelihood-ratio-style statistic (Gaussian errors assumed).  A runs
-    test on the distance-ordered residuals is reported alongside.
+    on a likelihood-ratio-style statistic (Gaussian errors assumed); lr_stat
+    is None when the Kummer fit fails, as it does on decaying data (see
+    `fit_field_nls`).  A runs test on the distance-ordered residuals is
+    reported alongside.  The fits are variable-projection searches, so the
+    result is deterministic; seed is unused.
     """
     if geometry_hint not in ("cylindrical", "none"):
         raise DomainError(f"geometry_hint must be 'cylindrical' or 'none', got {geometry_hint!r}")
@@ -852,7 +809,7 @@ def select_profile_model(
         raise InsufficientDataError(f"model selection needs n >= 100, got {r.size}")
 
     if geometry_hint == "cylindrical":
-        fit = fit_field_nls(r, t, y, field_class="bessel", seed=seed)
+        fit = fit_field_nls(r, t, y, field_class="bessel")
         return ProfileSelection(
             model="bessel",
             params={"nu": fit.nu, "amplitude": fit.q},
@@ -861,13 +818,13 @@ def select_profile_model(
             lr_stat=None,
         )
 
-    gauss = fit_field_nls(r, t, y, field_class="gaussian", seed=seed)
-    m, _ = _gaussian_model(r, t, gauss.nu, gauss.q)
+    gauss = fit_field_nls(r, t, y, field_class="gaussian")
+    m = gauss.q * _gaussian_model(r, t, gauss.nu)
     order = np.argsort(r, kind="stable")
     runs_z = _runs_z((y - m)[order])
 
     try:
-        kum = fit_field_nls(r, t, y, field_class="kummer", seed=seed)
+        kum = fit_field_nls(r, t, y, field_class="kummer")
         lr = r.size * math.log(gauss.rss / kum.rss) if kum.rss > 0 else math.inf
     except (FitError, DataError):
         kum, lr = None, -math.inf

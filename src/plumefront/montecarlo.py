@@ -317,7 +317,7 @@ def parameter_recovery_campaign(
             nu0, q0, n_obs, times, noise_sd, seed=seed + rep
         )
         try:
-            fit = fit_field_nls(r, t, y, field_class="gaussian", seed=seed + rep)
+            fit = fit_field_nls(r, t, y, field_class="gaussian")
         except PlumefrontError:
             n_failed += 1
             continue

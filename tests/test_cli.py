@@ -136,6 +136,15 @@ class TestEstimateCommand:
         assert float(record["bandwidth_km"]) > 0
 
 
+    @pytest.mark.parametrize("bandwidth", ["inf", "abc"])
+    def test_bad_bandwidth_is_domain_error(self, decay_csv, capsys, bandwidth):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(decay_csv), "--method", "nonparametric",
+             "--bandwidth", bandwidth], capsys
+        )
+        assert code == 2 and out == ""
+        assert "bandwidth" in err
+
     def test_non_finite_outcome_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         d = 100.0 * (1.0 - rng.random(300))
@@ -295,15 +304,26 @@ class TestConfigFile:
             ("boundary", {"nu": [1, 2], "epsilon": 0.1, "t": "4"}),
             ("boundary", {"func": 1, "epsilon": 0.1, "t": "4"}),
             ("boundary", {"command": "field", "epsilon": 0.1, "t": "4"}),
+            ("boundary", {"format": "xml", "epsilon": 0.1, "t": "4"}),
         ],
         ids=["text-for-float", "float-for-int", "bool-for-float", "list-for-float", "func",
-             "command"],
+             "command", "format-not-a-choice"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, config):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         code, out, _ = run_cli([command, "--config", str(path)], capsys)
         assert code == 1 and out == ""
+
+    def test_config_method_outside_choices_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("distance_km,outcome\n" + "".join(f"{d},{2.0 - 0.01 * d}\n"
+                                                         for d in range(1, 101)))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"method": "bogus"}))
+        code, out, err = run_cli(["estimate", "--input", str(data), "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert "usage error" in err and "method" in err
 
     def test_abbreviated_flag_overrides_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"

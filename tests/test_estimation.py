@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumefront.errors import DataError, DomainError, InsufficientDataError
+from plumefront.errors import DataError, DomainError, FitError, InsufficientDataError
 from plumefront.estimation import (
     LN10,
     _rank,
@@ -212,6 +212,13 @@ class TestNonparametricFit:
             nonparametric_fit(d, d, bandwidth=-1.0)
         with pytest.raises(DomainError):
             nonparametric_fit(d, d, n_grid=50)
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0, -1.0, "abc"],
+                             ids=["inf", "nan", "zero", "negative", "text"])
+    def test_bad_bandwidth_is_domain_error(self, bandwidth):
+        d = np.linspace(0.0, 10.0, 60)
+        with pytest.raises(DomainError):
+            nonparametric_fit(d, np.exp(-0.1 * d), bandwidth=bandwidth)
 
 
 class TestDetectBoundary:
@@ -465,11 +472,68 @@ class TestFieldNls:
         with pytest.warns(UserWarning, match="one time"):
             fit_field_nls(r, t, y)
 
+    @staticmethod
+    def _grid_min_rss(profile, y, log_nu):
+        """Least rss, amplitude projected out, on four nested 51-point log-nu
+        grids around log_nu, each spanning one cell of the one before."""
+        half = 1e-2
+        for _ in range(4):
+            xs = log_nu + np.linspace(-half, half, 51)
+            rss = []
+            for x in xs:
+                g = profile(math.exp(x))
+                res = y - (g @ y) / (g @ g) * g
+                rss.append(float(res @ res))
+            log_nu, half = xs[int(np.argmin(rss))], half / 25.0
+        return min(rss)
+
+    def test_gaussian_rss_is_the_grid_minimum(self):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 800, (0.5, 1.0, 2.0), 5e-4, seed=1)
+        fit = fit_field_nls(r, t, y)
+        best = self._grid_min_rss(
+            lambda nu: np.exp(-r * r / (4 * nu * t)) / (4 * math.pi * nu * t) ** 1.5,
+            y, math.log(fit.nu))
+        assert fit.rss == pytest.approx(best, rel=1e-12)
+
+    def test_bessel_rss_is_the_grid_minimum(self):
+        from plumefront.fields import BesselField, FieldParams
+        from plumefront.specfun import bessel_k0
+
+        field = BesselField(FieldParams(nu=0.8, q=1.0, dim=2, source_pos=(0.0, 0.0)), 0.7)
+        rng = np.random.default_rng(100)
+        t = rng.choice([0.5, 1.0, 2.0], size=300)
+        r = rng.uniform(0.1, 4.0, size=300)
+        y = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
+        y += 0.002 * rng.standard_normal(300)
+        fit = fit_field_nls(r, t, y, field_class="bessel")
+        best = self._grid_min_rss(
+            lambda nu: np.array([bessel_k0(a / (2 * math.sqrt(nu * b))).value / b
+                                 for a, b in zip(r, t)]),
+            y, math.log(fit.nu))
+        assert fit.rss == pytest.approx(best, rel=1e-12)
+
+    def test_seed_does_not_change_the_fit(self):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 1e-3, seed=3)
+        a = fit_field_nls(r, t, y, seed=1)
+        b = fit_field_nls(r, t, y, seed=2)
+        assert (a.nu, a.q, a.rss, a.n_iter) == (b.nu, b.q, b.rss, b.n_iter)
+        assert np.array_equal(a.cov, b.cov)
+
+    def test_kummer_fit_on_decaying_data_fails(self):
+        # M(1/2, 1, z) grows with r, so on this data the least squares lie at nu -> infinity
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        with pytest.raises(FitError, match="scan edge: True"):
+            fit_field_nls(r, t, y, field_class="kummer")
+
     def test_contracts(self):
         with pytest.raises(DomainError):
             fit_field_nls([1.0], [1.0], [1.0], field_class="exotic")
         with pytest.raises(InsufficientDataError):
             fit_field_nls(np.ones(10), np.ones(10), np.ones(10))
+        with pytest.raises(DomainError, match="times"):
+            fit_field_nls(np.ones(60), np.zeros(60), np.ones(60))
+        with pytest.raises(DomainError, match="distance"):
+            fit_field_nls(np.zeros(60), np.ones(60), np.ones(60))
 
 
 class TestSelectProfileModel:

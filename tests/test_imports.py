@@ -1,5 +1,5 @@
-"""Importing the package and running a closed-form command load neither scipy
-nor statistics."""
+"""Importing the package, running a closed-form command and selecting a
+profile model load neither scipy nor statistics."""
 
 import os
 import subprocess
@@ -21,6 +21,13 @@ code = plumefront.cli.dispatch(
     ["boundary", "--profile", "gaussian", "--nu", "1", "--epsilon", "0.1", "--t", "4"]
 )
 assert code == 0, code
+assert not lazy_modules(), lazy_modules()
+
+# the field fits search log nu themselves (no scipy.optimize)
+from plumefront.estimation import select_profile_model, simulate_gaussian_field_sample
+
+r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+assert select_profile_model(r, y, t).model == "gaussian"
 assert not lazy_modules(), lazy_modules()
 """
 
