@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams, GaussianField
-from .specfun import bessel_k0, kummer_m
+from .specfun import bessel_k0_array, kummer_m
 
 LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -679,12 +679,11 @@ def _gaussian_model(r, t, nu):
     return np.exp(-r * r / (4.0 * nu * t)) / (4.0 * math.pi * nu * t) ** 1.5
 
 
-_k0_vec = np.vectorize(lambda z: bessel_k0(z).value, otypes=[float])
 _m_half_vec = np.vectorize(lambda z: kummer_m(0.5, 1.0, z).value, otypes=[float])
 
 
 def _bessel_model(r, t, nu):
-    return _k0_vec(r / (2.0 * np.sqrt(nu * t))) / t
+    return bessel_k0_array(r / (2.0 * np.sqrt(nu * t))) / t
 
 
 def _kummer_model(r, t, nu):
@@ -731,6 +730,10 @@ def fit_field_nls(
         raise InsufficientDataError(f"field fit needs n >= 50, got {r.size}")
     if np.any(t <= 0) or not r.any():
         raise DomainError("times must be > 0 and some distance nonzero")
+    if field_class == "bessel" and np.any(r <= 0):
+        n_bad = np.count_nonzero(r <= 0)
+        raise DomainError(f"the Bessel profile needs every distance > 0 (K0 is infinite "
+                          f"at r = 0): {n_bad} of {r.size} distances are <= 0")
     if np.unique(t).size < 2:
         warnings.warn(
             "all observations share one time: nu and q are only weakly "

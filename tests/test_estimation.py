@@ -534,6 +534,8 @@ class TestFieldNls:
             fit_field_nls(np.ones(60), np.zeros(60), np.ones(60))
         with pytest.raises(DomainError, match="distance"):
             fit_field_nls(np.zeros(60), np.ones(60), np.ones(60))
+        with pytest.raises(DomainError, match=r"every distance > 0 .*: 2 of 60 distances"):
+            fit_field_nls(np.r_[0.0, 0.0, np.ones(58)], np.ones(60), np.ones(60), "bessel")
 
 
 class TestSelectProfileModel:

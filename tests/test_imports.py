@@ -1,5 +1,6 @@
 """Importing the package, running a closed-form command and selecting a
-profile model load neither scipy nor statistics."""
+profile model (Gaussian data, and Bessel data with the cylindrical hint)
+load neither scipy nor statistics."""
 
 import os
 import subprocess
@@ -28,6 +29,19 @@ from plumefront.estimation import select_profile_model, simulate_gaussian_field_
 
 r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
 assert select_profile_model(r, y, t).model == "gaussian"
+assert not lazy_modules(), lazy_modules()
+
+# the cylindrical fit evaluates K0 on arrays in specfun
+import numpy as np
+from plumefront.fields import BesselField, FieldParams
+
+field = BesselField(FieldParams(nu=0.8, q=1.0, dim=2, source_pos=(0.0, 0.0)), 0.7)
+rng = np.random.default_rng(100)
+t = rng.choice([0.5, 1.0, 2.0], size=300)
+r = rng.uniform(0.1, 4.0, size=300)
+y = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
+y += 0.002 * rng.standard_normal(300)
+assert select_profile_model(r, y, t, geometry_hint="cylindrical").model == "bessel"
 assert not lazy_modules(), lazy_modules()
 """
 

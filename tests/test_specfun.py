@@ -5,6 +5,7 @@ test never calls it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from plumefront.specfun import (
     SpecFunResult,
     bessel_i,
     bessel_k0,
+    bessel_k0_array,
     bessel_k1,
     gamma_fn,
     kummer_m,
@@ -175,6 +177,60 @@ class TestBesselK:
                 fn(0.0)
             with pytest.raises(DomainError):
                 fn(-1.0)
+
+
+class TestBesselK0Array:
+    """The array K0 against scipy and against the scalar bessel_k0."""
+
+    SEAMS = [z for seam in (2.0, 12.0)
+             for z in (np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf))]
+
+    @staticmethod
+    def _check(z):
+        z = np.asarray(z, dtype=float)
+        got = bessel_k0_array(z)
+        scalar = np.array([bessel_k0(float(x)).value for x in z])
+        oracle = sp_oracle.k0(z)
+        normal = oracle > 1e-300  # subnormal values carry few digits
+        np.testing.assert_allclose(got[normal], oracle[normal], rtol=5e-12, atol=0.0)
+        np.testing.assert_allclose(got[normal], scalar[normal], rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(1e-8, 700.0, exclude_min=True), min_size=1, max_size=40))
+    def test_against_scipy_and_scalar(self, zs):
+        self._check(zs)
+
+    def test_branch_points_and_neighbours(self):
+        self._check(self.SEAMS)
+        below, at, above = bessel_k0_array(np.reshape(self.SEAMS, (2, 3))).T
+        np.testing.assert_allclose(below, at, rtol=5e-12, atol=0.0)
+        np.testing.assert_allclose(above, at, rtol=5e-12, atol=0.0)
+
+    def test_dense_sweep(self):
+        # from z = 12 the scalar loop keeps up to 36 terms, the most near z = 17
+        self._check(np.concatenate([np.geomspace(1e-8, 2.5, 400), np.linspace(11.5, 40.0, 800)]))
+
+    def test_shape_follows_input(self):
+        zero_d = bessel_k0_array(np.float64(3.0))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert float(zero_d) == pytest.approx(bessel_k0(3.0).value, rel=1e-13)
+        grid = np.array([[0.5, 2.0, 5.0], [12.0, 30.0, 100.0]])
+        got = bessel_k0_array(grid)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got.ravel(), bessel_k0_array(grid.ravel()))
+
+    def test_no_floating_point_warning_up_to_1200(self):
+        # the log-nu scan of the Bessel profile fit reaches z ~ 1200
+        z = np.concatenate([np.geomspace(1e-8, 1200.0, 3000), [745.0, 1200.0]])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            values = bessel_k0_array(z)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0) and values[-1] == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k0_array(np.array([1.0, bad, 3.0]))
 
 
 class TestKummerBesselConnection:
