@@ -80,6 +80,15 @@ from .montecarlo import (
     parameter_recovery_campaign,
     run_campaign,
 )
-from .specfun import SpecFunResult, bessel_i, bessel_k0, bessel_k1, gamma_fn, kummer_m, pochhammer
+from .specfun import (
+    SpecFunResult,
+    bessel_i,
+    bessel_k0,
+    bessel_k01,
+    bessel_k1,
+    gamma_fn,
+    kummer_m,
+    pochhammer,
+)
 
 __version__ = "0.1.0"

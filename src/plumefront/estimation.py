@@ -42,6 +42,7 @@ CV_GRID_SPAN = 4.0  # bandwidth grid from rot/span to rot*span
 N_BINS = 400
 DEFAULT_CLAMP = 1e-6
 _BLOCK_BANDWIDTHS = 4.0  # widest grid block sharing one prefix-sum centre
+_DIRECT_SUM_COND = 10.0  # windows of worse conditioning take direct sums
 _DRAW_CHUNK = 1 << 16  # most bootstrap indices drawn in one call (cache-sized)
 # Bootstrap intervals refit at a mildly undersmoothed bandwidth so the
 # resampling spread is not masked by smoothing bias (the usual coverage
@@ -281,20 +282,20 @@ def _loclin_sums(xs, w, wy, grid, h):
     The grid is cut into blocks at most _BLOCK_BANDWIDTHS bandwidths wide.
     One vector: K = 0.75 (1 - u^2), u = (x - a)/h, is a polynomial in the
     window, so the sums follow from prefix sums of w z^i (i <= 4) and wy z^i
-    (i <= 3), z = (x - c)/h centred on the block, shifted to each a.  A
-    batch multiplies the block's exact kernel weights instead (BLAS beats
-    batched prefix sums there).
+    (i <= 3), z = (x - c)/h centred on the block, shifted to each a.  The
+    fit from those differences is off by about 1e-13 times the window's
+    conditioning S0 S2 / (S0 S2 - S1^2), and by up to 3e-11 times it in a
+    window of a few points beside a data gap, so windows of one point or of
+    conditioning at least _DIRECT_SUM_COND are summed directly.  A batch
+    multiplies the block's exact kernel weights instead (BLAS beats batched
+    prefix sums there).
     """
     lo, hi, starts, ends = _loclin_blocks(xs, grid, h)
     if w.ndim > 1:
         out = np.empty((6, w.shape[0], grid.size))
         for g0, g1 in zip(starts, ends):
             a, b = lo[g0], hi[g1 - 1]
-            du = xs[a:b, None] - grid[g0:g1]
-            k = 0.75 * np.maximum(1.0 - (du / h) ** 2, 0.0)
-            out[0, :, g0:g1] = (w[:, a:b] > 0) @ (k > 0).astype(float)
-            out[1:4, :, g0:g1] = [w[:, a:b] @ k, w[:, a:b] @ (k * du), w[:, a:b] @ (k * du * du)]
-            out[4:, :, g0:g1] = [wy[:, a:b] @ k, wy[:, a:b] @ (k * du)]
+            out[:, :, g0:g1] = _window_sums(w[:, a:b], wy[:, a:b], xs[a:b, None] - grid[g0:g1], h)
         return out
 
     centre = np.repeat(0.5 * (grid[starts] + grid[ends - 1]), ends - starts)
@@ -310,7 +311,7 @@ def _loclin_sums(xs, w, wy, grid, h):
     p0, p1, p2, p3, p4, q0, q1, q2, q3, count = p
     dl = (grid - centre) / h
     d2 = dl * dl
-    return np.array([
+    out = np.array([
         count,
         0.75 * ((1.0 - d2) * p0 + 2.0 * dl * p1 - p2),
         0.75 * h * ((d2 - 1.0) * dl * p0 + (1.0 - 3.0 * d2) * p1 + 3.0 * dl * p2 - p3),
@@ -319,6 +320,21 @@ def _loclin_sums(xs, w, wy, grid, h):
         0.75 * ((1.0 - d2) * q0 + 2.0 * dl * q1 - q2),
         0.75 * h * ((d2 - 1.0) * dl * q0 + (1.0 - 3.0 * d2) * q1 + 3.0 * dl * q2 - q3),
     ])
+
+    s0s2 = out[1] * out[3]
+    for i in np.flatnonzero((hi > lo) & ((count < 2) | (s0s2 >= _DIRECT_SUM_COND * (s0s2 - out[2] ** 2)))):
+        out[:, i] = _window_sums(w[lo[i]:hi[i]], wy[lo[i]:hi[i]], xs[lo[i]:hi[i]] - grid[i], h)
+    return out
+
+
+def _window_sums(w, wy, du, h):
+    """(count, S0, S1, S2, T0, T1) from the exact Epanechnikov weights K of
+    the offsets du = x - a: w @ (K > 0, K, K du, K du^2), wy @ (K, K du).
+    One window takes vectors; a block takes rows of weights against one
+    column of offsets per grid point."""
+    k = 0.75 * np.maximum(1.0 - (du / h) ** 2, 0.0)
+    kd = k * du
+    return [(w > 0) @ (k > 0).astype(float), w @ k, w @ kd, w @ (kd * du), wy @ k, wy @ kd]
 
 
 def _loclin_solve(sums):

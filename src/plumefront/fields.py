@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .specfun import bessel_k0, bessel_k1, kummer_m
+from .specfun import bessel_k0, bessel_k01, bessel_k1, kummer_m
 
 QUAD_RELTOL = 1e-8
 
@@ -112,14 +112,20 @@ class GaussianField(_RadialField):
         return p.q / (4.0 * math.pi * p.nu * t) ** 1.5 * math.exp(-r * r / (4.0 * p.nu * t))
 
     def d_dr(self, r: float, t: float) -> float:
-        return -r / (2.0 * self.params.nu * t) * self.value(r, t)
+        return self._d_dr(self.value(r, t), r, t)
 
     def d_dt(self, r: float, t: float) -> float:
-        p = self.params
-        return self.value(r, t) * (-1.5 / t + r * r / (4.0 * p.nu * t * t))
+        return self._d_dt(self.value(r, t), r, t)
 
     def eval(self, r: float, t: float) -> FieldEval:
-        return FieldEval(self.value(r, t), self.d_dr(r, t), self.d_dt(r, t))
+        value = self.value(r, t)
+        return FieldEval(value, self._d_dr(value, r, t), self._d_dt(value, r, t))
+
+    def _d_dr(self, value: float, r: float, t: float) -> float:
+        return -r / (2.0 * self.params.nu * t) * value
+
+    def _d_dt(self, value: float, r: float, t: float) -> float:
+        return value * (-1.5 / t + r * r / (4.0 * self.params.nu * t * t))
 
     def exposure_tail_bound(self, r: float, t_lo: float) -> float:
         # int_T^inf tau dt <= Q/(4 pi nu)^{3/2} * 2/sqrt(T)
@@ -132,7 +138,9 @@ class BesselField(_RadialField):
 
     The amplitude A is a free parameter distinct from q; no closed relation
     between the two is used anywhere.  Radial derivatives go through the
-    dedicated K1 implementation (K0' = -K1) rather than finite differences.
+    dedicated K1 implementation (K0' = -K1) rather than finite differences;
+    d_dt and eval, which need K0 and K1 at the same argument, take both from
+    one `bessel_k01` call.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -162,12 +170,12 @@ class BesselField(_RadialField):
 
     def d_dt(self, r: float, t: float) -> float:
         w = self._arg(r, t)
-        return -self.amplitude / (t * t) * (bessel_k0(w).value - 0.5 * w * bessel_k1(w).value)
+        k0, k1 = bessel_k01(w)
+        return -self.amplitude / (t * t) * (k0.value - 0.5 * w * k1.value)
 
     def eval(self, r: float, t: float) -> FieldEval:
         w = self._arg(r, t)
-        k0 = bessel_k0(w).value
-        k1 = bessel_k1(w).value
+        k0, k1 = (k.value for k in bessel_k01(w))
         a_t = self.amplitude / t
         return FieldEval(
             value=a_t * k0,

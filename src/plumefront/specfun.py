@@ -16,25 +16,34 @@ kummer_m     defining power series up to z = 30 (terms stop below
              honest first-correction error estimate.
 bessel_i     defining power series with the same stopping rule.
 bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
-             the integral representation int_0^inf exp(-z cosh t) dt on
-             [2, 12) (the integrand decays doubly exponentially, so the
+             the integral representation int_0^inf exp(-z cosh t) cosh(nt) dt
+             on [2, 12) (the integrand decays doubly exponentially, so the
              trapezoid rule is spectrally accurate there); large-argument
              asymptotic series from z = 12 where its optimal truncation
              error is below 1e-11 relative.  A plain two-regime split at
              z = 2 cannot reach the 1e-9 target: the asymptotic series'
              smallest term at z = 2 is ~7e-3 of the value.
+bessel_k01   K0 and K1 together.  Below z = 12 both orders come from one
+             pass: one series loop accumulates I0, I1 and both harmonic
+             sums (no bessel_i or gamma_fn call), and one trapezoid loop
+             over the module table _K_COSH of cosh(0.2 k) shares each
+             exp(-z cosh t) between the orders (DLMF 10.31.2, 10.32.9).
+             bessel_k0 and bessel_k1 read one half of that pass; from
+             z = 12 each runs only its own asymptotic series.  The Bessel
+             field's d_dt and eval, which need both orders at one point,
+             call bessel_k01.
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
              the same three representations and branch points as bessel_k0,
              one mask per regime.  The series terms and the asymptotic terms
              are running products along a second axis (the asymptotic ones
              truncated per element where the scalar loop stops); the
-             trapezoid rule is one outer product of z with the nodes.  On
-             300 points it takes 0.11 ms, against 2.9 ms for bessel_k0 point
-             by point.  The scalar functions stay separate: the fields and
+             trapezoid rule is one outer product of z with _K_COSH.  On 300
+             points it takes 0.10 ms, against 0.9 ms for bessel_k0 point by
+             point.  The scalar functions stay separate: the fields and
              functionals call K0 one point at a time, where one call through
-             the array kernel costs 5-8x a scalar call (43-84 us against
-             9-11 us, 2-vCPU box), and they need est_abs_error.
+             the array kernel costs 5-7x a scalar call (14-28 us against
+             2.2-4.6 us, 2-vCPU box), and they need est_abs_error.
 """
 
 from __future__ import annotations
@@ -62,6 +71,13 @@ KUMMER_SERIES_MAX = 30.0
 # asymptotic loop stops by k = 36 (at z ~ 17).
 _K0_SERIES_TERMS = 14
 _K_ASYMPTOTIC_TERMS = 40
+
+# Trapezoid step of the K integrals on [2, 12), and cosh of its nodes
+# t = step, 2 step, ... out to where z cosh t passes 745 (exp underflows)
+# at the smallest z of the regime.
+_K_STEP = 0.2
+_K_COSH = tuple(math.cosh(_K_STEP * k)
+                for k in range(1, int(math.acosh(745.0 / K_SERIES_MAX) / _K_STEP) + 2))
 
 # Stirling series coefficients B_2n / (2n (2n-1)).
 _STIRLING = (
@@ -176,68 +192,76 @@ def bessel_i(nu: float, z: float) -> SpecFunResult:
     return SpecFunResult(total, term + 1e-15 * total)
 
 
-def _k_integral(z: float, order: int) -> float:
-    """Trapezoidal evaluation of int_0^inf exp(-z cosh t) cosh(order*t) dt.
+def _k01_series(z: float) -> tuple[float, float]:
+    """K0 and K1 from their ascending series (DLMF 10.31.2), in one loop.
+
+    With u_k = (z^2/4)^k / (k!)^2 and H_k the harmonic numbers,
+        K0 = -(ln(z/2) + gamma) I0 + sum_k H_k u_k,        I0 = sum_k u_k,
+        K1 = 1/z + (z/2) [(ln(z/2) + gamma) S - sum_k (H_k + H_(k+1)) u_k/(k+1) / 2],
+    where S = sum_k u_k/(k+1), so I1 = (z/2) S and psi(k+1) = H_k - gamma.
+    u_k H_(k+1) bounds the k-th term of all four sums, and the loop stops
+    once it falls below TERM_STOP (of I0 >= 1); the terms then shrink
+    faster than geometrically.
+    """
+    quarter_sq = 0.25 * z * z
+    u = 1.0  # u_0
+    h_k, h_next = 0.0, 1.0  # H_0, H_1
+    i0, s0 = 1.0, 0.0
+    i1, s1 = 1.0, h_next  # S and sum (H_k + H_(k+1)) u_k/(k+1) at k = 0
+    for k in range(1, MAX_TERMS + 1):
+        u *= quarter_sq / (k * k)
+        h_k = h_next
+        h_next += 1.0 / (k + 1.0)
+        v = u / (k + 1.0)
+        i0 += u
+        s0 += u * h_k
+        i1 += v
+        s1 += v * (h_k + h_next)
+        if u * h_next < TERM_STOP:
+            break
+    log_term = math.log(0.5 * z) + EULER_GAMMA
+    k0 = -log_term * i0 + s0
+    k1 = 1.0 / z + 0.5 * z * (log_term * i1 - 0.5 * s1)
+    return k0, k1
+
+
+def _k01_integral(z: float) -> tuple[float, float]:
+    """K0 and K1 on [2, 12) from int_0^inf exp(-z cosh t) cosh(n t) dt,
+    n = 0 and 1 (DLMF 10.32.9), by one trapezoid pass over _K_COSH.
 
     The integrand is even in t and decays like exp(-z e^t / 2); for functions
     of this type the trapezoid rule converges geometrically in 1/h, so a step
     of 0.2 already leaves discretization error far below double precision.
+    Each exp(-z cosh t) serves both orders; the pass stops once the K1 term
+    falls below TERM_STOP of the K0 sum, and past the last node of _K_COSH
+    every term underflows anyway.
     """
-    step = 0.2
-    # Truncate where z cosh t underflows exp().
-    t_max = math.acosh(745.0 / z) + step
-    total = 0.5 * math.exp(-z)  # t = 0 term, cosh(0) = 1
-    t = step
-    while t <= t_max:
-        ch = math.cosh(t)
+    k0 = k1 = 0.5 * math.exp(-z)  # t = 0 terms, cosh(0) = 1
+    for ch in _K_COSH:
         w = math.exp(-z * ch)
-        total += w * (math.cosh(order * t) if order else 1.0)
-        t += step
-    return total * step
-
-
-def _k0_series(z: float) -> float:
-    """Ascending series K0 = -(ln(z/2) + gamma) I0(z) + sum H_k (z^2/4)^k/(k!)^2."""
-    i0 = bessel_i(0.0, z).value
-    quarter_sq = 0.25 * z * z
-    term = 1.0
-    harmonic = 0.0
-    series = 0.0
-    for k in range(1, MAX_TERMS + 1):
-        term *= quarter_sq / (k * k)
-        harmonic += 1.0 / k
-        contrib = term * harmonic
-        series += contrib
-        if contrib < TERM_STOP * max(series, 1.0):
+        k0 += w
+        k1 += w * ch
+        if w * ch < TERM_STOP * k0:
             break
-    return -(math.log(0.5 * z) + EULER_GAMMA) * i0 + series
+    return _K_STEP * k0, _K_STEP * k1
 
 
-def _k1_series(z: float) -> float:
-    """Ascending series for K1 (DLMF 10.31.2 with n = 1)."""
-    i1 = bessel_i(1.0, z).value
-    quarter_sq = 0.25 * z * z
-    # sum_k (psi(k+1) + psi(k+2)) (z^2/4)^k / (k! (k+1)!)
-    term = 1.0  # k = 0 value of (z^2/4)^k / (k!(k+1)!)
-    h_k = 0.0  # H_0
-    h_k1 = 1.0  # H_1
-    series = term * (2.0 * -EULER_GAMMA + h_k + h_k1)
-    for k in range(1, MAX_TERMS + 1):
-        term *= quarter_sq / (k * (k + 1.0))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1.0)
-        contrib = term * (2.0 * -EULER_GAMMA + h_k + h_k1)
-        series += contrib
-        if abs(contrib) < TERM_STOP * max(abs(series), 1.0):
-            break
-    return 1.0 / z + math.log(0.5 * z) * i1 - 0.25 * z * series
+def _k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
+    """K0 and K1 for 0 < z < K_ASYMPTOTIC_MIN, with their error bounds."""
+    if z < K_SERIES_MAX:
+        k0, k1 = _k01_series(z)
+        return (SpecFunResult(k0, 1e-14 * (abs(k0) + 1.0)),
+                SpecFunResult(k1, 1e-14 * (abs(k1) + 1.0 / z)))
+    k0, k1 = _k01_integral(z)
+    return SpecFunResult(k0, 1e-13 * k0), SpecFunResult(k1, 1e-13 * k1)
 
 
-def _k_asymptotic(z: float, mu: float) -> tuple[float, float]:
-    """Large-argument series sqrt(pi/2z) e^-z sum_k prod(mu-(2j-1)^2)/(k!(8z)^k).
+def _k_asymptotic(z: float, mu: float) -> SpecFunResult:
+    """Large-argument series sqrt(pi/2z) e^-z sum_k prod(mu-(2j-1)^2)/(k!(8z)^k),
+    mu = 4 n^2 for K_n.
 
-    Terms are added while they shrink; the first omitted term is returned as
-    the relative truncation error.
+    Terms are added while they shrink; the first omitted term bounds the
+    relative truncation error.
     """
     total = 1.0
     term = 1.0
@@ -254,21 +278,40 @@ def _k_asymptotic(z: float, mu: float) -> tuple[float, float]:
             truncation = abs(term)
             break
     prefactor = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    return prefactor * total, prefactor * truncation
+    value = prefactor * total
+    return SpecFunResult(value, prefactor * truncation + 1e-15 * abs(value))
 
 
 def bessel_k0(z: float) -> SpecFunResult:
     """Modified Bessel function of the second kind, order zero, for z > 0."""
     if not z > 0:
         raise DomainError(f"bessel_k0 requires z > 0, got {z}")
-    if z < K_SERIES_MAX:
-        value = _k0_series(z)
-        return SpecFunResult(value, 1e-14 * (abs(value) + 1.0))
     if z < K_ASYMPTOTIC_MIN:
-        value = _k_integral(z, 0)
-        return SpecFunResult(value, 1e-13 * abs(value))
-    value, trunc = _k_asymptotic(z, 0.0)
-    return SpecFunResult(value, trunc + 1e-15 * abs(value))
+        return _k01(z)[0]
+    return _k_asymptotic(z, 0.0)
+
+
+def bessel_k1(z: float) -> SpecFunResult:
+    """Modified Bessel function of the second kind, order one, for z > 0.
+
+    Implemented (rather than differencing K0) so field derivatives through
+    K0' = -K1 carry full accuracy.
+    """
+    if not z > 0:
+        raise DomainError(f"bessel_k1 requires z > 0, got {z}")
+    if z < K_ASYMPTOTIC_MIN:
+        return _k01(z)[1]
+    return _k_asymptotic(z, 4.0)
+
+
+def bessel_k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
+    """(K0(z), K1(z)) for z > 0: the values of `bessel_k0` and `bessel_k1`,
+    from one pass below z = 12."""
+    if not z > 0:
+        raise DomainError(f"bessel_k01 requires z > 0, got {z}")
+    if z < K_ASYMPTOTIC_MIN:
+        return _k01(z)
+    return _k_asymptotic(z, 0.0), _k_asymptotic(z, 4.0)
 
 
 def bessel_k0_array(z) -> np.ndarray:
@@ -299,7 +342,7 @@ def bessel_k0_array(z) -> np.ndarray:
 
 
 def _k0_series_array(z: np.ndarray) -> np.ndarray:
-    """`_k0_series` for an array: the terms (z^2/4)^k / (k!)^2 as one
+    """The K0 half of `_k01_series` for an array: the terms u_k as one
     running product over k = 1 .. _K0_SERIES_TERMS."""
     k_sq = np.arange(1, _K0_SERIES_TERMS + 1) ** 2
     terms = np.cumprod(np.divide.outer(0.25 * z * z, k_sq), axis=1)
@@ -309,13 +352,11 @@ def _k0_series_array(z: np.ndarray) -> np.ndarray:
 
 
 def _k0_integral_array(z: np.ndarray) -> np.ndarray:
-    """`_k_integral` of order 0 for an array, on the nodes the smallest z
-    needs; at larger z the extra nodes lie past z cosh t = 745 and add 0."""
-    step = 0.2
-    nodes = step * np.arange(1, math.acosh(745.0 / z.min()) / step + 2)
+    """The K0 half of `_k01_integral` for an array, on every node of
+    _K_COSH; terms past z cosh t = 745 underflow to 0."""
     with np.errstate(under="ignore"):
-        terms = np.exp(-np.multiply.outer(z, np.cosh(nodes)))
-    return step * (0.5 * np.exp(-z) + terms.sum(axis=1))
+        terms = np.exp(-np.multiply.outer(z, _K_COSH))
+    return _K_STEP * (0.5 * np.exp(-z) + terms.sum(axis=1))
 
 
 def _k0_asymptotic_array(z: np.ndarray) -> np.ndarray:
@@ -337,24 +378,6 @@ def _k0_asymptotic_array(z: np.ndarray) -> np.ndarray:
     total = sums[rows, first + ~grows[rows, first]]
     with np.errstate(under="ignore"):
         return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * total
-
-
-def bessel_k1(z: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind, order one, for z > 0.
-
-    Implemented (rather than differencing K0) so field derivatives through
-    K0' = -K1 carry full accuracy.
-    """
-    if not z > 0:
-        raise DomainError(f"bessel_k1 requires z > 0, got {z}")
-    if z < K_SERIES_MAX:
-        value = _k1_series(z)
-        return SpecFunResult(value, 1e-14 * (abs(value) + 1.0 / z))
-    if z < K_ASYMPTOTIC_MIN:
-        value = _k_integral(z, 1)
-        return SpecFunResult(value, 1e-13 * abs(value))
-    value, trunc = _k_asymptotic(z, 4.0)
-    return SpecFunResult(value, trunc + 1e-15 * abs(value))
 
 
 def unit_sphere_area(dim: int) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import k0 as scipy_k0
 
 from plumefront.dynamics import (
     adiabatic_boundary,
@@ -13,7 +14,7 @@ from plumefront.dynamics import (
     steady_state_boundary,
 )
 from plumefront.errors import DomainError, NumericalError
-from plumefront.fields import DecayingSourceField, FieldParams, GaussianField
+from plumefront.fields import BesselField, DecayingSourceField, FieldParams, GaussianField
 from plumefront.functionals import BoundarySpec, boundary_radius
 
 UNIT = FieldParams(nu=1.0, q=1.0)
@@ -107,6 +108,27 @@ class TestBoundaryOde:
         derived = 2.0 * t / d_star * (d_star**2 / (4.0 * t * t) - 1.5 / t - lam)
         assert rate == pytest.approx(derived, rel=1e-10)
         assert rate > 0
+
+    @pytest.mark.parametrize("w0", [0.6, 2.6, 5.0, 12.6])
+    def test_bessel_absolute_threshold_tracks_k0_level_set(self, w0):
+        # (A/t) K0(r / (2 sqrt(nu t))) = tau_min: w = r/(2 sqrt(nu t)) solves
+        # K0(w) = tau_min t / A, found on scipy's K0.  The argument falls from
+        # w0 as t triples (2.6 -> 1.7 and 12.6 -> 11.5 cross the K seams at
+        # 2 and 12).  RK4 with 200 steps stays within about 2e-11.
+        nu, amp, t0 = 1.3, 1.7, 2.0
+        field = BesselField(FieldParams(nu=nu, dim=2, source_pos=(0.0, 0.0)), amp)
+        tau_min = amp / t0 * float(scipy_k0(w0))
+        spec = BoundarySpec(mode="absolute", tau_min=tau_min)
+
+        def exact(t):
+            w = brentq(lambda x: scipy_k0(x) - tau_min * t / amp, 1e-12, 700.0,
+                       xtol=1e-15, rtol=1e-15)
+            return 2.0 * math.sqrt(nu * t) * w
+
+        traj = boundary_ode_integrate(field, exact(t0), t0, 3.0 * t0, steps=200, spec=spec)
+        assert traj.terminated_reason == "horizon_reached"
+        radii = np.array([exact(t) for t in traj.times[::10]])
+        np.testing.assert_allclose(traj.radii[::10], radii, rtol=1e-9, atol=0.0)
 
     def test_singular_gradient_detected(self):
         class Flat:

@@ -63,6 +63,12 @@ class TestGaussianField:
             assert g.d_dr(r, t) == pytest.approx(fd_r, rel=1e-6)
             assert g.d_dt(r, t) == pytest.approx(fd_t, rel=1e-6)
 
+    def test_eval_is_bitwise_the_three_methods(self):
+        g = GaussianField(FieldParams(nu=0.7, q=1.3))
+        for r, t in [(0.0, 1.0), (0.5, 1.0), (2.0, 0.7), (4.0, 3.0), (30.0, 0.2)]:
+            ev = g.eval(r, t)
+            assert (ev.value, ev.d_dr, ev.d_dt) == (g.value(r, t), g.d_dr(r, t), g.d_dt(r, t))
+
     def test_diffusion_residual_vanishes(self):
         # d tau/dt = nu (tau'' + (2/r) tau') checked with central differences.
         # The step follows the eps^(1/4) rule for second differences; a step
@@ -118,6 +124,14 @@ class TestBesselField:
             fd_t = (f.value(r, t + ht) - f.value(r, t - ht)) / (2 * ht)
             assert f.d_dr(r, t) == pytest.approx(fd_r, rel=1e-6)
             assert f.d_dt(r, t) == pytest.approx(fd_t, rel=1e-6)
+
+    def test_eval_agrees_with_the_three_methods(self):
+        # arguments w = r / (2 sqrt(nu t)) in all three K regimes
+        f = BesselField(self.PARAMS, amplitude=1.5)
+        for r, t in [(0.5, 1.0), (3.9, 1.0), (4.0, 1.0), (10.0, 1.0), (24.0, 1.0), (60.0, 2.0)]:
+            ev = f.eval(r, t)
+            assert (ev.value, ev.d_dr) == (f.value(r, t), f.d_dr(r, t))
+            assert ev.d_dt == pytest.approx(f.d_dt(r, t), rel=1e-15, abs=0.0)
 
     def test_singular_at_origin(self):
         with pytest.raises(DomainError):

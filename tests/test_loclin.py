@@ -76,6 +76,25 @@ def _crossing_from_curve(grid, m_hat, p):
     return None
 
 
+def _gap_sample(seed):
+    """300 points on [0, 30] and 300 on [70, 100], h = 3, a 512-point grid;
+    with each grid point's window (points strictly inside), their count and
+    the conditioning S0 S2 / (S0 S2 - S1^2) of the window (1 below two
+    points)."""
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([rng.uniform(0.0, 30.0, 300), rng.uniform(70.0, 100.0, 300)])
+    y = 1.0 + 0.01 * d + 0.1 * rng.standard_normal(600)
+    h = 3.0
+    grid = np.linspace(d.min(), d.max(), 512)
+    inside = np.abs(d[None, :] - grid[:, None]) < h
+    count = inside.sum(axis=1)
+    du = d[None, :] - grid[:, None]
+    w = _epanechnikov(du / h)
+    s0, s1, s2 = w.sum(axis=1), (w * du).sum(axis=1), (w * du * du).sum(axis=1)
+    cond = s0 * s2 / np.where(count >= 2, s0 * s2 - s1 * s1, 1.0)
+    return d, y, h, grid, inside, count, cond
+
+
 def _max_rel(a, b):
     return float(np.max(np.abs(a - b) / np.abs(b)))
 
@@ -113,18 +132,7 @@ class TestKernelAgainstDenseFit:
         to the 1e-12 relative error of the sums times the conditioning
         S0 S2 / (S0 S2 - S1^2) of the window.
         """
-        rng = np.random.default_rng(seed)
-        d = np.concatenate([rng.uniform(0.0, 30.0, 300), rng.uniform(70.0, 100.0, 300)])
-        y = 1.0 + 0.01 * d + 0.1 * rng.standard_normal(600)
-        h = 3.0
-        grid = np.linspace(d.min(), d.max(), 512)
-
-        inside = np.abs(d[None, :] - grid[:, None]) < h
-        count = inside.sum(axis=1)
-        du = d[None, :] - grid[:, None]
-        w = _epanechnikov(du / h)
-        s0, s1, s2 = w.sum(axis=1), (w * du).sum(axis=1), (w * du * du).sum(axis=1)
-        cond = s0 * s2 / np.where(count >= 2, s0 * s2 - s1 * s1, 1.0)
+        d, y, h, grid, inside, count, cond = _gap_sample(seed)
         assert (count == 0).sum() >= 150 and (count == 1).any()
 
         order = np.argsort(d)
@@ -145,6 +153,25 @@ class TestKernelAgainstDenseFit:
         good = np.flatnonzero(count > 0)
         for i in np.flatnonzero(count == 0):
             assert m[i] == m[good[np.argmin(np.abs(good - i))]]
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_ill_conditioned_gap_windows_are_summed_directly(self, seed):
+        """Windows beside the gap of two to five points agree with the dense
+        oracle to 1e-14 times their conditioning, and windows of six or more
+        points and conditioning of 20 or more to 3e-14 times it.  Direct
+        sums read at most 6e-16 and 1.2e-14 times it here (the latter is the
+        oracle's own rounding, at a fitted value near 0); from shifted prefix
+        sums the same windows read 1.4e-13 to 3.2e-11 and 3.8e-14 to 1.5e-13
+        times it."""
+        d, y, h, grid, _, count, cond = _gap_sample(seed)
+        few = (count >= 2) & (count <= 5)
+        wide = (count >= 6) & (cond >= 20.0)
+        assert few.any() and wide.any()
+        m = _loclin_curve(d, y, grid, h)
+        oracle = _dense_loclin_curve(d, y, grid, h)
+        for sel, bound in ((few, 1e-14), (wide, 3e-14)):
+            rel = np.abs(m[sel] - oracle[sel]) / np.abs(oracle[sel])
+            assert np.all(rel <= bound * cond[sel])
 
     def test_batch_matches_single_rows(self):
         d, y = generate_dgp(STANDARD_DGPS["hump"], 3000, seed=5)

@@ -19,6 +19,7 @@ from plumefront.specfun import (
     bessel_i,
     bessel_k0,
     bessel_k0_array,
+    bessel_k01,
     bessel_k1,
     gamma_fn,
     kummer_m,
@@ -179,11 +180,45 @@ class TestBesselK:
                 fn(-1.0)
 
 
+SEAMS = [z for seam in (2.0, 12.0)
+         for z in (np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf))]
+
+
+class TestBesselK01:
+    """The joint K0/K1 pass, and both scalar orders, against scipy."""
+
+    @staticmethod
+    def _check(zs):
+        for z in map(float, zs):
+            k0, k1 = bessel_k01(z)
+            assert (k0, k1) == (bessel_k0(z), bessel_k1(z))
+            for got, oracle in ((k0.value, sp_oracle.k0(z)), (k1.value, sp_oracle.k1(z))):
+                if oracle > 1e-300:  # subnormal values carry few digits
+                    assert got == pytest.approx(oracle, rel=5e-12, abs=0.0)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(1e-8, 700.0, exclude_min=True), min_size=1, max_size=40))
+    def test_against_scipy(self, zs):
+        self._check(zs)
+
+    def test_branch_points_and_neighbours(self):
+        self._check(SEAMS)
+        for fn in (bessel_k0, bessel_k1):
+            for below, at, above in np.reshape([fn(float(z)).value for z in SEAMS], (2, 3)):
+                assert below == pytest.approx(at, rel=5e-12, abs=0.0)
+                assert above == pytest.approx(at, rel=5e-12, abs=0.0)
+
+    def test_dense_sweep(self):
+        self._check(np.concatenate([np.geomspace(1e-8, 2.5, 300), np.linspace(1.5, 12.5, 300)]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k01(bad)
+
+
 class TestBesselK0Array:
     """The array K0 against scipy and against the scalar bessel_k0."""
-
-    SEAMS = [z for seam in (2.0, 12.0)
-             for z in (np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf))]
 
     @staticmethod
     def _check(z):
@@ -201,8 +236,8 @@ class TestBesselK0Array:
         self._check(zs)
 
     def test_branch_points_and_neighbours(self):
-        self._check(self.SEAMS)
-        below, at, above = bessel_k0_array(np.reshape(self.SEAMS, (2, 3))).T
+        self._check(SEAMS)
+        below, at, above = bessel_k0_array(np.reshape(SEAMS, (2, 3))).T
         np.testing.assert_allclose(below, at, rtol=5e-12, atol=0.0)
         np.testing.assert_allclose(above, at, rtol=5e-12, atol=0.0)
 
@@ -274,6 +309,11 @@ def test_error_estimates_bound_true_error():
         (bessel_k0(0.7), float(sp_oracle.kv(0, 0.7))),
         (bessel_k0(5.0), float(sp_oracle.kv(0, 5.0))),
         (bessel_k0(20.0), float(sp_oracle.kv(0, 20.0))),
+        (bessel_k1(0.7), float(sp_oracle.kv(1, 0.7))),
+        (bessel_k1(5.0), float(sp_oracle.kv(1, 5.0))),
+        (bessel_k1(20.0), float(sp_oracle.kv(1, 20.0))),
+        *[(fn(float(z)), float(sp_oracle.kv(order, z)))
+          for fn, order in ((bessel_k0, 0), (bessel_k1, 1)) for z in SEAMS],
         (bessel_i(1.0, 3.0), float(sp_oracle.iv(1, 3.0))),
         (kummer_m(0.5, 1.0, 10.0), float(sp_oracle.hyp1f1(0.5, 1.0, 10.0))),
     ]
