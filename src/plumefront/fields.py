@@ -88,10 +88,10 @@ class _RadialField:
     r_min = 0.0
 
     def _check(self, r: float, t: float):
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if r < 0:
-            raise DomainError(f"radius must be >= 0, got {r}")
+        if not 0 < t < math.inf:
+            raise DomainError(f"time must be finite and > 0, got {t}")
+        if not 0 <= r < math.inf:
+            raise DomainError(f"radius must be finite and >= 0, got {r}")
 
     def diffusion_scale(self, t: float) -> float:
         return math.sqrt(self.params.nu * t)
@@ -155,10 +155,10 @@ class BesselField(_RadialField):
         self.dim = 2
 
     def _arg(self, r: float, t: float) -> float:
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if not r > 0:
-            raise DomainError(f"radius must be > 0 for the Bessel field, got {r}")
+        if not 0 < t < math.inf:
+            raise DomainError(f"time must be finite and > 0, got {t}")
+        if not 0 < r < math.inf:
+            raise DomainError(f"radius must be finite and > 0 for the Bessel field, got {r}")
         return r / (2.0 * math.sqrt(self.params.nu * t))
 
     def value(self, r: float, t: float) -> float:
@@ -255,10 +255,10 @@ class DecayingSourceField(_RadialField):
         return 2.0 * val
 
     def _check(self, r: float, t: float):
-        if not t > 0:
-            raise DomainError(f"time must be > 0, got {t}")
-        if not r > 0:
-            raise DomainError(f"radius must be > 0, got {r}")
+        if not 0 < t < math.inf:
+            raise DomainError(f"time must be finite and > 0, got {t}")
+        if not 0 < r < math.inf:
+            raise DomainError(f"radius must be finite and > 0, got {r}")
 
     def value(self, r: float, t: float) -> float:
         self._check(r, t)

@@ -10,10 +10,26 @@ Evaluation strategy
 -------------------
 gamma_fn     Stirling asymptotic series for ln Gamma after shifting the
              argument above 12 by the recurrence Gamma(z) = Gamma(z+1)/z.
-kummer_m     defining power series up to z = 30 (terms stop below
-             1e-16 of the running sum, hard cap 500 terms); leading
-             asymptotic term Gamma(b)/Gamma(a) z^(a-b) e^z beyond, with an
-             honest first-correction error estimate.
+kummer_m     the profile family a = n + 1/2, b = 2n + 1 (n = 0, 1, ...),
+             which is every call the fields and fits make, through
+             Kummer's second formula M(n+1/2, 2n+1, 2x) = n! e^x (x/2)^-n
+             I_n(x) (DLMF 13.6.9), with two regimes that need no gamma_fn
+             call.  Below x = max(15, n^2), e^x sum_k n!/(k!(n+k)!)
+             (x^2/4)^k: positive terms, stopped below 1e-16 of the running
+             sum.  From there the large-argument series of I_n (DLMF
+             10.40.1), n! (2/x)^n e^2x / sqrt(2 pi x) sum_k (-1)^k a_k(n)/x^k,
+             truncated at its smallest term; x >= n^2 keeps its first
+             correction (4n^2-1)/(8x) below 1/2.  e^2x is formed as
+             e^x (e^x c) and the product is tested before it is taken, so
+             the result is inf only where M overflows, without setting the
+             floating-point overflow flag; from x = ln(max float) M > e^x
+             overflows before any work.
+             Both regimes stay within 3e-14 relative of mpmath for n <= 3
+             (the worst case is the truncation at x = 15).  Other (a, b):
+             defining power series up to z = 30 (same stopping rule, hard
+             cap 500 terms); leading asymptotic term Gamma(b)/Gamma(a)
+             z^(a-b) e^z beyond, with an honest first-correction error
+             estimate.
 bessel_i     defining power series with the same stopping rule.
 bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
              the integral representation int_0^inf exp(-z cosh t) cosh(nt) dt
@@ -49,6 +65,7 @@ bessel_k0_array
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +82,11 @@ MAX_TERMS = 500
 K_SERIES_MAX = 2.0
 K_ASYMPTOTIC_MIN = 12.0
 KUMMER_SERIES_MAX = 30.0
+
+# The largest float, the argument from which exp overflows, machine epsilon.
+_FLOAT_MAX = sys.float_info.max
+_EXP_MAX = math.log(_FLOAT_MAX)
+_EPS = sys.float_info.epsilon
 
 # Terms the array K0 forms in each regime.  Below z = 2, (z^2/4)^k / (k!)^2
 # times H_k is below TERM_STOP from k = 12; from z = 12 the scalar
@@ -139,18 +161,29 @@ def pochhammer(a: float, n: int) -> float:
 
 
 def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
-    """Confluent hypergeometric function M(a, b, z) for z >= 0.
+    """Confluent hypergeometric function M(a, b, z) for finite z >= 0.
 
-    The defining series sum_n (a)_n/(b)_n z^n/n! is used for z <= 30 and is
-    accurate to ~1e-14 relative there for the non-negative parameters that
-    occur in the profile hierarchy.  Beyond 30 only the leading asymptotic
-    term Gamma(b)/Gamma(a) z^(a-b) e^z is evaluated and est_abs_error
-    reports the first neglected correction, |(1-a)(b-a)|/z of the value.
+    The profile family a = n + 1/2, b = 2n + 1 (integer n >= 0) goes through
+    Kummer's second formula, by series below z/2 = max(15, n^2) and by the
+    Bessel-I asymptotic series from there; it is within 3e-14 relative of
+    the true value for n <= 3, est_abs_error bounds its error, and it is
+    (inf, inf) exactly where M overflows.  Any other (a, b) takes the
+    defining series sum_n (a)_n/(b)_n z^n/n! for z <= 30, accurate to ~1e-14
+    relative there for non-negative parameters; beyond 30 only the leading
+    asymptotic term Gamma(b)/Gamma(a) z^(a-b) e^z is evaluated and
+    est_abs_error reports the first neglected correction, |(1-a)(b-a)|/z
+    of the value.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"kummer_m requires finite a and b, got a = {a}, b = {b}")
     if b <= 0 and b == int(b):
         raise DomainError(f"kummer_m undefined for non-positive integer b = {b}")
-    if z < 0:
-        raise DomainError(f"kummer_m requires z >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise DomainError(f"kummer_m requires finite z >= 0, got {z}")
+    n = 0.5 * (b - 1.0)
+    if a == 0.5 * b and n >= 0 and n.is_integer():
+        # float(): np.vectorize passes numpy scalars, whose arithmetic is slower
+        return _kummer_profile(n, 0.5 * float(z))
 
     if z <= KUMMER_SERIES_MAX or a <= 0:
         total = 1.0
@@ -171,12 +204,60 @@ def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
     return SpecFunResult(value, abs(value) * max(correction, 1e-15))
 
 
+def _kummer_profile(n: float, x: float) -> SpecFunResult:
+    """M(n + 1/2, 2n + 1, 2x) for integer n >= 0 and x >= 0 (DLMF 13.6.9).
+
+    est_abs_error is the truncation bound of the regime plus 4 (k + 2) eps of
+    the value for rounding, k the number of terms: term k is a running
+    product of at most 3k roundings, and the sum and the prefactor add k + 8
+    more (a first-order bound for positive terms; the alternating terms of
+    the asymptotic regime, n >= 1, stay below a third of it).  Past the last
+    added term the series regime's tail is smaller than that term, whose
+    successors shrink by ratios below 1/2.  The asymptotic regime's
+    truncation is taken as twice the first omitted term: on the real axis
+    the optimally truncated remainder can exceed that term (by 1.4 times at
+    x = 15, n = 3).
+    """
+    if x >= _EXP_MAX:  # M > e^x
+        return SpecFunResult(math.inf, math.inf)
+    if x < 0.5 * KUMMER_SERIES_MAX or x < n * n:
+        quarter_sq = 0.25 * x * x
+        total = term = 1.0
+        for k in range(1, MAX_TERMS + 1):
+            term *= quarter_sq / (k * (n + k))
+            total += term
+            if term < TERM_STOP * total:
+                break
+        scale = math.exp(x)
+        if total > _FLOAT_MAX / scale:
+            return SpecFunResult(math.inf, math.inf)
+        return SpecFunResult(scale * total, scale * (term + 4.0 * (k + 2) * _EPS * total))
+
+    mu = 4.0 * n * n
+    total = term = 1.0
+    for k in range(1, MAX_TERMS + 1):
+        nxt = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+        total += term
+        if abs(term) < TERM_STOP * total:
+            break
+    scale = math.exp(x)
+    lead = math.factorial(int(n)) * (2.0 / x) ** n / math.sqrt(2.0 * math.pi * x)
+    inner = scale * lead * total
+    if inner > _FLOAT_MAX / scale:
+        return SpecFunResult(math.inf, math.inf)
+    value = scale * inner
+    return SpecFunResult(value, value * (2.0 * abs(nxt) / total + 4.0 * (k + 2) * _EPS))
+
+
 def bessel_i(nu: float, z: float) -> SpecFunResult:
     """Modified Bessel function of the first kind from its defining series."""
-    if nu < 0:
-        raise DomainError(f"bessel_i requires nu >= 0, got {nu}")
-    if z < 0:
-        raise DomainError(f"bessel_i requires z >= 0, got {z}")
+    if not 0 <= nu < math.inf:
+        raise DomainError(f"bessel_i requires finite nu >= 0, got {nu}")
+    if not 0 <= z < math.inf:
+        raise DomainError(f"bessel_i requires finite z >= 0, got {z}")
     if z == 0.0:
         return SpecFunResult(1.0 if nu == 0 else 0.0, 0.0)
 

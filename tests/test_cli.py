@@ -50,6 +50,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--profile", "gaussian", "--r", "nan,1", "--t", "1"],
+        ["--profile", "gaussian", "--r", "1", "--t", "inf"],
+        ["--profile", "kummer", "--coeffs", "1", "--r", "inf", "--t", "1"],
+        ["--profile", "bessel", "--r", "nan", "--t", "1"],
+        ["--profile", "decaying", "--lam", "1", "--r", "1", "--t", "nan"],
+    ])
+    def test_non_finite_field_argument_is_exit_two(self, capsys, argv):
+        code, out, err = run_cli(["field", "--nu", "1", *argv], capsys)
+        assert code == 2
+        assert "nan" not in out and "finite" in err
+
     def test_bad_horizon_is_usage_error(self, capsys):
         code, _, _ = run_cli(["exposure", "--r", "1", "--horizon", "soon"], capsys)
         assert code == 1

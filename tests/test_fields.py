@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, hyp1f1
 
 from plumefront.errors import DomainError
 from plumefront.fields import (
@@ -15,6 +15,7 @@ from plumefront.fields import (
     DecayingSourceField,
     FieldParams,
     GaussianField,
+    KummerField,
     SourceEvent,
     bessel_field,
     decaying_source_field,
@@ -163,6 +164,16 @@ class TestKummerField:
         b = kummer_field([(2.0, 0), (1.0, 1)], UNIT, r=1.0, t=2.0)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
+    def test_matches_scipy_on_both_sides_of_z_30(self):
+        coeffs = ((1.0, 0), (0.0, 1), (1.0, 2))
+        params = FieldParams(nu=0.7, q=1.0)
+        t = 1.3
+        for z in np.linspace(24.0, 36.0, 49):
+            r = math.sqrt(4.0 * params.nu * t * z)
+            z_field = r * r / (4.0 * params.nu * t)
+            expected = sum(c * hyp1f1(n + 0.5, 2.0 * n + 1.0, z_field) for c, n in coeffs) / t
+            assert kummer_field(coeffs, params, r=r, t=t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 @settings(max_examples=60)
 @given(
@@ -242,6 +253,22 @@ class TestDecayingSourceField:
             f.value(1.0, 0.0)
         with pytest.raises(DomainError):
             DecayingSourceField(FieldParams(nu=1.0, q=1.0, lam=0.0))
+
+
+@pytest.mark.parametrize("r,t", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                 (1.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize("field", [
+    GaussianField(UNIT),
+    BesselField(FieldParams(nu=1.0, q=1.0, dim=2, source_pos=(0.0, 0.0)), amplitude=1.0),
+    KummerField([(1.0, 0)], UNIT),
+    DecayingSourceField(FieldParams(nu=1.0, q=1.0, lam=1.0)),
+], ids=["gaussian", "bessel", "kummer", "decaying"])
+def test_non_finite_arguments_rejected(field, r, t):
+    with pytest.raises(DomainError):
+        field.value(r, t)
+    if hasattr(field, "eval"):
+        with pytest.raises(DomainError):
+            field.eval(r, t)
 
 
 class TestGreensFunction:

@@ -94,11 +94,61 @@ class TestKummer:
         truth = float(sp_oracle.hyp1f1(0.5, 1.0, 50.0))
         assert abs(res.value - truth) <= 2.0 * res.est_abs_error
 
+    def test_large_z_asymptotic_error_is_honest_off_the_profile_family(self):
+        # the profile family no longer reaches the leading-term branch
+        res = kummer_m(0.7, 1.3, 50.0)
+        truth = float(sp_oracle.hyp1f1(0.7, 1.3, 50.0))
+        assert abs(res.value - truth) <= 2.0 * res.est_abs_error
+
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             kummer_m(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             kummer_m(1.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("a,b,z", [(0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+                                       (math.nan, 1.0, 1.0), (0.5, math.inf, 1.0),
+                                       (0.7, 1.3, math.nan), (0.7, -math.inf, 1.0)])
+    def test_non_finite_rejected(self, a, b, z):
+        with pytest.raises(DomainError):
+            kummer_m(a, b, z)
+
+
+def _profile(n, z):
+    return kummer_m(n + 0.5, 2.0 * n + 1.0, float(z))
+
+
+class TestKummerProfile:
+    """M(n+1/2, 2n+1, z) through Bessel I, against scipy.special.hyp1f1,
+    which is within 1e-14 of mpmath on this family."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 3), st.floats(0.0, 700.0, exclude_min=True))
+    def test_against_scipy(self, n, z):
+        expected = float(sp_oracle.hyp1f1(n + 0.5, 2.0 * n + 1.0, z))
+        assert _profile(n, z).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_seam_at_30_and_neighbours(self, n):
+        below, at, above = (_profile(n, z).value
+                            for z in (np.nextafter(30.0, 0.0), 30.0, np.nextafter(30.0, np.inf)))
+        assert below == pytest.approx(at, rel=1e-13, abs=0.0)
+        assert above == pytest.approx(at, rel=1e-13, abs=0.0)
+        assert at == pytest.approx(float(sp_oracle.hyp1f1(n + 0.5, 2.0 * n + 1.0, 30.0)),
+                                   rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n,z", [(0, 713.7), (3, 727.5), (0, 1420.0), (1, 1e300),
+                                     (30, 820.0)])
+    def test_inf_past_overflow(self, n, z):
+        assert _profile(n, z) == SpecFunResult(math.inf, math.inf)
+        if z < 1e3:  # scipy's series takes very long at huge z
+            with np.errstate(over="ignore"):
+                assert math.isinf(sp_oracle.hyp1f1(n + 0.5, 2.0 * n + 1.0, z))
+
+    @pytest.mark.parametrize("n,z", [(0, 713.6), (3, 727.4), (30, 700.0)])
+    def test_finite_up_to_overflow(self, n, z):
+        expected = float(sp_oracle.hyp1f1(n + 0.5, 2.0 * n + 1.0, z))
+        assert _profile(n, z).value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestBesselI:
@@ -128,6 +178,12 @@ class TestBesselI:
         zs = np.linspace(0.0, 20.0, 100)
         vals = [bessel_i(0.0, float(z)).value for z in zs]
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("nu,z", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                      (math.inf, 1.0)])
+    def test_non_finite_rejected(self, nu, z):
+        with pytest.raises(DomainError):
+            bessel_i(nu, z)
 
 
 class TestBesselK:
@@ -316,6 +372,8 @@ def test_error_estimates_bound_true_error():
           for fn, order in ((bessel_k0, 0), (bessel_k1, 1)) for z in SEAMS],
         (bessel_i(1.0, 3.0), float(sp_oracle.iv(1, 3.0))),
         (kummer_m(0.5, 1.0, 10.0), float(sp_oracle.hyp1f1(0.5, 1.0, 10.0))),
+        *[(kummer_m(a, b, z), float(sp_oracle.hyp1f1(a, b, z)))
+          for a, b, z in ((0.5, 1.0, 50.0), (1.5, 3.0, 29.9), (2.5, 5.0, 31.0), (0.5, 1.0, 600.0))],
     ]
     for res, truth in cases:
         assert isinstance(res, SpecFunResult)
