@@ -17,7 +17,9 @@ prefix sums of powers of distance over the sorted data (Fan and Marron 1994;
 Seifert et al. 1994), centred per block of grid points at most 4 bandwidths
 wide to hold the cancellation near 1e-12.  The reported fit is exact;
 cross-validation and the bootstrap still run on 400 bins, far narrower than
-any admissible bandwidth.
+any admissible bandwidth.  On the bin lattice each CV sum of all ten
+bandwidths is one matrix product of direct sums, and the bootstrap gate
+draws only the observations in the bins its two endpoint windows read.
 """
 
 from __future__ import annotations
@@ -372,40 +374,70 @@ def rule_of_thumb_bandwidth(distances) -> float:
 
 
 def _bin_data(d: np.ndarray, y: np.ndarray, n_bins: int = N_BINS):
+    """Centres, observation counts and outcome sums of n_bins equal bins over
+    the range of d, the bin width and each observation's bin."""
     lo, hi = float(d.min()), float(d.max())
     width = (hi - lo) / n_bins or 1.0
     ids = np.clip(((d - lo) / width).astype(int), 0, n_bins - 1)
     counts = np.bincount(ids, minlength=n_bins).astype(float)
     ysum = np.bincount(ids, weights=y, minlength=n_bins)
-    yssq = np.bincount(ids, weights=y * y, minlength=n_bins)
     centers = lo + (np.arange(n_bins) + 0.5) * width
-    return centers, counts, ysum, yssq, ids
+    return centers, counts, ysum, width, ids
 
 
-def _cv_score_binned(centers, counts, ysum, yssq, h: float) -> float:
-    """Leave-one-out CV for local-linear fits, evaluated on the binned sample."""
-    sums = _loclin_sums(centers, counts, ysum, centers, h)
+def _cv_scores(width, counts, ysum, yssq, grid_h) -> np.ndarray:
+    """Leave-one-out CV score of the binned sample at every bandwidth.
+
+    The bins are a lattice of step width, so each local-linear sum at every
+    centre is a correlation of a bin column with the Epanechnikov taps at
+    offsets k width, |k width| < h: one (bandwidths x taps) matrix against
+    the sliding windows of the zero-padded columns gives all of them as
+    direct sums.  Only occupied bins enter the score, so a bandwidth scores
+    inf only where an occupied bin has no local-linear fit or a self weight
+    of 1; an empty bin, as in a data gap, adds nothing and demands nothing.
+    """
+    n_bins = counts.size
+    n_taps = min(n_bins - 1, int(np.max(grid_h) / width))
+    off = width * np.arange(-n_taps, n_taps + 1)
+    u = off / grid_h[:, None]
+    inside = np.abs(u) < 1.0
+    k = np.where(inside, 0.75 * (1.0 - u * u), 0.0)
+    kd = k * off
+
+    occupied = counts > 0
+    cols = np.pad(np.array([occupied, counts, ysum], dtype=float), ((0, 0), (n_taps, n_taps)))
+    window = np.lib.stride_tricks.sliding_window_view(cols, off.size, axis=1)
+    # occ[t, j] (cnt, ys alike): the column at offset t - n_taps from centre j
+    occ, cnt, ys = np.ascontiguousarray(window.transpose(0, 2, 1))
+    sums = np.array([inside @ occ, k @ cnt, kd @ cnt, (kd * off) @ cnt, k @ ys, kd @ ys])
     m, denom, linear = _loclin_solve(sums)
-    if not linear.all():
-        return math.inf
-    self_w = 0.75 * sums[3] / denom  # kernel weight of an observation on itself
-    one_minus = 1.0 - self_w
-    if np.any(one_minus <= 1e-8):
-        return math.inf
-    rss_bin = yssq - 2.0 * m * ysum + counts * m * m
-    return float(np.sum(rss_bin / (one_minus * one_minus)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus = 1.0 - 0.75 * sums[3] / denom  # 1 - an observation's weight on itself
+        ok = (linear & (one_minus > 1e-8))[:, occupied].all(axis=1)
+        rss_bin = (yssq - 2.0 * m * ysum + counts * m * m)[:, occupied]
+        scores = np.sum(rss_bin / one_minus[:, occupied] ** 2, axis=1)
+    return np.where(ok, scores, math.inf)
 
 
 def cross_validated_bandwidth(distances, outcomes, h0: float | None = None) -> float:
-    """LOO cross-validation over a 10-point log grid around the rule of thumb."""
+    """LOO cross-validation over a 10-point log grid around the rule of thumb.
+
+    The score is that of the 400-bin sample (`_cv_scores`), taken at all ten
+    bandwidths at once.  DataError when no bandwidth of the grid gives every
+    occupied bin a local-linear fit.
+    """
     d, y = _as_xy(distances, outcomes)
     if h0 is None:
         h0 = rule_of_thumb_bandwidth(d)
     if not 0 < h0 < math.inf:
         raise DomainError(f"h0 must be finite and > 0, got {h0}")
-    centers, counts, ysum, yssq, _ = _bin_data(d, y)
+    _, counts, ysum, width, ids = _bin_data(d, y)
+    yssq = np.bincount(ids, weights=y * y, minlength=counts.size)
     grid_h = np.geomspace(h0 / CV_GRID_SPAN, h0 * CV_GRID_SPAN, CV_GRID_SIZE)
-    scores = [_cv_score_binned(centers, counts, ysum, yssq, float(h)) for h in grid_h]
+    scores = _cv_scores(width, counts, ysum, yssq, grid_h)
+    if np.isinf(scores).all():
+        raise DataError(f"cross-validation: no bandwidth in [{grid_h[0]:.6g}, {grid_h[-1]:.6g}] "
+                        "gives every occupied bin a local-linear fit")
     return float(grid_h[int(np.argmin(scores))])
 
 
@@ -470,24 +502,34 @@ def _boundaries_from_curves(grid, curves, p):
 def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
     """Bin counts and outcome sums of n_boot pair-bootstrap resamples.
 
-    Rows are drawn a chunk at a time (at most _DRAW_CHUNK indices) and binned
-    by one flat bincount per chunk; the PCG64 stream, and so every count and
-    sum, is that of one `rng.integers(0, n, size=n)` call per resample.  With
-    a mask `used` of bins, only the draws landing in those bins are binned
-    (in draw order, so their sums are unchanged); the other bins read 0.
+    Rows are drawn about _DRAW_CHUNK at a time and binned by one flat
+    bincount per chunk.  Without a mask, or with every bin in `used`, the
+    PCG64 stream, and so every count and sum, is that of one
+    `rng.integers(0, n, size=n)` call per resample.  With a mask `used` of
+    bins, only the m observations in those bins are drawn: of a resample's n
+    uniform draws, Binomial(n, m/n) land on them, uniformly and independently,
+    so each resample takes its Binomial(n, m/n) count first (one call for all
+    resamples) and then that many draws from the m.  The used bins get
+    exactly the distribution of binning every draw; the others read 0.
     """
     n = ids.size
-    rows = max(1, _DRAW_CHUNK // n)
-    keep = None if used is None or used.all() else used[ids]
+    per_row = None
+    if used is not None and not used.all():
+        keep = used[ids]
+        ids, y = ids[keep], y[keep]
+        per_row = rng.binomial(n, ids.size / n, n_boot)
+    m = ids.size
+    rows = max(1, _DRAW_CHUNK // max(m, 1))
     counts, ysum = np.empty((2, n_boot, n_bins))
     for start in range(0, n_boot, rows):
         r = min(rows, n_boot - start)
-        take = rng.integers(0, n, size=(r, n))
-        if keep is None:
+        if per_row is None:
+            take = rng.integers(0, m, size=(r, m))
             offset = n_bins * np.arange(r)[:, None]
         else:
-            at = np.flatnonzero(keep[take])
-            take, offset = take.ravel()[at], n_bins * (at // n)
+            k = per_row[start : start + r]
+            take = rng.integers(0, m, size=int(k.sum()))
+            offset = n_bins * np.repeat(np.arange(r), k)
         flat = (ids[take] + offset).ravel()
         counts[start : start + r] = np.bincount(flat, minlength=r * n_bins).reshape(r, -1)
         ysum[start : start + r] = np.bincount(flat, y[take].ravel(), r * n_bins).reshape(r, -1)
@@ -499,9 +541,10 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
 
     Observations are resampled exactly; `_loclin_sums` then runs on the 400
     bin centres with the resampled bin counts and outcome sums as one batch
-    of weights.  Only the bins its grid blocks read are binned, so a grid of
-    the two range endpoints (the gate) bins only the draws near them.  An
-    empty window gives NaN, not a neighbour fill.
+    of weights.  Only the observations in the bins its grid blocks read are
+    drawn (`_resample_bins`), so a grid of the two range endpoints (the
+    gate) draws about as many rows as those bins hold, not all n per
+    resample.  An empty window gives NaN, not a neighbour fill.
     """
     centers, _, _, _, ids = _bin_data(d, y, n_bins)
     lo, hi, starts, ends = _loclin_blocks(centers, grid, h)

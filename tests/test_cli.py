@@ -157,6 +157,19 @@ class TestEstimateCommand:
         assert code == 2 and out == ""
         assert "bandwidth" in err
 
+    def test_cv_without_admissible_bandwidth_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        d = np.concatenate([rng.uniform(0, 0.01, 100), rng.uniform(100, 100.01, 100)])
+        y = 1.0 + 0.1 * rng.standard_normal(200)
+        data = tmp_path / "clusters.csv"
+        data.write_text("distance_km,outcome\n" + "".join(f"{a},{b}\n" for a, b in zip(d, y)))
+        code, out, err = run_cli(
+            ["estimate", "--input", str(data), "--method", "nonparametric",
+             "--bandwidth", "auto-cv"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "cross-validation" in err
+
     def test_non_finite_outcome_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         d = 100.0 * (1.0 - rng.random(300))

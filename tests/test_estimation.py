@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from plumefront.errors import DataError, DomainError, FitError, InsufficientDataError
 from plumefront.estimation import (
     LN10,
+    _bin_data,
+    _cv_scores,
     _rank,
     boundary_from_kappa,
     bootstrap_boundary_interval,
@@ -202,6 +204,36 @@ class TestNonparametricFit:
         grid = np.geomspace(h0 / 4.0, h0 * 4.0, 10)
         best = min(val_error(float(h)) for h in grid)
         assert val_error(h_cv) <= 1.02 * best
+
+    def test_cv_ignores_empty_bins_in_a_gap(self):
+        # a 20 km gap: an empty bin adds nothing to the score, so it must not
+        # rule a bandwidth out (requiring a fit there left only h >= 16 km)
+        rng = np.random.default_rng(1)
+        d = np.concatenate([rng.uniform(0, 40, 1000), rng.uniform(60, 100, 1000)])
+        y = np.exp(-0.05 * d) + 0.05 * rng.standard_normal(2000)
+        h0 = rule_of_thumb_bandwidth(d)
+        grid_h = np.geomspace(h0 / 4.0, h0 * 4.0, 10)
+        _, counts, ysum, width, ids = _bin_data(d, y)
+        scores = _cv_scores(width, counts, ysum, np.bincount(ids, y * y, counts.size), grid_h)
+        assert np.isfinite(scores).all()
+        assert scores.min() == pytest.approx(4.965, abs=1e-3)
+        assert cross_validated_bandwidth(d, y) == grid_h[3] == pytest.approx(4.68, abs=0.01)
+
+    @staticmethod
+    def two_clusters():
+        """100 points on [0, 0.01] and 100 on [100, 100.01]: no bandwidth of
+        the CV grid gives a bin of either cluster a local-linear fit."""
+        rng = np.random.default_rng(0)
+        d = np.concatenate([rng.uniform(0, 0.01, 100), rng.uniform(100, 100.01, 100)])
+        return d, 1.0 + 0.1 * rng.standard_normal(200)
+
+    def test_cv_without_admissible_bandwidth_is_data_error(self):
+        d, y = self.two_clusters()
+        h0 = rule_of_thumb_bandwidth(d)
+        with pytest.raises(DataError, match=f"{h0 / 4:.6g}, {h0 * 4:.6g}"):
+            cross_validated_bandwidth(d, y)
+        with pytest.raises(DataError, match="cross-validation"):
+            nonparametric_fit(d, y, bandwidth="auto-cv")
 
     def test_contracts(self):
         d = np.linspace(0, 10, 30)

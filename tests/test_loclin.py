@@ -1,10 +1,12 @@
 """The prefix-sum local-linear kernel against the dense fit it replaced, the
 vectorised bootstrap crossings against the per-curve rule, the chunked
-bootstrap draws against one draw per resample, and the gate's endpoint-only
-binning against binning every draw."""
+bootstrap draws against one draw per resample, the gate's endpoint draws
+against the multinomial counts of drawing every row, and the lattice CV
+scores against dense direct sums."""
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from plumefront import estimation
 from plumefront.estimation import (
@@ -249,39 +251,150 @@ class TestChunkedDraws:
         assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
-class TestEndpointBinning:
-    """The gate refits only the two range endpoints, so only the bins their
-    kernel windows read are binned; the curves and the generator stream are
-    those of binning every draw."""
+def _samples():
+    """The four standard DGPs at n = 5000 and a sample far from distance 0."""
+    for dgp in sorted(STANDARD_DGPS):
+        yield generate_dgp(STANDARD_DGPS[dgp], 5000, seed=4)
+    rng = np.random.default_rng(8)
+    d = rng.uniform(1000.0, 1100.0, 3000)
+    yield d, 2.0 + np.sin(d / 7.0) + 0.1 * rng.standard_normal(d.size)
 
-    @staticmethod
-    def _samples():
-        for dgp in sorted(STANDARD_DGPS):
-            yield generate_dgp(STANDARD_DGPS[dgp], 5000, seed=4)
-        rng = np.random.default_rng(8)
-        d = rng.uniform(1000.0, 1100.0, 3000)
-        yield d, 2.0 + np.sin(d / 7.0) + 0.1 * rng.standard_normal(d.size)
 
-    @pytest.mark.parametrize("scale", [1.0, 0.3])
-    def test_gate_curves_bitwise_equal_to_full_binning(self, scale):
-        for d, y in self._samples():
-            h = scale * estimation.rule_of_thumb_bandwidth(d)
+def _endpoint_bins(d, h):
+    """The bins the gate's two endpoint windows read, and each bin's share
+    of the observations."""
+    centers, counts, _, _, ids = _bin_data(d, d)
+    used = (centers > d.min() - h) & (centers < d.min() + h)
+    used |= (centers > d.max() - h) & (centers < d.max() + h)
+    return used, counts / d.size, ids
+
+
+def _multinomial_z(counts, p, n):
+    """Largest |z| of the sample means and variances of resampled counts
+    (rows) against the multinomial n p and n p (1 - p), p the cell shares;
+    the variance's standard error uses the binomial fourth central moment."""
+    b = counts.shape[0]
+    mean, var = n * p, n * p * (1.0 - p)
+    mu4 = var * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p))
+    z_mean = (counts.mean(axis=0) - mean) / np.sqrt(var / b)
+    se_var = np.sqrt(mu4 / b - var**2 * (b - 3.0) / (b * (b - 1.0)))
+    z_var = (counts.var(axis=0, ddof=1) - var) / se_var
+    return float(np.max(np.abs(z_mean))), float(np.max(np.abs(z_var)))
+
+
+class _MeanCountGenerator:
+    """A generator whose binomial draws are fixed at their rounded mean: the
+    negative control of the gate's per-resample count."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def binomial(self, n, p, size):
+        return np.full(size, round(n * p))
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+class TestGateDraws:
+    """The gate refits only the two range endpoints, so it draws only the
+    observations in the bins their windows read: a Binomial(n, m/n) count
+    per resample, then that many uniform draws from those m observations.
+    The used bins then have the counts of binning all n draws."""
+
+    def _used_counts(self, rng, n_boot=4000):
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 5000, seed=4)
+        h = estimation.cross_validated_bandwidth(d, y)
+        used, p, ids = _endpoint_bins(d, h)
+        counts, _ = _resample_bins(ids, y, N_BINS, n_boot, rng, used)
+        assert not counts[:, ~used].any()
+        # each used bin, each endpoint's bins together, and all of them
+        left = used & (np.arange(N_BINS) < N_BINS // 2)
+        cells = np.column_stack([counts[:, used], counts[:, left].sum(axis=1),
+                                 counts[:, used & ~left].sum(axis=1), counts[:, used].sum(axis=1)])
+        shares = np.concatenate([p[used], [p[left].sum(), p[used & ~left].sum(), p[used].sum()]])
+        return cells, shares, d.size
+
+    def test_used_bin_counts_are_multinomial(self):
+        cells, shares, n = self._used_counts(np.random.default_rng(12))
+        z_mean, z_var = _multinomial_z(cells, shares, n)
+        assert z_mean <= 5.0 and z_var <= 5.0
+
+    def test_fixed_count_fails_the_variance_check(self):
+        cells, shares, n = self._used_counts(_MeanCountGenerator(12))
+        z_mean, z_var = _multinomial_z(cells, shares, n)
+        assert z_mean <= 5.0
+        assert z_var > 5.0
+
+    def test_decline_statistic_matches_full_draws(self):
+        for d, y in _samples():
+            h = estimation.cross_validated_bandwidth(d, y)
+            ends = np.array([d.min(), d.max()])
+            gate = _bootstrap_curves(d, y, h, ends, 2000, np.random.default_rng(6))
+            centers, _, _, _, ids = _bin_data(d, y)
+            counts, ysum = _resample_bins(ids, y, N_BINS, 2000, np.random.default_rng(7))
+            full = _loclin_solve(_loclin_sums(centers, counts, ysum, ends, h))[0]
+            assert ks_2samp(gate[:, 0] - gate[:, 1], full[:, 0] - full[:, 1]).pvalue > 1e-3
+
+    def test_one_seed_gives_bitwise_equal_curves_and_stream(self):
+        for d, y in _samples():
+            h = estimation.rule_of_thumb_bandwidth(d)
             ends = np.array([d.min(), d.max()])
             rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
             gate = _bootstrap_curves(d, y, h, ends, 200, rng_a)
-            centers, _, _, _, ids = _bin_data(d, y)
-            counts, ysum = _resample_bins(ids, y, N_BINS, 200, rng_b)
-            full = _loclin_solve(_loclin_sums(centers, counts, ysum, ends, h))[0]
-            assert np.array_equal(gate, full, equal_nan=True)
+            assert np.array_equal(gate, _bootstrap_curves(d, y, h, ends, 200, rng_b), equal_nan=True)
             # the interval continues the same stream after the gate
             assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
-    def test_only_endpoint_bins_are_binned(self):
-        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 5000, seed=4)
-        centers, _, _, _, ids = _bin_data(d, y)
-        used = (centers < d.min() + 5.0) | (centers > d.max() - 5.0)
-        counts, ysum = _resample_bins(ids, y, N_BINS, 50, np.random.default_rng(1), used)
-        ref_counts, ref_ysum = _resample_bins(ids, y, N_BINS, 50, np.random.default_rng(1))
-        assert np.array_equal(counts[:, used], ref_counts[:, used])
-        assert np.array_equal(ysum[:, used], ref_ysum[:, used])
-        assert not counts[:, ~used].any() and not ysum[:, ~used].any()
+    def test_mask_of_every_bin_is_the_full_draw(self):
+        d, y = generate_dgp(STANDARD_DGPS["hump"], 3000, seed=2)
+        _, _, _, _, ids = _bin_data(d, y)
+        every = np.ones(N_BINS, dtype=bool)
+        a = _resample_bins(ids, y, N_BINS, 30, np.random.default_rng(3), every)
+        b = _resample_bins(ids, y, N_BINS, 30, np.random.default_rng(3))
+        assert np.array_equal(a, b)
+
+
+def _dense_cv_scores(d, y, grid_h):
+    """LOO CV score of the 400-bin sample by direct sums over every pair of
+    bin centres, O(bins^2) per bandwidth: the oracle of the lattice scores."""
+    centers, counts, ysum, _, ids = _bin_data(d, y)
+    yssq = np.bincount(ids, weights=y * y, minlength=N_BINS)
+    occupied = counts > 0
+    du = centers[None, :] - centers[:, None]  # offset of bin i from centre j
+    scores = []
+    for h in grid_h:
+        k = _epanechnikov(du / h)
+        count = (k > 0) @ occupied.astype(float)
+        s0, s1, s2 = k @ counts, (k * du) @ counts, (k * du * du) @ counts
+        t0, t1 = k @ ysum, (k * du) @ ysum
+        denom = s0 * s2 - s1 * s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = (s2 * t0 - s1 * t1) / denom
+            one_minus = 1.0 - 0.75 * s2 / denom
+        ok = (count >= 2) & (denom > 1e-10 * s0 * s2) & (one_minus > 1e-8)
+        if not ok[occupied].all():
+            scores.append(np.inf)
+            continue
+        rss = yssq - 2.0 * m * ysum + counts * m * m
+        scores.append(float(np.sum(rss[occupied] / one_minus[occupied] ** 2)))
+    return np.array(scores)
+
+
+class TestLatticeCV:
+    """The CV scores of all bandwidths from one lattice pass against the
+    dense direct-sum scores, and the bandwidth each picks."""
+
+    def test_scores_and_choice_match_dense_oracle(self):
+        for d, y in _samples():
+            h0 = estimation.rule_of_thumb_bandwidth(d)
+            grid_h = np.geomspace(h0 / 4.0, h0 * 4.0, 10)
+            _, counts, ysum, width, ids = _bin_data(d, y)
+            yssq = np.bincount(ids, weights=y * y, minlength=N_BINS)
+            # one bandwidth narrower than a bin: every window holds one bin
+            hs = np.append(grid_h, 0.6 * width)
+            got = estimation._cv_scores(width, counts, ysum, yssq, hs)
+            oracle = _dense_cv_scores(d, y, hs)
+            assert np.isinf(got[-1]) and np.isinf(oracle[-1])
+            np.testing.assert_allclose(got, oracle, rtol=1e-12)
+            assert cross_validated_bandwidth(d, y) == grid_h[np.argmin(oracle[:-1])]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from plumefront import montecarlo
 from plumefront.errors import DomainError
 from plumefront.estimation import fit_loglinear
 from plumefront.montecarlo import (
@@ -107,6 +108,18 @@ class TestRunCampaign:
         kappas = np.array(kappas)
         se_mean = kappas.std(ddof=1) / math.sqrt(len(kappas))
         assert abs(kappas.mean()) < 3.0 * se_mean
+
+    def test_cv_failure_is_a_failed_replication(self, monkeypatch):
+        # two tight clusters: no CV bandwidth fits, so every replication fails
+        def clusters(spec, n, seed):
+            rng = np.random.default_rng(seed)
+            d = np.concatenate([rng.uniform(0, 0.01, n // 2), rng.uniform(100, 100.01, n // 2)])
+            return d, 1.0 + 0.1 * rng.standard_normal(d.size)
+
+        monkeypatch.setattr(montecarlo, "generate_dgp", clusters)
+        (summary,) = run_campaign([STANDARD_DGPS["strong_decay"]], n_reps=10, n_obs=200,
+                                  methods=("nonparametric",))
+        assert summary.n_failed == 10 and summary.n_detected == 0
 
     def test_method_validation(self):
         with pytest.raises(DomainError):
