@@ -6,12 +6,13 @@ constant; for relative thresholds c(t) tracks the source value and the
 correction term uses the field's temporal derivative at the source.  The
 integrator is a fixed-step classical 4th-order scheme: the right-hand side
 is smooth on the monotone region and fixed steps keep convergence-order
-tests clean.
+tests clean.  It reads the field only through `eval(r, t)`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,25 +59,30 @@ def boundary_ode_integrate(
 ) -> BoundaryTrajectory:
     """Integrate dd*/dt = -(tau_t - frac * tau_t(0)) / tau_r with RK4.
 
-    `spec` supplies the threshold convention; None or an absolute spec gives
-    the plain ratio form.  Relative specs require the field to admit
-    evaluation at its minimum radius (the source value reference).
+    The field's whole protocol is `eval(r, t)`, a `FieldEval` with `d_dr`
+    and `d_dt` (and `r_min`, if present): one call per stage, 4 * steps in a
+    run.  `spec` supplies the threshold convention; None or an absolute spec
+    gives the plain ratio form.  A relative spec also reads tau_t at r_min
+    (the source value reference), once per distinct stage time
+    t0 + (i + c) dt: 2 * steps + 1 calls in a run that reaches t1.
     """
     if not d0 > 0:
         raise DomainError(f"initial radius must be > 0, got {d0}")
     if not t0 > 0 or not t1 > t0:
         raise DomainError("need 0 < t0 < t1")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
 
     frac = spec.relative_fraction() if spec is not None else 0.0
     r_source = getattr(field, "r_min", 0.0)
 
-    def rhs(t: float, r: float) -> float:
-        num = field.d_dt(r, t)
-        if frac != 0.0:
-            num -= frac * field.d_dt(r_source, t)
-        den = field.d_dr(r, t)
+    def source_rate(t: float) -> float:
+        return frac * field.eval(r_source, t).d_dt if frac != 0.0 else 0.0
+
+    def rhs(t: float, r: float, source: float) -> float:
+        ev = field.eval(r, t)
+        num = ev.d_dt - source
+        den = ev.d_dr
         if abs(den) <= GRADIENT_FLOOR * abs(num):
             raise NumericalError(
                 f"singular gradient at t={t:.6g}, r={r:.6g}: threshold crossed "
@@ -90,14 +96,16 @@ def boundary_ode_integrate(
     r = d0
     stall_count = 0
     reason = "horizon_reached"
+    source = source_rate(t0)
     for i in range(steps):
-        t = t0 + i * dt
-        k1 = rhs(t, r)
-        k2 = rhs(t + 0.5 * dt, r + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, r + 0.5 * dt * k2)
-        k4 = rhs(t + dt, r + dt * k3)
+        t, t_half, t_new = t0 + i * dt, t0 + (i + 0.5) * dt, t0 + (i + 1) * dt
+        k1 = rhs(t, r, source)
+        source_half = source_rate(t_half)
+        k2 = rhs(t_half, r + 0.5 * dt * k1, source_half)
+        k3 = rhs(t_half, r + 0.5 * dt * k2, source_half)
+        source = source_rate(t_new)
+        k4 = rhs(t_new, r + dt * k3, source)
         r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_new = t + dt
         if r_new <= 0.0:
             reason = "boundary_vanished"
             break

@@ -6,7 +6,8 @@ signature is (r, t).  Field objects expose
     value(r, t), d_dr(r, t), d_dt(r, t)   exact closed forms (or quadrature
                                           of differentiated integrands for
                                           the decaying-source field)
-    eval(r, t) -> FieldEval               all three at once
+    eval(r, t) -> FieldEval               all three at once, as a NamedTuple;
+                                          the boundary ODE reads only eval
     diffusion_scale(t)                    sqrt(nu t), used by search and
                                           cutoff heuristics downstream
 
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import DomainError, NumericalError
-from .specfun import bessel_k0, bessel_k01, bessel_k1, kummer_m
+from .specfun import _k01, bessel_k0, kummer_m
 
 QUAD_RELTOL = 1e-8
 
@@ -59,8 +59,7 @@ class FieldParams:
             )
 
 
-@dataclass(frozen=True)
-class FieldEval:
+class FieldEval(NamedTuple):
     """Intensity together with its radial and temporal derivatives."""
 
     value: float
@@ -112,20 +111,16 @@ class GaussianField(_RadialField):
         return p.q / (4.0 * math.pi * p.nu * t) ** 1.5 * math.exp(-r * r / (4.0 * p.nu * t))
 
     def d_dr(self, r: float, t: float) -> float:
-        return self._d_dr(self.value(r, t), r, t)
+        return self.eval(r, t).d_dr
 
     def d_dt(self, r: float, t: float) -> float:
-        return self._d_dt(self.value(r, t), r, t)
+        return self.eval(r, t).d_dt
 
     def eval(self, r: float, t: float) -> FieldEval:
         value = self.value(r, t)
-        return FieldEval(value, self._d_dr(value, r, t), self._d_dt(value, r, t))
-
-    def _d_dr(self, value: float, r: float, t: float) -> float:
-        return -r / (2.0 * self.params.nu * t) * value
-
-    def _d_dt(self, value: float, r: float, t: float) -> float:
-        return value * (-1.5 / t + r * r / (4.0 * self.params.nu * t * t))
+        nu = self.params.nu
+        return FieldEval(value, -r / (2.0 * nu * t) * value,
+                         value * (-1.5 / t + r * r / (4.0 * nu * t * t)))
 
     def exposure_tail_bound(self, r: float, t_lo: float) -> float:
         # int_T^inf tau dt <= Q/(4 pi nu)^{3/2} * 2/sqrt(T)
@@ -138,9 +133,9 @@ class BesselField(_RadialField):
 
     The amplitude A is a free parameter distinct from q; no closed relation
     between the two is used anywhere.  Radial derivatives go through the
-    dedicated K1 implementation (K0' = -K1) rather than finite differences;
-    d_dt and eval, which need K0 and K1 at the same argument, take both from
-    one `bessel_k01` call.
+    dedicated K1 implementation (K0' = -K1) rather than finite differences.
+    eval takes K0 and K1 as floats from one call of the specfun kernel, and
+    d_dr and d_dt return its fields.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -157,25 +152,23 @@ class BesselField(_RadialField):
     def _arg(self, r: float, t: float) -> float:
         if not 0 < t < math.inf:
             raise DomainError(f"time must be finite and > 0, got {t}")
-        if not 0 < r < math.inf:
+        w = r / (2.0 * math.sqrt(self.params.nu * t))
+        if not 0 < w < math.inf:  # also where r > 0 is so small that w underflows
             raise DomainError(f"radius must be finite and > 0 for the Bessel field, got {r}")
-        return r / (2.0 * math.sqrt(self.params.nu * t))
+        return w
 
     def value(self, r: float, t: float) -> float:
         return self.amplitude / t * bessel_k0(self._arg(r, t)).value
 
     def d_dr(self, r: float, t: float) -> float:
-        w = self._arg(r, t)
-        return -self.amplitude / t * bessel_k1(w).value / (2.0 * math.sqrt(self.params.nu * t))
+        return self.eval(r, t).d_dr
 
     def d_dt(self, r: float, t: float) -> float:
-        w = self._arg(r, t)
-        k0, k1 = bessel_k01(w)
-        return -self.amplitude / (t * t) * (k0.value - 0.5 * w * k1.value)
+        return self.eval(r, t).d_dt
 
     def eval(self, r: float, t: float) -> FieldEval:
         w = self._arg(r, t)
-        k0, k1 = (k.value for k in bessel_k01(w))
+        k0, _, k1, _ = _k01(w)
         a_t = self.amplitude / t
         return FieldEval(
             value=a_t * k0,
@@ -311,13 +304,19 @@ def decaying_source_field(p: FieldParams, r: float, t: float) -> float:
 
 
 def greens_eval(x, t: float, y, s: float, nu: float) -> float:
-    """Free-space diffusion Green's function; 0 for t <= s by causality."""
+    """Free-space diffusion Green's function; 0 for t <= s by causality.
+    x and y have equal lengths; coordinates, t and s are finite."""
     if not nu > 0:
         raise DomainError(f"nu must be > 0, got {nu}")
+    xs, ys = [float(v) for v in x], [float(v) for v in y]
+    if len(xs) != len(ys):
+        raise DomainError(f"x has {len(xs)} coordinates, the event position {len(ys)}")
+    if not all(map(math.isfinite, xs + ys + [t, s])):
+        raise DomainError(f"coordinates and times must be finite, got x={x}, t={t}, y={y}, s={s}")
     dt = t - s
     if dt <= 0.0:
         return 0.0
-    rr = float(np.sum((np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2))
+    rr = sum((a - b) ** 2 for a, b in zip(xs, ys))
     expo = -rr / (4.0 * nu * dt)
     if expo < -700.0:
         return 0.0

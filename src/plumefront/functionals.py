@@ -4,12 +4,14 @@ Boundary radius and velocity, cumulative exposure, spatial moments, energy,
 parameter sensitivity, optimal placement, and pointwise functional
 derivatives.  All operations accept any object with a ``value(r, t)`` method;
 derivative-free fields are fine except where noted.  Radial symmetry is
-assumed throughout, which keeps every integral one-dimensional.
+assumed throughout, which keeps every integral one-dimensional.  The
+boundary radius refines its scan bracket by Brent's method to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +24,6 @@ from .specfun import unit_sphere_area
 # 2**10 times before the no-boundary outcome is declared.
 BRACKET_START_SCALES = 10.0
 MAX_BRACKET_DOUBLINGS = 10
-BISECT_RELTOL = 1e-10
 
 EXPOSURE_RELTOL = 1e-8
 MOMENT_RELTOL = 1e-7
@@ -95,17 +96,48 @@ def _field_scale(field, t: float) -> float:
     return 1.0
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
+def _zeroin(g, a: float, b: float) -> float:
+    """A root of g in [a, b], g(a) > 0 >= g(b), by Brent's zeroin (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 4): inverse quadratic
+    or secant steps that stay well inside the bracket, bisection otherwise.
+    Returns the end b of the bracket [b, c] where |g| is smaller once
+    |c - b| <= 4 eps |b| or g(b) = 0.
+    """
+    ga, gb = g(a), g(b)
+    c, gc = a, ga
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= BISECT_RELTOL * max(abs(mid), 1e-300):
-            return mid
-        if f(mid) * flo > 0:
-            lo = mid
+        if (gb > 0) == (gc > 0):
+            c, gc = a, ga
+            d = e = b - a
+        if abs(gc) < abs(gb):
+            a, b, c = b, c, b
+            ga, gb, gc = gb, gc, gb
+        tol = 2.0 * sys.float_info.epsilon * max(abs(b), 1e-300)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or gb == 0.0:
+            break
+        if abs(e) < tol or abs(ga) <= abs(gb):
+            d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, ga = b, gb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        gb = g(b)
+    return b
 
 
 def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
@@ -143,21 +175,19 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
     else:
         return None
 
-    samples = np.linspace(r_lo if r_lo > 0 else r_hi * 1e-9, r_hi, 33)
-    values = np.array([field.value(float(r), t) for r in samples])
-    rises = np.diff(values) > 1e-12 * np.max(np.abs(values))
-    g = lambda r: field.value(r, t) - thr
-    if np.any(rises):
+    samples = [float(r) for r in np.linspace(r_lo if r_lo > 0 else r_hi * 1e-9, r_hi, 33)]
+    values = [field.value(r, t) for r in samples]
+    if np.any(np.diff(values) > 1e-12 * np.max(np.abs(values))):
         warnings.warn(
             "field is not radially monotone at this time; reporting the first "
             "threshold crossing, which may not be unique",
             NonMonotoneFieldWarning,
         )
-        below = np.nonzero(values <= thr)[0]
-        first = below[0] if below.size else len(samples) - 1
-        lo = samples[max(first - 1, 0)]
-        return _bisect(g, float(lo), float(samples[first]))
-    return _bisect(g, r_lo, r_hi)
+    # The bracket ends at the first sample at or below the threshold (r_hi is
+    # one) and starts at the sample before it, or at r_lo if there is none.
+    first = next(i for i, v in enumerate(values) if v <= thr)
+    lo = samples[first - 1] if first else r_lo
+    return _zeroin(lambda r: field.value(r, t) - thr, lo, samples[first])
 
 
 def boundary_velocity(field, spec: BoundarySpec, t: float) -> float:

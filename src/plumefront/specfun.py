@@ -39,15 +39,14 @@ bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
              error is below 1e-11 relative.  A plain two-regime split at
              z = 2 cannot reach the 1e-9 target: the asymptotic series'
              smallest term at z = 2 is ~7e-3 of the value.
-bessel_k01   K0 and K1 together.  Below z = 12 both orders come from one
-             pass: one series loop accumulates I0, I1 and both harmonic
-             sums (no bessel_i or gamma_fn call), and one trapezoid loop
-             over the module table _K_COSH of cosh(0.2 k) shares each
-             exp(-z cosh t) between the orders (DLMF 10.31.2, 10.32.9).
-             bessel_k0 and bessel_k1 read one half of that pass; from
-             z = 12 each runs only its own asymptotic series.  The Bessel
-             field's d_dt and eval, which need both orders at one point,
-             call bessel_k01.
+bessel_k01   K0 and K1 together, from the kernel _k01, which returns both
+             orders and their error bounds as floats.  Below z = 12 one
+             series loop accumulates I0, I1 and both harmonic sums (no
+             bessel_i or gamma_fn call), and one trapezoid loop over the
+             module table _K_COSH of cosh(0.2 k) shares each exp(-z cosh t)
+             between the orders (DLMF 10.31.2, 10.32.9).  bessel_k0,
+             bessel_k1 and bessel_k01 build SpecFunResult from the kernel
+             when they return; the Bessel field's eval calls the kernel.
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
              the same three representations and branch points as bessel_k0,
@@ -327,19 +326,20 @@ def _k01_integral(z: float) -> tuple[float, float]:
     return _K_STEP * k0, _K_STEP * k1
 
 
-def _k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
-    """K0 and K1 for 0 < z < K_ASYMPTOTIC_MIN, with their error bounds."""
+def _k01(z: float) -> tuple[float, float, float, float]:
+    """(K0, its error bound, K1, its error bound) as floats; callers check z > 0."""
     if z < K_SERIES_MAX:
         k0, k1 = _k01_series(z)
-        return (SpecFunResult(k0, 1e-14 * (abs(k0) + 1.0)),
-                SpecFunResult(k1, 1e-14 * (abs(k1) + 1.0 / z)))
-    k0, k1 = _k01_integral(z)
-    return SpecFunResult(k0, 1e-13 * k0), SpecFunResult(k1, 1e-13 * k1)
+        return k0, 1e-14 * (abs(k0) + 1.0), k1, 1e-14 * (abs(k1) + 1.0 / z)
+    if z < K_ASYMPTOTIC_MIN:
+        k0, k1 = _k01_integral(z)
+        return k0, 1e-13 * k0, k1, 1e-13 * k1
+    return (*_k_asymptotic(z, 0.0), *_k_asymptotic(z, 4.0))
 
 
-def _k_asymptotic(z: float, mu: float) -> SpecFunResult:
+def _k_asymptotic(z: float, mu: float) -> tuple[float, float]:
     """Large-argument series sqrt(pi/2z) e^-z sum_k prod(mu-(2j-1)^2)/(k!(8z)^k),
-    mu = 4 n^2 for K_n.
+    mu = 4 n^2 for K_n: (value, error bound).
 
     Terms are added while they shrink; the first omitted term bounds the
     relative truncation error.
@@ -360,16 +360,15 @@ def _k_asymptotic(z: float, mu: float) -> SpecFunResult:
             break
     prefactor = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
     value = prefactor * total
-    return SpecFunResult(value, prefactor * truncation + 1e-15 * abs(value))
+    return value, prefactor * truncation + 1e-15 * abs(value)
 
 
 def bessel_k0(z: float) -> SpecFunResult:
     """Modified Bessel function of the second kind, order zero, for z > 0."""
     if not z > 0:
         raise DomainError(f"bessel_k0 requires z > 0, got {z}")
-    if z < K_ASYMPTOTIC_MIN:
-        return _k01(z)[0]
-    return _k_asymptotic(z, 0.0)
+    k0, err0, _, _ = _k01(z)
+    return SpecFunResult(k0, err0)
 
 
 def bessel_k1(z: float) -> SpecFunResult:
@@ -380,19 +379,17 @@ def bessel_k1(z: float) -> SpecFunResult:
     """
     if not z > 0:
         raise DomainError(f"bessel_k1 requires z > 0, got {z}")
-    if z < K_ASYMPTOTIC_MIN:
-        return _k01(z)[1]
-    return _k_asymptotic(z, 4.0)
+    _, _, k1, err1 = _k01(z)
+    return SpecFunResult(k1, err1)
 
 
 def bessel_k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
-    """(K0(z), K1(z)) for z > 0: the values of `bessel_k0` and `bessel_k1`,
-    from one pass below z = 12."""
+    """(K0(z), K1(z)) for z > 0: the values of `bessel_k0` and `bessel_k1`
+    from one kernel call."""
     if not z > 0:
         raise DomainError(f"bessel_k01 requires z > 0, got {z}")
-    if z < K_ASYMPTOTIC_MIN:
-        return _k01(z)
-    return _k_asymptotic(z, 0.0), _k_asymptotic(z, 4.0)
+    k0, err0, k1, err1 = _k01(z)
+    return SpecFunResult(k0, err0), SpecFunResult(k1, err1)
 
 
 def bessel_k0_array(z) -> np.ndarray:

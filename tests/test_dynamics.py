@@ -14,12 +14,19 @@ from plumefront.dynamics import (
     steady_state_boundary,
 )
 from plumefront.errors import DomainError, NumericalError
-from plumefront.fields import BesselField, DecayingSourceField, FieldParams, GaussianField
+from plumefront.fields import (
+    BesselField,
+    DecayingSourceField,
+    FieldEval,
+    FieldParams,
+    GaussianField,
+)
 from plumefront.functionals import BoundarySpec, boundary_radius
 
 UNIT = FieldParams(nu=1.0, q=1.0)
 GAUSS = GaussianField(UNIT)
 EPS01 = BoundarySpec(mode="decay_by_epsilon", epsilon=0.1)
+ABS4 = BoundarySpec(mode="absolute", tau_min=1e-4)
 XI_STAR = 2.0 * math.sqrt(math.log(10.0 / 9.0))
 
 
@@ -59,8 +66,26 @@ class _SteadyYukawa:
     def d_dt(self, r, t):
         return 0.0
 
+    def eval(self, r, t):
+        return FieldEval(self.value(r, t), self.d_dr(r, t), self.d_dt(r, t))
+
     def diffusion_scale(self, t):
         return 1.0
+
+
+class _CountingGaussian(GaussianField):
+    """The unit Gaussian, counting `eval` calls at the source and elsewhere."""
+
+    def __init__(self):
+        super().__init__(UNIT)
+        self.at_source = self.elsewhere = 0
+
+    def eval(self, r, t):
+        if r == self.r_min:
+            self.at_source += 1
+        else:
+            self.elsewhere += 1
+        return super().eval(r, t)
 
 
 class TestBoundaryOde:
@@ -140,6 +165,9 @@ class TestBoundaryOde:
             def d_dt(self, r, t):
                 return 1.0
 
+            def eval(self, r, t):
+                return FieldEval(t, self.d_dr(r, t), self.d_dt(r, t))
+
         with pytest.raises(NumericalError):
             boundary_ode_integrate(Flat(), 1.0, 1.0, 2.0, steps=10)
 
@@ -150,6 +178,21 @@ class TestBoundaryOde:
             boundary_ode_integrate(GAUSS, 1.0, 2.0, 1.0, steps=10)
         with pytest.raises(DomainError):
             boundary_ode_integrate(GAUSS, 1.0, 1.0, 2.0, steps=0)
+
+    @pytest.mark.parametrize("steps", [2.5, 10.0, "10", None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(DomainError):
+            boundary_ode_integrate(GAUSS, 1.0, 1.0, 2.0, steps=steps)
+
+    @pytest.mark.parametrize("spec", [EPS01, ABS4, None], ids=["relative", "absolute", "none"])
+    @pytest.mark.parametrize("steps", [1, 7, 100])
+    def test_one_eval_per_stage_and_per_source_time(self, spec, steps):
+        field = _CountingGaussian()
+        d0 = boundary_radius(GAUSS, spec or ABS4, 1.0)
+        traj = boundary_ode_integrate(field, d0, 1.0, 2.0, steps=steps, spec=spec)
+        assert traj.terminated_reason == "horizon_reached"
+        assert field.elsewhere == 4 * steps
+        assert field.at_source == (2 * steps + 1 if spec is EPS01 else 0)
 
 
 class TestSteadyStateBoundary:

@@ -293,6 +293,27 @@ class TestGreensFunction:
         val = greens_eval((2.0, 0.0, 0.0), 3.0, (0.0, 0.0, 0.0), 0.0, nu=1.0)
         assert val == pytest.approx(g.value(2.0, 3.0), rel=1e-14)
 
+    @pytest.mark.parametrize("x,y", [((1.0, 0.0), (0.0, 0.0, 0.0)),
+                                     ((1.0, 0.0, 0.0), (0.0, 0.0)),
+                                     (np.zeros(4), (0.0, 0.0, 0.0))])
+    def test_dimension_mismatch_rejected(self, x, y):
+        with pytest.raises(DomainError):
+            greens_eval(x, 2.0, y, 0.0, nu=1.0)
+        with pytest.raises(DomainError):
+            superpose([SourceEvent(pos=y, time=0.0, strength=1.0)], 1.0, x, 2.0)
+
+    @pytest.mark.parametrize("x,t,s", [((math.nan, 0.0, 0.0), 2.0, 0.0),
+                                       ((0.0, math.inf, 0.0), 2.0, 0.0),
+                                       ((1.0, 0.0, 0.0), math.nan, 0.0),
+                                       ((1.0, 0.0, 0.0), 2.0, math.nan),
+                                       ((1.0, 0.0, 0.0), math.inf, 0.0),
+                                       ((math.nan, 0.0, 0.0), 0.0, 1.0)])  # before s, too
+    def test_non_finite_arguments_rejected(self, x, t, s):
+        with pytest.raises(DomainError):
+            greens_eval(x, t, (0.0, 0.0, 0.0), s, nu=1.0)
+        with pytest.raises(DomainError):
+            greens_eval((0.0, 0.0, 0.0), t, x, s, nu=1.0)
+
 
 class TestSuperposition:
     def test_empty(self):

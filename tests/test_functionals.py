@@ -7,9 +7,12 @@ used by the implementation path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plumefront.errors import DomainError, NonMonotoneFieldWarning, NumericalError
@@ -131,6 +134,44 @@ class TestBoundaryRadius:
         vals = np.exp(-rs) + 0.5 * np.exp(-((rs - 5.0) ** 2))
         brute = rs[np.argmax(vals <= 0.3)]
         assert first == pytest.approx(brute, abs=1e-4)
+
+    @pytest.mark.parametrize("bump", [0.0, 0.5], ids=["monotone", "non_monotone"])
+    def test_crossing_below_the_first_scan_sample(self, bump):
+        # The scan starts at 1e-9 r_hi = 1e-8; the spike crosses near 1.2e-12,
+        # so the bracket is (r_min, first sample).
+        class Spike:
+            r_min = 0.0
+            dim = 3
+
+            def value(self, r, t):
+                return math.exp(-1e12 * r) + bump * math.exp(-((r - 5.0) ** 2))
+
+            def diffusion_scale(self, t):
+                return 1.0
+
+        spec = BoundarySpec(mode="absolute", tau_min=0.3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = boundary_radius(Spike(), spec, 1.0)
+        assert [w.category for w in caught] == ([NonMonotoneFieldWarning] if bump else [])
+        expected = math.log(1.0 / (0.3 - bump * math.exp(-25.0))) / 1e12
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(1.0, 8.0), st.floats(0.05, 0.3))
+def test_gaussian_boundary_functionals_match_closed_forms(nu, t, eps):
+    # The central differences divide the root error by their step 2e-5, so
+    # the velocity and sensitivity bounds hold only if the radius is found
+    # to near rounding.
+    spec = BoundarySpec(mode="decay_by_epsilon", epsilon=eps)
+    d_star = 2.0 * math.sqrt(nu * t * math.log(1.0 / (1.0 - eps)))
+    field = GaussianField(FieldParams(nu=nu, q=1.0))
+    assert boundary_radius(field, spec, t) == pytest.approx(d_star, rel=1e-13, abs=0.0)
+    assert boundary_velocity(field, spec, t) == pytest.approx(d_star / (2.0 * t), rel=1e-7)
+    factory = lambda v: GaussianField(FieldParams(nu=v, q=1.0))  # noqa: E731
+    assert boundary_sensitivity(factory, nu, spec, t) == pytest.approx(d_star / (2.0 * nu),
+                                                                       rel=1e-7)
 
 
 class TestBoundaryVelocity:
