@@ -73,6 +73,13 @@ def _parse_floats(text) -> list[float]:
         raise _Usage(f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
+def _parse_orders(text) -> list[int]:
+    orders = _parse_floats(text)
+    if not all(k >= 0 and k.is_integer() for k in orders):
+        raise _Usage(f"--k takes non-negative integers, got {text!r}")
+    return [int(k) for k in orders]
+
+
 class _Usage(Exception):
     pass
 
@@ -143,11 +150,12 @@ def _run_boundary(args):
 def _run_moments(args):
     _require(args, "t")
     fld = _make_field(args)
+    orders = _parse_orders(args.k)
     rows = []
     for t in _parse_floats(args.t):
-        for k in _parse_floats(args.k):
-            res = functionals.spatial_moment(fld, int(k), t)
-            rows.append({"k": int(k), "t": t, "value": res.value,
+        for k in orders:
+            res = functionals.spatial_moment(fld, k, t)
+            rows.append({"k": k, "t": t, "value": res.value,
                          "quadrature_error": res.quadrature_error})
     _write_table(_columns(rows, ["k", "t", "value", "quadrature_error"]), args)
     return 0

@@ -9,7 +9,7 @@ signature is (r, t).  Field objects expose
     eval(r, t) -> FieldEval               all three at once, as a NamedTuple;
                                           the boundary ODE reads only eval
     diffusion_scale(t)                    sqrt(nu t), used by search and
-                                          cutoff heuristics downstream
+                                          quadrature splits downstream
 
 Drift velocity is fixed to zero throughout: every closed-form solution in
 scope sets it to zero, and FieldParams deliberately reserves no slot for it.
@@ -25,6 +25,27 @@ from .errors import DomainError, NumericalError
 from .specfun import _k01, bessel_k0, kummer_m
 
 QUAD_RELTOL = 1e-8
+
+
+def quadrature(f, a: float, b: float, split: float | None = None,
+               reltol: float = QUAD_RELTOL, what: str = "integral") -> tuple[float, float]:
+    """int_a^b f dx and its error estimate by QUADPACK (Piessens et al. 1983):
+    QAGS on a finite range, QAGI when b is inf, in two pieces if a < split < b.
+    Raises NumericalError, naming `what`, if either is not finite or the
+    estimate exceeds max(100 reltol |value|, 1e-280); full_output=1 keeps
+    scipy from warning in place of that check."""
+    from scipy.integrate import quad
+
+    ends = [a, split, b] if split is not None and a < split < b else [a, b]
+    val = err = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        piece, piece_err = quad(f, lo, hi, epsabs=1e-300, epsrel=reltol, limit=200,
+                                full_output=1)[:2]
+        val += piece
+        err += piece_err
+    if not (math.isfinite(val) and err <= max(100 * reltol * abs(val), 1e-280)):
+        raise NumericalError(f"{what} did not converge: value={val:.3e}, estimated error={err:.3e}")
+    return val, err
 
 
 @dataclass(frozen=True)
@@ -122,11 +143,6 @@ class GaussianField(_RadialField):
         return FieldEval(value, -r / (2.0 * nu * t) * value,
                          value * (-1.5 / t + r * r / (4.0 * nu * t * t)))
 
-    def exposure_tail_bound(self, r: float, t_lo: float) -> float:
-        # int_T^inf tau dt <= Q/(4 pi nu)^{3/2} * 2/sqrt(T)
-        p = self.params
-        return p.q / (4.0 * math.pi * p.nu) ** 1.5 * 2.0 / math.sqrt(t_lo)
-
 
 class BesselField(_RadialField):
     """Line source with cylindrical symmetry: tau = (A/t) K0(r / (2 sqrt(nu t))).
@@ -223,10 +239,8 @@ class DecayingSourceField(_RadialField):
         self.params = params
         self.dim = 3
 
-    def _quad(self, r: float, t: float, power: int) -> float:
+    def _age_integral(self, r: float, t: float, power: int) -> float:
         """2 * int_0^sqrt(t) e^{-lam w^2} w^{-power} exp(-r^2/(4 nu w^2)) dw."""
-        from scipy.integrate import quad
-
         p = self.params
         a = r * r / (4.0 * p.nu)
 
@@ -239,12 +253,8 @@ class DecayingSourceField(_RadialField):
                 return 0.0
             return math.exp(expo) / ww ** (power / 2.0)
 
-        val, err = quad(integrand, 0.0, math.sqrt(t), epsabs=1e-300, epsrel=QUAD_RELTOL, limit=200)
-        if err > max(1e-6 * abs(val), 1e-280):
-            raise NumericalError(
-                f"source convolution quadrature did not converge: value={val:.3e}, "
-                f"estimated error={err:.3e} at r={r}, t={t}"
-            )
+        val, _ = quadrature(integrand, 0.0, math.sqrt(t),
+                            what=f"source convolution quadrature at r={r}, t={t}")
         return 2.0 * val
 
     def _check(self, r: float, t: float):
@@ -256,12 +266,12 @@ class DecayingSourceField(_RadialField):
     def value(self, r: float, t: float) -> float:
         self._check(r, t)
         p = self.params
-        return p.q / (4.0 * math.pi * p.nu) ** 1.5 * self._quad(r, t, 2)
+        return p.q / (4.0 * math.pi * p.nu) ** 1.5 * self._age_integral(r, t, 2)
 
     def d_dr(self, r: float, t: float) -> float:
         self._check(r, t)
         p = self.params
-        return -p.q / (4.0 * math.pi * p.nu) ** 1.5 * r / (2.0 * p.nu) * self._quad(r, t, 4)
+        return -p.q / (4.0 * math.pi * p.nu) ** 1.5 * r / (2.0 * p.nu) * self._age_integral(r, t, 4)
 
     def d_dt(self, r: float, t: float) -> float:
         # Only the integral's upper limit depends on t.

@@ -6,6 +6,11 @@ derivatives.  All operations accept any object with a ``value(r, t)`` method;
 derivative-free fields are fine except where noted.  Radial symmetry is
 assumed throughout, which keeps every integral one-dimensional.  The
 boundary radius refines its scan bracket by Brent's method to rounding.
+
+Moments and energy integrate over r in [r_min, inf), exposure over
+w = sqrt(t) in [sqrt(t_min), sqrt(T)] with T possibly inf, all through
+`fields.quadrature`, so an integral that diverges or does not converge
+raises NumericalError instead of returning a truncated number.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMonotoneFieldWarning, NumericalError
+from .fields import quadrature
 from .specfun import unit_sphere_area
 
 # Boundary search: initial bracket 10 diffusion lengths, doubled at most
@@ -25,9 +31,10 @@ from .specfun import unit_sphere_area
 BRACKET_START_SCALES = 10.0
 MAX_BRACKET_DOUBLINGS = 10
 
-EXPOSURE_RELTOL = 1e-8
-MOMENT_RELTOL = 1e-7
-TAIL_FRACTION = 1e-10
+# Radial integrals request 1e-9 (so accept 1e-7) and split into a finite
+# piece and a QAGI tail this many diffusion lengths out.
+RADIAL_RELTOL = 1e-9
+RADIAL_SPLIT_SCALES = 4.0
 
 _MODES = ("absolute", "decay_by_epsilon", "decay_to_fraction")
 
@@ -66,10 +73,7 @@ class BoundarySpec:
     def threshold(self, field, t: float) -> float:
         if self.mode == "absolute":
             return self.tau_min
-        source_value = field.value(getattr(field, "r_min", 0.0), t)
-        if self.mode == "decay_by_epsilon":
-            return (1.0 - self.epsilon) * source_value
-        return self.fraction * source_value
+        return self.relative_fraction() * field.value(getattr(field, "r_min", 0.0), t)
 
     # Relative modes compare against the source value, which moves with t;
     # the boundary ODE needs that fraction to differentiate the condition.
@@ -190,96 +194,71 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
     return _zeroin(lambda r: field.value(r, t) - thr, lo, samples[first])
 
 
+def _central_difference(g, x: float, message: str) -> float:
+    """(g(x + h) - g(x - h)) / 2h, h = 1e-5 x; NumericalError if either is None."""
+    h = 1e-5 * x
+    plus, minus = g(x + h), g(x - h)
+    if plus is None or minus is None:
+        raise NumericalError(message)
+    return (plus - minus) / (2.0 * h)
+
+
 def boundary_velocity(field, spec: BoundarySpec, t: float) -> float:
     """Central finite difference of the boundary radius, step 1e-5 t."""
-    h = 1e-5 * t
-    d_plus = boundary_radius(field, spec, t + h)
-    d_minus = boundary_radius(field, spec, t - h)
-    if d_plus is None or d_minus is None:
-        raise NumericalError(f"boundary not differentiable at t={t}: absent at t +/- h")
-    return (d_plus - d_minus) / (2.0 * h)
+    return _central_difference(lambda s: boundary_radius(field, spec, s), t,
+                               f"boundary not differentiable at t={t}: absent at t +/- h")
 
 
 def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = math.inf) -> float:
     """Time-integrated intensity at fixed radius, int_{t_min}^{T} tau(r, t) dt.
 
-    For an infinite horizon the integral is extended segment by segment until
-    the field's analytic tail bound (when available) or the last segment's
-    contribution falls below 1e-10 of the running total.
+    Taken as int 2 w tau(r, w^2) dw over w = sqrt(t) in [sqrt(t_min), sqrt(T)],
+    T = inf allowed, split at w = r / sqrt(nu): smooth where tau vanishes to
+    all orders as t -> 0, with an algebraic tail for QAGI.  Raises
+    NumericalError if it diverges or the (dropped) error estimate exceeds 1e-6.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
-    if t_min < 0:
-        raise DomainError(f"t_min must be >= 0, got {t_min}")
-    if horizon <= t_min:
-        if horizon == t_min:
-            return 0.0
-        raise DomainError("horizon must be >= t_min")
-    from scipy.integrate import quad
-
-    integrand = lambda t: field.value(r, t) if t > 0 else 0.0
-
-    if math.isfinite(horizon):
-        val, _ = quad(integrand, t_min, horizon, epsabs=1e-300, epsrel=EXPOSURE_RELTOL, limit=200)
-        return val
-
-    # Infinite horizon: integrate out in doubling segments.
-    t_hi = max(2.0 * max(t_min, 0.0), r * r / _field_scale(field, 1.0) ** 2, 1.0)
-    total, _ = quad(integrand, t_min, t_hi, epsabs=1e-300, epsrel=EXPOSURE_RELTOL, limit=200)
-    for _ in range(200):
-        if hasattr(field, "exposure_tail_bound"):
-            if field.exposure_tail_bound(r, t_hi) < TAIL_FRACTION * abs(total):
-                return total
-        seg, _ = quad(integrand, t_hi, 2.0 * t_hi, epsabs=1e-300, epsrel=EXPOSURE_RELTOL, limit=200)
-        total += seg
-        t_hi *= 2.0
-        if not hasattr(field, "exposure_tail_bound") and abs(seg) < TAIL_FRACTION * abs(total):
-            return total
-    raise NumericalError(f"infinite-horizon exposure did not converge at r={r}")
+    if not 0 <= t_min < math.inf:
+        raise DomainError(f"t_min must be finite and >= 0, got {t_min}")
+    if not horizon >= t_min:
+        raise DomainError(f"horizon must be >= t_min, got horizon={horizon}, t_min={t_min}")
+    if horizon == t_min:
+        return 0.0
+    return quadrature(lambda w: 2.0 * w * field.value(r, w * w) if w * w > 0 else 0.0,
+                      math.sqrt(t_min), math.sqrt(horizon),
+                      split=r / _field_scale(field, 1.0), what=f"exposure at r={r}")[0]
 
 
-def _radial_cutoff(field, t: float, k: int) -> float:
-    # exp(-r^2/4 nu t) at r = 16 sqrt(nu t) is ~1e-28; polynomial factors of
-    # the orders used here cannot lift that above any working tolerance.
-    return (16.0 + 2.0 * math.sqrt(k + 3.0)) * 2.0 * _field_scale(field, t)
+def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:
+    """omega_d int_{r_min}^inf r^(d-1) f(r) dr and its error estimate, split
+    RADIAL_SPLIT_SCALES diffusion lengths out."""
+    if not t > 0:
+        raise DomainError(f"time must be > 0, got {t}")
+    dim = getattr(field, "dim", 3)
+    omega = unit_sphere_area(dim)
+    val, err = quadrature(lambda r: r ** (dim - 1) * f(r), getattr(field, "r_min", 0.0),
+                          math.inf, split=RADIAL_SPLIT_SCALES * _field_scale(field, t),
+                          reltol=RADIAL_RELTOL, what=f"{what} at t={t}")
+    return omega * val, omega * err
 
 
 def spatial_moment(field, k: int, t: float) -> MomentResult:
-    """k-th radial moment M_k(t) = omega_d int_0^inf r^(k+d-1) tau(r, t) dr."""
-    if k < 0 or k != int(k):
+    """k-th radial moment M_k(t) = omega_d int_0^inf r^(k+d-1) tau(r, t) dr,
+    over [r_min, inf) with no cutoff.  Raises NumericalError if it diverges or
+    quadrature_error, QUADPACK's estimate, exceeds 1e-7 of the value."""
+    if not (k >= 0 and float(k).is_integer()):
         raise DomainError(f"moment order must be a non-negative integer, got {k}")
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
-    dim = getattr(field, "dim", 3)
-    omega = unit_sphere_area(dim)
-    r_max = _radial_cutoff(field, t, k)
-    r_lo = getattr(field, "r_min", 0.0)
-    from scipy.integrate import quad
-
-    integrand = lambda r: r ** (k + dim - 1) * field.value(r, t)
-    val, err = quad(
-        integrand, r_lo, r_max, epsabs=1e-300, epsrel=0.1 * MOMENT_RELTOL, limit=400
-    )
-    if err > MOMENT_RELTOL * max(abs(val), 1e-300):
-        raise NumericalError(f"moment quadrature did not converge: k={k}, t={t}, err={err:.2e}")
-    return MomentResult(k=int(k), value=omega * val, quadrature_error=omega * err)
+    val, err = _radial_integral(field, lambda r: r**k * field.value(r, t), t, f"moment k={k}")
+    return MomentResult(k=int(k), value=val, quadrature_error=err)
 
 
 def energy(field, t: float) -> float:
-    """Squared-intensity integral E(t) = int tau^2 dx over R^d."""
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
-    dim = getattr(field, "dim", 3)
-    omega = unit_sphere_area(dim)
-    r_max = _radial_cutoff(field, t, 0)
-    r_lo = getattr(field, "r_min", 0.0)
-    from scipy.integrate import quad
-
-    integrand = lambda r: r ** (dim - 1) * field.value(r, t) ** 2
-    val, err = quad(integrand, r_lo, r_max, epsabs=1e-300, epsrel=1e-9, limit=400)
-    if err > 1e-7 * max(abs(val), 1e-300):
-        raise NumericalError(f"energy quadrature did not converge at t={t}")
-    return omega * val
+    """Squared-intensity integral E(t) = int tau^2 dx over R^d, radially over
+    [r_min, inf) with no cutoff.  Raises NumericalError if it diverges or the
+    (dropped) error estimate exceeds 1e-7 of the value."""
+    # v * v overflows to inf, where v ** 2 would raise OverflowError
+    return _radial_integral(field, lambda r: (v := field.value(r, t)) * v, t, "energy")[0]
 
 
 def boundary_sensitivity(field_factory, nu: float, spec: BoundarySpec, t: float) -> float:
@@ -287,12 +266,8 @@ def boundary_sensitivity(field_factory, nu: float, spec: BoundarySpec, t: float)
 
     field_factory maps a diffusion coefficient to a field object.
     """
-    h = 1e-5 * nu
-    d_plus = boundary_radius(field_factory(nu + h), spec, t)
-    d_minus = boundary_radius(field_factory(nu - h), spec, t)
-    if d_plus is None or d_minus is None:
-        raise NumericalError(f"boundary absent near nu={nu}, t={t}")
-    return (d_plus - d_minus) / (2.0 * h)
+    return _central_difference(lambda v: boundary_radius(field_factory(v), spec, t), nu,
+                               f"boundary absent near nu={nu}, t={t}")
 
 
 def optimal_centroid(population) -> tuple[float, ...]:

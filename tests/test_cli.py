@@ -384,3 +384,25 @@ class TestIngestCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 13  # header + 12 kept months
         assert all(line.split(",")[4] == "big" for line in lines[1:])
+
+
+class TestFunctionalArguments:
+    @pytest.mark.parametrize("argv", [
+        ["exposure", "--profile", "kummer", "--r", "1"],
+        ["moments", "--profile", "kummer", "--t", "1"],
+    ])
+    def test_divergent_integral_is_exit_two(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "did not converge" in err and out == ""
+
+    def test_nan_horizon_is_exit_two(self, capsys):
+        code, out, err = run_cli(["exposure", "--r", "1", "--horizon", "nan"], capsys)
+        assert code == 2
+        assert "horizon" in err and out == ""
+
+    @pytest.mark.parametrize("k", ["2.5", "nan", "inf", "0,-2"])
+    def test_moment_order_must_be_a_non_negative_integer(self, capsys, k):
+        code, out, err = run_cli(["moments", "--t", "1", "--k", k], capsys)
+        assert code == 1
+        assert "usage error" in err and out == ""

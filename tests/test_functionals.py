@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plumefront.errors import DomainError, NonMonotoneFieldWarning, NumericalError
-from plumefront.fields import FieldParams, GaussianField
+from plumefront.fields import BesselField, FieldParams, GaussianField, KummerField
 from plumefront.functionals import (
     BoundarySpec,
     boundary_radius,
@@ -391,3 +391,55 @@ class TestFunctionalDerivative:
             errors.append(abs(fd - target))
         assert errors[1] == pytest.approx(errors[0] / 10.0, rel=0.2)
         assert errors[2] == pytest.approx(errors[1] / 10.0, rel=0.2)
+
+
+class TestQuadratureToInfinity:
+    """Moments and exposure over the whole unbounded range, and divergent
+    integrals raised rather than truncated."""
+
+    def test_bessel_moments_match_closed_form(self):
+        # M_k = 2 pi (A/t) (2 sqrt(nu t))^(k+2) 2^k Gamma(k/2+1)^2; the K0 tail
+        # decays only like exp(-r / 2 sqrt(nu t)), far past any Gaussian cutoff.
+        nu, amp, t = 0.8, 0.7, 1.5
+        field = BesselField(FieldParams(nu=nu, q=1.0, dim=2, source_pos=(0.0, 0.0)), amp)
+        for k in (0, 2, 4):
+            exact = (2.0 * math.pi * amp / t * (2.0 * math.sqrt(nu * t)) ** (k + 2)
+                     * 2.0**k * math.gamma(k / 2.0 + 1.0) ** 2)
+            res = spatial_moment(field, k, t)
+            assert res.value == pytest.approx(exact, rel=1e-9)
+            assert res.quadrature_error >= abs(res.value - exact)
+
+    def test_finite_horizon_exposure_at_benchmark_suite_parameters(self):
+        # the field_functionals suite at seed 102 draws these parameters
+        nu, q, horizon = 0.6301477106935433, 0.9185564793365038, 1.3499532485520396
+        r = 0.5030138121170418 * math.sqrt(nu * horizon)
+        field = GaussianField(FieldParams(nu=nu, q=q))
+        expected = q / (4.0 * math.pi * nu * r) * math.erfc(r / math.sqrt(4.0 * nu * horizon))
+        assert cumulative_exposure(field, r, horizon=horizon) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("integral", [
+        lambda f: cumulative_exposure(f, 1.0),
+        lambda f: cumulative_exposure(f, 1.0, horizon=1.0),
+        lambda f: spatial_moment(f, 2, 1.0),
+        lambda f: energy(f, 1.0),
+    ], ids=["exposure", "exposure_to_t", "moment", "energy"])
+    def test_divergent_kummer_integrals_raise(self, integral):
+        # M(1/2, 1, z) grows like e^z / sqrt(pi z): no moment, energy or
+        # exposure of this profile is finite
+        with pytest.raises(NumericalError):
+            integral(KummerField([(1, 0)], UNIT))
+
+    @pytest.mark.parametrize("bounds", [
+        {"horizon": math.nan},
+        {"t_min": math.inf},
+        {"t_min": math.nan},
+        {"t_min": math.inf, "horizon": math.inf},
+    ])
+    def test_exposure_bounds_are_checked(self, bounds):
+        with pytest.raises(DomainError):
+            cumulative_exposure(GAUSS, 1.0, **bounds)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_moment_order_must_be_an_integer(self, k):
+        with pytest.raises(DomainError):
+            spatial_moment(GAUSS, k, 1.0)
