@@ -73,7 +73,7 @@ def boundary_ode_integrate(
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
 
-    frac = spec.relative_fraction() if spec is not None else 0.0
+    frac = spec.relative_fraction(field) if spec is not None else 0.0
     r_source = getattr(field, "r_min", 0.0)
 
     def source_rate(t: float) -> float:

@@ -3,16 +3,16 @@
 Every field here is radially symmetric about its source, so the working
 signature is (r, t).  Field objects expose
 
-    value(r, t), d_dr(r, t), d_dt(r, t)   exact closed forms (or quadrature
-                                          of differentiated integrands for
-                                          the decaying-source field)
+    value(r, t), d_dr(r, t), d_dt(r, t)   exact closed forms
     eval(r, t) -> FieldEval               all three at once, as a NamedTuple;
                                           the boundary ODE reads only eval
     diffusion_scale(t)                    sqrt(nu t), used by search and
                                           quadrature splits downstream
 
-Drift velocity is fixed to zero throughout: every closed-form solution in
-scope sets it to zero, and FieldParams deliberately reserves no slot for it.
+Every value is a float expression in math and the specfun kernels: nothing
+here imports scipy.  Drift velocity is fixed to zero throughout: every
+closed-form solution in scope sets it to zero, and FieldParams deliberately
+reserves no slot for it.
 """
 
 from __future__ import annotations
@@ -21,31 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, NumericalError
-from .specfun import _k01, bessel_k0, kummer_m
-
-QUAD_RELTOL = 1e-8
-
-
-def quadrature(f, a: float, b: float, split: float | None = None,
-               reltol: float = QUAD_RELTOL, what: str = "integral") -> tuple[float, float]:
-    """int_a^b f dx and its error estimate by QUADPACK (Piessens et al. 1983):
-    QAGS on a finite range, QAGI when b is inf, in two pieces if a < split < b.
-    Raises NumericalError, naming `what`, if either is not finite or the
-    estimate exceeds max(100 reltol |value|, 1e-280); full_output=1 keeps
-    scipy from warning in place of that check."""
-    from scipy.integrate import quad
-
-    ends = [a, split, b] if split is not None and a < split < b else [a, b]
-    val = err = 0.0
-    for lo, hi in zip(ends, ends[1:]):
-        piece, piece_err = quad(f, lo, hi, epsabs=1e-300, epsrel=reltol, limit=200,
-                                full_output=1)[:2]
-        val += piece
-        err += piece_err
-    if not (math.isfinite(val) and err <= max(100 * reltol * abs(val), 1e-280)):
-        raise NumericalError(f"{what} did not converge: value={val:.3e}, estimated error={err:.3e}")
-    return val, err
+from .errors import DomainError
+from .specfun import _exp_erfc, _k01, bessel_k0, kummer_m
 
 
 @dataclass(frozen=True)
@@ -220,13 +197,19 @@ class DecayingSourceField(_RadialField):
     """Sustained point source whose emitted intensity decays at rate lam.
 
     tau(r, t) = Q/(4 pi nu)^{3/2} * int_0^t e^{-lam u} u^{-3/2}
-                exp(-r^2/(4 nu u)) du,   u = age of the emission.
+                exp(-r^2/(4 nu u)) du,   u = age of the emission,
 
-    The age substitution w = sqrt(u) removes the integrable endpoint
-    singularity, and the integrand then vanishes to all orders at w = 0 for
-    r > 0.  As lam*t grows the profile converges to the screened (Yukawa)
-    form Q e^{-r sqrt(lam/nu)} / (4 pi nu r), which steady_state_value
-    returns in closed form.
+    in closed form (Carslaw and Jaeger 1959, continuous point source): with
+    x = r/sqrt(4 nu t), y = sqrt(lam t) and s = 2xy = r sqrt(lam/nu),
+
+        tau = Q/(8 pi nu r) B,   B = e^{-s} erfc(x - y) + e^{s} erfc(x + y).
+
+    The terms of each of tau, tau_r and tau_t share one sign (e^{-s}
+    erfc(x - y) > e^{s} erfc(x + y) everywhere), so none cancels, and
+    specfun._exp_erfc keeps e^{s} erfc(x + y) from underflowing where x + y
+    is large.  As lam*t grows the profile converges
+    to the screened (Yukawa) form Q e^{-s} / (4 pi nu r), which
+    steady_state_value returns.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -239,24 +222,6 @@ class DecayingSourceField(_RadialField):
         self.params = params
         self.dim = 3
 
-    def _age_integral(self, r: float, t: float, power: int) -> float:
-        """2 * int_0^sqrt(t) e^{-lam w^2} w^{-power} exp(-r^2/(4 nu w^2)) dw."""
-        p = self.params
-        a = r * r / (4.0 * p.nu)
-
-        def integrand(w):
-            ww = w * w
-            if ww <= 0.0:
-                return 0.0
-            expo = -p.lam * ww - a / ww
-            if expo < -700.0:
-                return 0.0
-            return math.exp(expo) / ww ** (power / 2.0)
-
-        val, _ = quadrature(integrand, 0.0, math.sqrt(t),
-                            what=f"source convolution quadrature at r={r}, t={t}")
-        return 2.0 * val
-
     def _check(self, r: float, t: float):
         if not 0 < t < math.inf:
             raise DomainError(f"time must be finite and > 0, got {t}")
@@ -264,26 +229,35 @@ class DecayingSourceField(_RadialField):
             raise DomainError(f"radius must be finite and > 0, got {r}")
 
     def value(self, r: float, t: float) -> float:
-        self._check(r, t)
-        p = self.params
-        return p.q / (4.0 * math.pi * p.nu) ** 1.5 * self._age_integral(r, t, 2)
+        return self.eval(r, t).value
 
     def d_dr(self, r: float, t: float) -> float:
-        self._check(r, t)
-        p = self.params
-        return -p.q / (4.0 * math.pi * p.nu) ** 1.5 * r / (2.0 * p.nu) * self._age_integral(r, t, 4)
+        return self.eval(r, t).d_dr
 
     def d_dt(self, r: float, t: float) -> float:
-        # Only the integral's upper limit depends on t.
-        self._check(r, t)
-        p = self.params
-        expo = -p.lam * t - r * r / (4.0 * p.nu * t)
-        if expo < -700.0:
-            return 0.0
-        return p.q / (4.0 * math.pi * p.nu) ** 1.5 * math.exp(expo) / t**1.5
+        return self.eval(r, t).d_dt
 
     def eval(self, r: float, t: float) -> FieldEval:
-        return FieldEval(self.value(r, t), self.d_dr(r, t), self.d_dt(r, t))
+        """tau = C B / r, tau_r = C (B'/r - B/r^2) with C = Q/(8 pi nu) and
+        B' = sqrt(lam/nu) (e^s erfc(x+y) - e^-s erfc(x-y)) - 4 e^{-x^2-y^2}
+        / sqrt(4 pi nu t), and tau_t = Q (4 pi nu t)^{-3/2} e^{-x^2-y^2}
+        (only the upper age limit depends on t).  Terms that underflow are
+        0, so no cutoff is needed short of an s that overflows."""
+        self._check(r, t)
+        p = self.params
+        screening = math.sqrt(p.lam / p.nu)
+        s = r * screening
+        if s == math.inf:  # then (x + y)^2 >= 2s overflows too, and tau = 0
+            return FieldEval(0.0, 0.0, 0.0)
+        w = 4.0 * math.pi * p.nu * t
+        x, y = r / math.sqrt(4.0 * p.nu * t), math.sqrt(p.lam * t)
+        inner, outer = _exp_erfc(-s, x - y), _exp_erfc(s, x + y)
+        gauss = math.exp(-p.lam * t - r * r / (4.0 * p.nu * t))
+        bracket = inner + outer
+        slope = screening * (outer - inner) - 4.0 * gauss / math.sqrt(w)
+        c = p.q / (8.0 * math.pi * p.nu)
+        return FieldEval(c * bracket / r, c * (slope - bracket / r) / r,
+                         p.q * gauss / w / math.sqrt(w))
 
     def steady_state_value(self, r: float) -> float:
         """Long-time (Yukawa) limit Q e^{-r sqrt(lam/nu)} / (4 pi nu r)."""
@@ -309,7 +283,7 @@ def kummer_field(coeffs, p: FieldParams, r: float, t: float) -> float:
 
 
 def decaying_source_field(p: FieldParams, r: float, t: float) -> float:
-    """Evaluate the decaying-source convolution field by adaptive quadrature."""
+    """Evaluate the decaying-source convolution field in closed form."""
     return DecayingSourceField(p).value(r, t)
 
 

@@ -9,8 +9,9 @@ boundary radius refines its scan bracket by Brent's method to rounding.
 
 Moments and energy integrate over r in [r_min, inf), exposure over
 w = sqrt(t) in [sqrt(t_min), sqrt(T)] with T possibly inf, all through
-`fields.quadrature`, so an integral that diverges or does not converge
-raises NumericalError instead of returning a truncated number.
+`quadrature`, the package's one QUADPACK call, so an integral that diverges
+or does not converge raises NumericalError instead of returning a truncated
+number.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMonotoneFieldWarning, NumericalError
-from .fields import quadrature
 from .specfun import unit_sphere_area
 
 # Boundary search: initial bracket 10 diffusion lengths, doubled at most
@@ -36,7 +36,30 @@ MAX_BRACKET_DOUBLINGS = 10
 RADIAL_RELTOL = 1e-9
 RADIAL_SPLIT_SCALES = 4.0
 
+QUAD_RELTOL = 1e-8
+
 _MODES = ("absolute", "decay_by_epsilon", "decay_to_fraction")
+
+
+def quadrature(f, a: float, b: float, split: float | None = None,
+               reltol: float = QUAD_RELTOL, what: str = "integral") -> tuple[float, float]:
+    """int_a^b f dx and its error estimate by QUADPACK (Piessens et al. 1983):
+    QAGS on a finite range, QAGI when b is inf, in two pieces if a < split < b.
+    Raises NumericalError, naming `what`, if either is not finite or the
+    estimate exceeds max(100 reltol |value|, 1e-280); full_output=1 keeps
+    scipy from warning in place of that check."""
+    from scipy.integrate import quad
+
+    ends = [a, split, b] if split is not None and a < split < b else [a, b]
+    val = err = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        piece, piece_err = quad(f, lo, hi, epsabs=1e-300, epsrel=reltol, limit=200,
+                                full_output=1)[:2]
+        val += piece
+        err += piece_err
+    if not (math.isfinite(val) and err <= max(100 * reltol * abs(val), 1e-280)):
+        raise NumericalError(f"{what} did not converge: value={val:.3e}, estimated error={err:.3e}")
+    return val, err
 
 
 @dataclass(frozen=True)
@@ -73,16 +96,17 @@ class BoundarySpec:
     def threshold(self, field, t: float) -> float:
         if self.mode == "absolute":
             return self.tau_min
-        return self.relative_fraction() * field.value(getattr(field, "r_min", 0.0), t)
+        return self.relative_fraction(field) * field.value(getattr(field, "r_min", 0.0), t)
 
     # Relative modes compare against the source value, which moves with t;
     # the boundary ODE needs that fraction to differentiate the condition.
-    def relative_fraction(self) -> float:
+    def relative_fraction(self, field) -> float:
         if self.mode == "absolute":
             return 0.0
-        if self.mode == "decay_by_epsilon":
-            return 1.0 - self.epsilon
-        return self.fraction
+        if getattr(field, "diverges_at_origin", False):
+            raise DomainError(f"relative modes need a finite source value tau(r_min, t), and "
+                              f"{type(field).__name__} diverges at its source: use tau_min")
+        return 1.0 - self.epsilon if self.mode == "decay_by_epsilon" else self.fraction
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,15 @@ class TestOtherProfilesAndReports:
         assert code == 0
         assert float(out.strip()) == pytest.approx(9.08, abs=0.3)
 
+    @pytest.mark.parametrize("profile", [["decaying", "--lam", "1"], ["bessel"]])
+    def test_relative_threshold_on_divergent_profile_is_exit_two(self, capsys, profile):
+        code, out, err = run_cli(
+            ["boundary", "--profile", *profile, "--fraction", "0.3", "--t", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "relative modes need a finite source value" in err
+
     def test_kummer_profile(self, capsys):
         code, out, _ = run_cli(
             ["field", "--profile", "kummer", "--nu", "1", "--coeffs", "1",

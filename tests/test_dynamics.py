@@ -307,3 +307,14 @@ class TestAdiabaticBoundary:
         alphas = np.linspace(0.0, 0.5, 20)
         vals = [adiabatic_boundary(1.0, float(a), 0.1, 3.0).exact for a in alphas]
         assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("field", [
+    BesselField(FieldParams(nu=1.0, q=1.0, dim=2, source_pos=(0.0, 0.0)), amplitude=1.0),
+    DecayingSourceField(FieldParams(nu=1.0, q=1.0, lam=1.0)),
+], ids=["bessel", "decaying"])
+def test_relative_spec_needs_finite_source_value(field):
+    # the source rate reads tau_t at r_min = 0, where these fields diverge
+    spec = BoundarySpec(mode="decay_to_fraction", fraction=0.3)
+    with pytest.raises(DomainError, match="relative modes need a finite source value"):
+        boundary_ode_integrate(field, 1.0, 1.0, 2.0, steps=10, spec=spec)

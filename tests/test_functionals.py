@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plumefront.errors import DomainError, NonMonotoneFieldWarning, NumericalError
-from plumefront.fields import BesselField, FieldParams, GaussianField, KummerField
+from plumefront.fields import (
+    BesselField,
+    DecayingSourceField,
+    FieldParams,
+    GaussianField,
+    KummerField,
+)
 from plumefront.functionals import (
     BoundarySpec,
     boundary_radius,
@@ -443,3 +449,16 @@ class TestQuadratureToInfinity:
     def test_moment_order_must_be_an_integer(self, k):
         with pytest.raises(DomainError):
             spatial_moment(GAUSS, k, 1.0)
+
+
+@pytest.mark.parametrize("field", [
+    BesselField(FieldParams(nu=1.0, q=1.0, dim=2, source_pos=(0.0, 0.0)), amplitude=1.0),
+    DecayingSourceField(FieldParams(nu=1.0, q=1.0, lam=1.0)),
+], ids=["bessel", "decaying"])
+@pytest.mark.parametrize("spec", [EPS01, BoundarySpec(mode="decay_to_fraction", fraction=0.3)],
+                         ids=["epsilon", "fraction"])
+def test_relative_threshold_needs_finite_source_value(field, spec):
+    # tau(r_min = 0, t) is infinite for a field that diverges at its source
+    for call in (lambda: spec.threshold(field, 2.0), lambda: boundary_radius(field, spec, 2.0)):
+        with pytest.raises(DomainError, match="relative modes need a finite source value"):
+            call()

@@ -1,6 +1,6 @@
-"""Importing the package, running a closed-form command and selecting a
-profile model (Gaussian data, and Bessel data with the cylindrical hint)
-load neither scipy nor statistics."""
+"""Importing the package, running closed-form commands (the decaying-source
+field and boundary too) and selecting a profile model (Gaussian data, and
+Bessel data with the cylindrical hint) load neither scipy nor statistics."""
 
 import os
 import subprocess
@@ -23,6 +23,13 @@ code = plumefront.cli.dispatch(
 )
 assert code == 0, code
 assert not lazy_modules(), lazy_modules()
+
+# the decaying-source field is a closed form in math and specfun
+for argv in (["field", "--profile", "decaying", "--lam", "1", "--r", "1,2", "--t", "2"],
+             ["boundary", "--profile", "decaying", "--lam", "1", "--tau-min", "1e-6",
+              "--t", "30"]):
+    assert plumefront.cli.dispatch(argv) == 0, argv
+    assert not lazy_modules(), (argv, lazy_modules())
 
 # the field fits search log nu themselves (no scipy.optimize)
 from plumefront.estimation import select_profile_model, simulate_gaussian_field_sample
