@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data or numerical error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,20 +43,28 @@ def _format_column(values) -> list[str]:
     return values if kinds == {str} else list(map(_fmt, values))
 
 
-def _columns(rows, names) -> dict:
-    return {c: [r.get(c) for r in rows] for c in names}
+def _table(names, rows) -> dict:
+    """Columns (name -> values) of rows given as tuples in the order of names."""
+    return dict(zip(names, zip(*rows))) if rows else {name: [] for name in names}
 
 
-def _write_table(table, args, delimiter=","):
-    """Write a table given as columns (name -> list of values)."""
-    if args.format == "json":
+def _record_table(records, cls, km=()) -> dict:
+    """Columns of dataclass records, one per field in order; km names the
+    fields given in kilometres, whose columns get a _km suffix."""
+    return {f.name + ("_km" if f.name in km else ""): [getattr(rec, f.name) for rec in records]
+            for f in dataclasses.fields(cls)}
+
+
+def _write_table(table, out, fmt, delimiter=","):
+    """Write a table given as columns (name -> values) to the path out, or stdout."""
+    if fmt == "json":
         payload = [dict(zip(table, row)) for row in zip(*table.values())]
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
         cells = zip(*map(_format_column, table.values()))
         text = "\n".join([delimiter.join(table), *map(delimiter.join, cells)]) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -85,20 +94,18 @@ class _Usage(Exception):
 
 
 def _make_field(args):
-    profile = args.profile
-    if profile == "gaussian":
-        return GaussianField(FieldParams(nu=args.nu, q=args.q))
-    if profile == "bessel":
+    """The field of --profile; argparse and _config_defaults admit no other."""
+    if args.profile == "bessel":
         return BesselField(FieldParams(nu=args.nu, q=args.q, dim=2, source_pos=(0.0, 0.0)),
                            amplitude=args.amplitude)
-    if profile == "decaying":
+    if args.profile == "decaying":
         if args.lam is None or args.lam <= 0:
             raise _Usage("--lam > 0 is required for the decaying profile")
         return DecayingSourceField(FieldParams(nu=args.nu, q=args.q, lam=args.lam))
-    if profile == "kummer":
+    if args.profile == "kummer":
         coeffs = [(c, n) for n, c in enumerate(_parse_floats(args.coeffs))]
         return KummerField(coeffs, FieldParams(nu=args.nu, q=args.q))
-    raise _Usage(f"unknown profile {profile!r}")
+    return GaussianField(FieldParams(nu=args.nu, q=args.q))
 
 
 def _boundary_spec(args) -> functionals.BoundarySpec:
@@ -120,17 +127,9 @@ def _boundary_spec(args) -> functionals.BoundarySpec:
 def _run_field(args):
     _require(args, "r", "t")
     fld = _make_field(args)
-    rows = []
-    for t in _parse_floats(args.t):
-        for r in _parse_floats(args.r):
-            if hasattr(fld, "eval"):
-                ev = fld.eval(r, t)
-                rows.append({"r_km": r, "t": t, "value": ev.value,
-                             "d_dr": ev.d_dr, "d_dt": ev.d_dt})
-            else:
-                rows.append({"r_km": r, "t": t, "value": fld.value(r, t),
-                             "d_dr": None, "d_dt": None})
-    _write_table(_columns(rows, ["r_km", "t", "value", "d_dr", "d_dt"]), args)
+    evaluate = fld.eval if hasattr(fld, "eval") else lambda r, t: (fld.value(r, t), None, None)
+    rows = [(r, t, *evaluate(r, t)) for t in _parse_floats(args.t) for r in _parse_floats(args.r)]
+    _write_table(_table(("r_km", "t", "value", "d_dr", "d_dt"), rows), args.out, args.format)
     return 0
 
 
@@ -138,12 +137,11 @@ def _run_boundary(args):
     _require(args, "t")
     fld = _make_field(args)
     spec = _boundary_spec(args)
-    times = _parse_floats(args.t)
-    rows = [{"t": t, "boundary_km": functionals.boundary_radius(fld, spec, t)} for t in times]
+    rows = [(t, functionals.boundary_radius(fld, spec, t)) for t in _parse_floats(args.t)]
     if len(rows) == 1 and args.out is None and args.format == "csv":
-        sys.stdout.write(_fmt(rows[0]["boundary_km"]) + "\n")
+        sys.stdout.write(_fmt(rows[0][1]) + "\n")
     else:
-        _write_table(_columns(rows, ["t", "boundary_km"]), args)
+        _write_table(_table(("t", "boundary_km"), rows), args.out, args.format)
     return 0
 
 
@@ -151,13 +149,10 @@ def _run_moments(args):
     _require(args, "t")
     fld = _make_field(args)
     orders = _parse_orders(args.k)
-    rows = []
-    for t in _parse_floats(args.t):
-        for k in orders:
-            res = functionals.spatial_moment(fld, k, t)
-            rows.append({"k": k, "t": t, "value": res.value,
-                         "quadrature_error": res.quadrature_error})
-    _write_table(_columns(rows, ["k", "t", "value", "quadrature_error"]), args)
+    results = [(t, functionals.spatial_moment(fld, k, t))
+               for t in _parse_floats(args.t) for k in orders]
+    rows = [(res.k, t, res.value, res.quadrature_error) for t, res in results]
+    _write_table(_table(("k", "t", "value", "quadrature_error"), rows), args.out, args.format)
     return 0
 
 
@@ -171,12 +166,10 @@ def _run_exposure(args):
             horizon = float(args.horizon)
         except ValueError:
             raise _Usage(f"--horizon must be a number or 'inf', got {args.horizon!r}") from None
-    rows = [
-        {"r_km": r, "t_min": args.t_min, "horizon": args.horizon or "inf",
-         "exposure": functionals.cumulative_exposure(fld, r, args.t_min, horizon)}
-        for r in _parse_floats(args.r)
-    ]
-    _write_table(_columns(rows, ["r_km", "t_min", "horizon", "exposure"]), args)
+    rows = [(r, args.t_min, args.horizon or "inf",
+             functionals.cumulative_exposure(fld, r, args.t_min, horizon))
+            for r in _parse_floats(args.r)]
+    _write_table(_table(("r_km", "t_min", "horizon", "exposure"), rows), args.out, args.format)
     return 0
 
 
@@ -194,27 +187,11 @@ def _run_montecarlo(args):
         fraction=args.fraction, n_boot=args.n_boot, keep_replications=args.per_rep is not None,
     )
     summaries, records = result if args.per_rep is not None else (result, None)
-    columns = ["dgp_id", "method", "bias_km", "rmse_km", "coverage",
-               "false_positive_rate", "correct_rejection_rate",
-               "n_reps", "n_obs", "n_detected", "n_failed"]
-    rows = [
-        {"dgp_id": s.dgp_id, "method": s.method, "bias_km": s.bias, "rmse_km": s.rmse,
-         "coverage": s.coverage, "false_positive_rate": s.false_positive_rate,
-         "correct_rejection_rate": s.correct_rejection_rate, "n_reps": s.n_reps,
-         "n_obs": s.n_obs, "n_detected": s.n_detected, "n_failed": s.n_failed}
-        for s in summaries
-    ]
-    _write_table(_columns(rows, columns), args)
+    _write_table(_record_table(summaries, montecarlo.MCSummary, km=("bias", "rmse")),
+                 args.out, args.format)
     if records is not None:
-        rep_rows = [
-            {"dgp_id": r.dgp_id, "method": r.method, "rep": r.rep, "seed": r.seed,
-             "estimate_km": r.estimate, "ci_lo_km": r.ci_lo, "ci_hi_km": r.ci_hi,
-             "failed": r.failed}
-            for r in records
-        ]
-        rep_args = argparse.Namespace(out=args.per_rep, format=args.format)
-        _write_table(_columns(rep_rows, ["dgp_id", "method", "rep", "seed", "estimate_km",
-                                         "ci_lo_km", "ci_hi_km", "failed"]), rep_args)
+        _write_table(_record_table(records, montecarlo.ReplicationRecord,
+                                   km=("estimate", "ci_lo", "ci_hi")), args.per_rep, args.format)
     return 0
 
 
@@ -224,33 +201,23 @@ def _run_estimate(args):
     rows = []
     if args.method in ("loglinear", "both"):
         fit = estimation.fit_loglinear(d, y, robust_cutoff=args.robust_cutoff)
-        rows.append({
-            "method": "loglinear", "kappa_per_km": fit.kappa_s, "intercept": fit.intercept,
-            "se_classical": fit.se_classical, "se_spatial": fit.se_spatial,
-            "r_squared": fit.r_squared, "n": fit.n, "d_star_km": fit.d_star,
-            "ci_lo_km": None if fit.d_star_ci is None else fit.d_star_ci[0],
-            "ci_hi_km": None if fit.d_star_ci is None else fit.d_star_ci[1],
-            "bandwidth_km": None, "boundary_km": None, "reject_null": None,
-        })
+        rows.append(("loglinear", fit.kappa_s, fit.intercept, fit.se_classical, fit.se_spatial,
+                     fit.r_squared, fit.n, fit.d_star, *(fit.d_star_ci or (None, None)),
+                     None, None, None))
     if args.method in ("nonparametric", "both"):
         fit = estimation.nonparametric_fit(d, y, bandwidth=args.bandwidth)
         boundary, reject = estimation.detect_boundary(
             fit, fraction=args.fraction, n_boot=args.n_boot, seed=args.seed
         )
-        rows.append({
-            "method": "nonparametric", "kappa_per_km": None, "intercept": None,
-            "se_classical": None, "se_spatial": None, "r_squared": None, "n": d.size,
-            "d_star_km": None, "ci_lo_km": None, "ci_hi_km": None,
-            "bandwidth_km": fit.bandwidth, "boundary_km": boundary, "reject_null": reject,
-        })
+        rows.append(("nonparametric", None, None, None, None, None, d.size, None, None, None,
+                     fit.bandwidth, boundary, reject))
         if args.curve_out:
-            curve_rows = [{"distance_km": g, "m_hat": m}
-                          for g, m in zip(fit.grid, fit.m_hat)]
-            curve_args = argparse.Namespace(out=args.curve_out, format=args.format)
-            _write_table(_columns(curve_rows, ["distance_km", "m_hat"]), curve_args)
-    _write_table(_columns(rows, ["method", "kappa_per_km", "intercept", "se_classical",
-                                 "se_spatial", "r_squared", "n", "d_star_km", "ci_lo_km",
-                                 "ci_hi_km", "bandwidth_km", "boundary_km", "reject_null"]), args)
+            _write_table({"distance_km": fit.grid, "m_hat": fit.m_hat}, args.curve_out,
+                         args.format)
+    names = ("method", "kappa_per_km", "intercept", "se_classical", "se_spatial", "r_squared",
+             "n", "d_star_km", "ci_lo_km", "ci_hi_km", "bandwidth_km", "boundary_km",
+             "reject_null")
+    _write_table(_table(names, rows), args.out, args.format)
     return 0
 
 
@@ -258,12 +225,8 @@ def _run_diagnose(args):
     _require(args, "input")
     d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
     report = estimation.diagnostics(d, y, n_bins=args.bins)
-    rows = [
-        {"bin_lo_km": lo, "bin_hi_km": hi, "mean": mean, "se": se, "count": count,
-         "pct_decline_from_first_bin": dec}
-        for (lo, hi, mean, se, count), dec in zip(report.binned_means,
-                                                  report.pct_decline_from_first_bin)
-    ]
+    rows = [(*bin_stats, decline) for bin_stats, decline
+            in zip(report.binned_means, report.pct_decline_from_first_bin)]
     sys.stderr.write(
         f"# spearman_rho={_fmt(report.spearman_rho)} p={_fmt(report.spearman_p)} "
         f"decision={report.decision} bins_used={report.n_bins_used}\n"
@@ -275,8 +238,8 @@ def _run_diagnose(args):
             f"kappa_near={_fmt(regional.near.kappa_s)} kappa_far={_fmt(regional.far.kappa_s)} "
             f"sign_reversal={str(regional.sign_reversal).lower()}\n"
         )
-    _write_table(_columns(rows, ["bin_lo_km", "bin_hi_km", "mean", "se", "count",
-                                 "pct_decline_from_first_bin"]), args)
+    names = ("bin_lo_km", "bin_hi_km", "mean", "se", "count", "pct_decline_from_first_bin")
+    _write_table(_table(names, rows), args.out, args.format)
     return 0
 
 
@@ -289,7 +252,7 @@ def _run_ingest(args):
     table["nearest_source_id"] = [sources[i].id for i in idx.tolist()]
     table["distance_km"] = dist.tolist()
     # the output keeps the observation file's delimiter
-    _write_table(table, args, delimiter=delimiter)
+    _write_table(table, args.out, args.format, delimiter=delimiter)
     sys.stderr.write(f"# ingested {rows.size} observations "
                      f"({obs['lat'].size} read, {len(sources)} sources kept)\n")
     return 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
-from .fields import FieldParams, GaussianField
+from .fields import FieldParams
 from .specfun import bessel_k0_array, kummer_m
 
 LN10 = math.log(10.0)
@@ -441,6 +441,11 @@ def cross_validated_bandwidth(distances, outcomes, h0: float | None = None) -> f
     return float(grid_h[int(np.argmin(scores))])
 
 
+def _check_grid_size(n_grid):
+    if n_grid < 200:
+        raise DomainError(f"grid must have at least 200 points, got {n_grid}")
+
+
 def nonparametric_fit(
     distances,
     outcomes,
@@ -456,8 +461,7 @@ def nonparametric_fit(
     d, y = _as_xy(distances, outcomes)
     if d.size < 50:
         raise InsufficientDataError(f"nonparametric fit needs n >= 50, got {d.size}")
-    if n_grid < 200:
-        raise DomainError(f"grid must have at least 200 points, got {n_grid}")
+    _check_grid_size(n_grid)
 
     if bandwidth == "auto":
         h = rule_of_thumb_bandwidth(d)
@@ -912,12 +916,15 @@ def simulate_gaussian_field_sample(
     nu: float, q: float, n: int, times, noise_sd: float, seed: int | None = None, r_max=None
 ):
     """Draw (r, t, y) from the 3D Gaussian field plus iid normal noise."""
+    FieldParams(nu=nu, q=q)  # checks nu and q
     rng = np.random.default_rng(seed)
     times = np.asarray(times, dtype=float)
+    if not np.all((times > 0) & (times < math.inf)):
+        raise DomainError(f"times must be finite and > 0, got {times}")
     t = rng.choice(times, size=n)
     if r_max is None:
         r_max = 4.0 * math.sqrt(nu * float(times.max()))
+    if not 0 <= r_max < math.inf:
+        raise DomainError(f"r_max must be finite and >= 0, got {r_max}")
     r = rng.uniform(0.0, r_max, size=n)
-    gf = GaussianField(FieldParams(nu=nu, q=q))
-    clean = np.array([gf.value(float(ri), float(ti)) for ri, ti in zip(r, t)])
-    return r, t, clean + noise_sd * rng.standard_normal(n)
+    return r, t, q * _gaussian_model(r, t, nu) + noise_sd * rng.standard_normal(n)

@@ -4,24 +4,28 @@ Every field here is radially symmetric about its source, so the working
 signature is (r, t).  Field objects expose
 
     value(r, t), d_dr(r, t), d_dt(r, t)   exact closed forms
-    eval(r, t) -> FieldEval               all three at once, as a NamedTuple;
-                                          the boundary ODE reads only eval
-    diffusion_scale(t)                    sqrt(nu t), used by search and
-                                          quadrature splits downstream
+    eval(r, t) -> FieldEval               all three at once (the boundary ODE reads only eval)
+    diffusion_scale(t)                    sqrt(nu t), for search and quadrature splits
+
+The domain, checked once in _RadialField, is t finite and > 0, r finite and
+>= 0 (> 0 where the field diverges at its source), and 4 nu t neither 0 nor inf
+as a float; outside it a field raises DomainError.  Inside it no field returns
+NaN: a value that underflows is 0.0, and so are its derivatives; one that
+overflows is inf, except that GaussianField.eval raises NumericalError.
 
 Every value is a float expression in math and the specfun kernels: nothing
-here imports scipy.  Drift velocity is fixed to zero throughout: every
-closed-form solution in scope sets it to zero, and FieldParams deliberately
-reserves no slot for it.
+here imports scipy.  Drift velocity is zero throughout, as in every closed-form
+solution in scope, and FieldParams deliberately reserves no slot for it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .specfun import _exp_erfc, _k01, bessel_k0, kummer_m
 
 
@@ -29,10 +33,10 @@ from .specfun import _exp_erfc, _k01, bessel_k0, kummer_m
 class FieldParams:
     """Parameters of an analytic intensity field.
 
-    nu   diffusion coefficient (length^2/time), > 0
-    q    source strength (intensity * length^dim), > 0
+    nu   diffusion coefficient (length^2/time), finite and > 0
+    q    source strength (intensity * length^dim), finite and > 0
     source_pos   source location in R^dim
-    lam  source decay rate (1/time), >= 0; 0 means a sustained source
+    lam  source decay rate (1/time), finite and >= 0; 0 means a sustained source
     dim  spatial dimension, 2 or 3
     """
 
@@ -43,18 +47,16 @@ class FieldParams:
     dim: int = 3
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
-        if not self.q > 0:
-            raise DomainError(f"q must be > 0, got {self.q}")
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
+        if not 0 < self.nu < math.inf:
+            raise DomainError(f"nu must be finite and > 0, got {self.nu}")
+        if not 0 < self.q < math.inf:
+            raise DomainError(f"q must be finite and > 0, got {self.q}")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
         if self.dim not in (2, 3):
             raise DomainError(f"dim must be 2 or 3, got {self.dim}")
         if len(self.source_pos) != self.dim:
-            raise DomainError(
-                f"source_pos has {len(self.source_pos)} coordinates for dim={self.dim}"
-            )
+            raise DomainError(f"source_pos has {len(self.source_pos)} coordinates, dim={self.dim}")
 
 
 class FieldEval(NamedTuple):
@@ -74,24 +76,47 @@ class SourceEvent:
     strength: float
 
     def __post_init__(self):
-        if not self.strength > 0:
-            raise DomainError(f"strength must be > 0, got {self.strength}")
+        if not 0 < self.strength < math.inf:
+            raise DomainError(f"strength must be finite and > 0, got {self.strength}")
+
+
+def _heat_kernel(q: float, rr: float, nu: float, t: float) -> float:
+    """q (4 pi nu t)^(-3/2) exp(-rr / 4 nu t), the 3-D heat kernel at squared
+    distance rr (Carslaw and Jaeger 1959).  Far from w^1.5 = 1, w = 4 pi nu t,
+    it divides by w and sqrt(w) in turn: 0.0 on underflow, inf on overflow."""
+    w = 4.0 * math.pi * nu * t
+    g = math.exp(-rr / (4.0 * nu * t))
+    value = q / w ** 1.5 * g if 1e-200 < w < 1e200 else math.inf
+    return value if value < math.inf else q * g / w / math.sqrt(w)  # NaN is not < inf
 
 
 class _RadialField:
-    """What the fields below share: r_min, the (t, r) domain check and the
-    diffusion length."""
+    """r_min, the (r, t) domain check, the diffusion length, and d_dr and d_dt
+    as fields of eval."""
 
     r_min = 0.0
+    diverges_at_origin = False
 
-    def _check(self, r: float, t: float):
-        if not 0 < t < math.inf:
+    def _check(self, r: float, t: float) -> float:
+        """4 nu t, once (r, t) lies in the domain (module docstring)."""
+        if not 0.0 < t < math.inf:
             raise DomainError(f"time must be finite and > 0, got {t}")
-        if not 0 <= r < math.inf:
-            raise DomainError(f"radius must be finite and >= 0, got {r}")
+        if not 0.0 <= r < math.inf or (r == 0.0 and self.diverges_at_origin):
+            bound = ">" if self.diverges_at_origin else ">="
+            raise DomainError(f"radius must be finite and {bound} 0, got {r}")
+        four_nu_t = 4.0 * self.params.nu * t
+        if not 0.0 < four_nu_t < math.inf:
+            raise DomainError(f"4 nu t must be a finite float > 0, got nu={self.params.nu}, t={t}")
+        return four_nu_t
 
     def diffusion_scale(self, t: float) -> float:
         return math.sqrt(self.params.nu * t)
+
+    def d_dr(self, r: float, t: float) -> float:
+        return self.eval(r, t).d_dr
+
+    def d_dt(self, r: float, t: float) -> float:
+        return self.eval(r, t).d_dt
 
 
 class GaussianField(_RadialField):
@@ -105,30 +130,28 @@ class GaussianField(_RadialField):
 
     def value(self, r: float, t: float) -> float:
         self._check(r, t)
-        p = self.params
-        return p.q / (4.0 * math.pi * p.nu * t) ** 1.5 * math.exp(-r * r / (4.0 * p.nu * t))
-
-    def d_dr(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dr
-
-    def d_dt(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dt
+        return _heat_kernel(self.params.q, r * r, self.params.nu, t)
 
     def eval(self, r: float, t: float) -> FieldEval:
-        value = self.value(r, t)
-        nu = self.params.nu
-        return FieldEval(value, -r / (2.0 * nu * t) * value,
-                         value * (-1.5 / t + r * r / (4.0 * nu * t * t)))
+        """tau_r = -(2r / 4 nu t) tau and tau_t = (r^2 / 4 nu t^2 - 3 / 2t) tau."""
+        four_nu_t = self._check(r, t)
+        value = _heat_kernel(self.params.q, r * r, self.params.nu, t)
+        if not 0.0 < value < math.inf:
+            if value == 0.0:  # underflowed, where the factors may be inf; d_dr <= 0
+                return FieldEval(0.0, -0.0, 0.0)
+            raise NumericalError(f"the Gaussian field overflows at r={r}, t={t}")
+        d_dr = -2.0 * r / four_nu_t * value
+        if four_nu_t * t > 1e-300 and t > 1e-300:
+            return FieldEval(value, d_dr, value * (-1.5 / t + r * r / (four_nu_t * t)))
+        # 4 nu t^2 or 1.5 / t may leave the float range: divide by t last
+        return FieldEval(value, d_dr, value * (r * r / four_nu_t - 1.5) / t)
 
 
 class BesselField(_RadialField):
     """Line source with cylindrical symmetry: tau = (A/t) K0(r / (2 sqrt(nu t))).
 
-    The amplitude A is a free parameter distinct from q; no closed relation
-    between the two is used anywhere.  Radial derivatives go through the
-    dedicated K1 implementation (K0' = -K1) rather than finite differences.
-    eval takes K0 and K1 as floats from one call of the specfun kernel, and
-    d_dr and d_dt return its fields.
+    The amplitude A is a free parameter, not tied to q.  eval takes K0 and K1
+    (K0' = -K1) as floats from one call of the specfun kernel.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -136,60 +159,54 @@ class BesselField(_RadialField):
     def __init__(self, params: FieldParams, amplitude: float):
         if params.dim != 2:
             raise DomainError("BesselField requires dim = 2")
-        if not amplitude > 0:
-            raise DomainError(f"amplitude must be > 0, got {amplitude}")
+        if not 0 < amplitude < math.inf:
+            raise DomainError(f"amplitude must be finite and > 0, got {amplitude}")
         self.params = params
         self.amplitude = amplitude
         self.dim = 2
 
-    def _arg(self, r: float, t: float) -> float:
-        if not 0 < t < math.inf:
-            raise DomainError(f"time must be finite and > 0, got {t}")
-        w = r / (2.0 * math.sqrt(self.params.nu * t))
-        if not 0 < w < math.inf:  # also where r > 0 is so small that w underflows
-            raise DomainError(f"radius must be finite and > 0 for the Bessel field, got {r}")
-        return w
+    def _arg(self, r: float, t: float) -> tuple[float, float]:
+        root = math.sqrt(self._check(r, t))
+        w = r / root  # normal, so that w K1(w) -> 1 holds in floats
+        if not sys.float_info.min <= w < math.inf:
+            raise DomainError(f"the Bessel field needs r / sqrt(4 nu t) normal, got {w} at r={r}")
+        return w, root
 
     def value(self, r: float, t: float) -> float:
-        return self.amplitude / t * bessel_k0(self._arg(r, t)).value
-
-    def d_dr(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dr
-
-    def d_dt(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dt
+        k0 = bessel_k0(self._arg(r, t)[0]).value
+        a_t = self.amplitude / t
+        return a_t * k0 if a_t < math.inf else self.amplitude * k0 / t
 
     def eval(self, r: float, t: float) -> FieldEval:
-        w = self._arg(r, t)
+        w, root = self._arg(r, t)
         k0, _, k1, _ = _k01(w)
         a_t = self.amplitude / t
-        return FieldEval(
-            value=a_t * k0,
-            d_dr=-a_t * k1 / (2.0 * math.sqrt(self.params.nu * t)),
-            d_dt=-a_t / t * (k0 - 0.5 * w * k1),
-        )
+        if a_t / t < math.inf:
+            return FieldEval(a_t * k0, -a_t * k1 / root, -a_t / t * (k0 - 0.5 * w * k1))
+        # A/t^2 overflows: divide A K by t last, so that no inf meets an underflowed K
+        a = self.amplitude
+        return FieldEval(a * k0 / t, -a * k1 / root / t, -a * (k0 - 0.5 * w * k1) / t / t)
 
 
 class KummerField(_RadialField):
-    """Truncated confluent-hypergeometric profile for cylindrical symmetry:
-
-        tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t))
-    """
+    """Truncated confluent-hypergeometric profile for cylindrical symmetry,
+    tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t)), C_n finite, n >= 0."""
 
     def __init__(self, coeffs, params: FieldParams):
-        self.coeffs = [(float(c), int(n)) for c, n in coeffs]
-        for _, n in self.coeffs:
-            if n < 0:
-                raise DomainError(f"series index must be >= 0, got {n}")
+        coeffs = [(float(c), n) for c, n in coeffs]
+        if not all(math.isfinite(c) and n >= 0 and float(n).is_integer() for c, n in coeffs):
+            raise DomainError(f"coefficients must be finite and indices integers >= 0: {coeffs}")
+        self.coeffs = [(c, int(n)) for c, n in coeffs]
         self.params = params
         self.dim = params.dim
 
     def value(self, r: float, t: float) -> float:
-        self._check(r, t)
-        z = r * r / (4.0 * self.params.nu * t)
+        z = r * r / self._check(r, t)
         total = 0.0
         for c, n in self.coeffs:
             total += c * kummer_m(n + 0.5, 2.0 * n + 1.0, z).value
+        if math.isnan(total):  # terms of opposite sign, or a zero C_n, met an overflowed M
+            raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
         return total / t
 
 
@@ -204,12 +221,9 @@ class DecayingSourceField(_RadialField):
 
         tau = Q/(8 pi nu r) B,   B = e^{-s} erfc(x - y) + e^{s} erfc(x + y).
 
-    The terms of each of tau, tau_r and tau_t share one sign (e^{-s}
-    erfc(x - y) > e^{s} erfc(x + y) everywhere), so none cancels, and
-    specfun._exp_erfc keeps e^{s} erfc(x + y) from underflowing where x + y
-    is large.  As lam*t grows the profile converges
-    to the screened (Yukawa) form Q e^{-s} / (4 pi nu r), which
-    steady_state_value returns.
+    The terms of tau, tau_r and tau_t each share one sign (e^{-s} erfc(x - y)
+    > e^{s} erfc(x + y) everywhere), so none cancels; specfun._exp_erfc keeps
+    e^{s} erfc(x + y) from underflowing at large x + y.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -222,37 +236,24 @@ class DecayingSourceField(_RadialField):
         self.params = params
         self.dim = 3
 
-    def _check(self, r: float, t: float):
-        if not 0 < t < math.inf:
-            raise DomainError(f"time must be finite and > 0, got {t}")
-        if not 0 < r < math.inf:
-            raise DomainError(f"radius must be finite and > 0, got {r}")
-
     def value(self, r: float, t: float) -> float:
         return self.eval(r, t).value
 
-    def d_dr(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dr
-
-    def d_dt(self, r: float, t: float) -> float:
-        return self.eval(r, t).d_dt
-
     def eval(self, r: float, t: float) -> FieldEval:
         """tau = C B / r, tau_r = C (B'/r - B/r^2) with C = Q/(8 pi nu) and
-        B' = sqrt(lam/nu) (e^s erfc(x+y) - e^-s erfc(x-y)) - 4 e^{-x^2-y^2}
-        / sqrt(4 pi nu t), and tau_t = Q (4 pi nu t)^{-3/2} e^{-x^2-y^2}
-        (only the upper age limit depends on t).  Terms that underflow are
-        0, so no cutoff is needed short of an s that overflows."""
-        self._check(r, t)
+        B' = sqrt(lam/nu) (e^s erfc(x+y) - e^-s erfc(x-y)) - 4 e^{-x^2-y^2} / sqrt(4 pi nu t),
+        tau_t = Q (4 pi nu t)^{-3/2} e^{-x^2-y^2} (only the upper age limit depends
+        on t).  Only an s that overflows needs a cutoff."""
+        four_nu_t = self._check(r, t)
         p = self.params
         screening = math.sqrt(p.lam / p.nu)
         s = r * screening
         if s == math.inf:  # then (x + y)^2 >= 2s overflows too, and tau = 0
             return FieldEval(0.0, 0.0, 0.0)
         w = 4.0 * math.pi * p.nu * t
-        x, y = r / math.sqrt(4.0 * p.nu * t), math.sqrt(p.lam * t)
+        x, y = r / math.sqrt(four_nu_t), math.sqrt(p.lam * t)
         inner, outer = _exp_erfc(-s, x - y), _exp_erfc(s, x + y)
-        gauss = math.exp(-p.lam * t - r * r / (4.0 * p.nu * t))
+        gauss = math.exp(-p.lam * t - r * r / four_nu_t)
         bracket = inner + outer
         slope = screening * (outer - inner) - 4.0 * gauss / math.sqrt(w)
         c = p.q / (8.0 * math.pi * p.nu)
@@ -288,8 +289,8 @@ def decaying_source_field(p: FieldParams, r: float, t: float) -> float:
 
 
 def greens_eval(x, t: float, y, s: float, nu: float) -> float:
-    """Free-space diffusion Green's function; 0 for t <= s by causality.
-    x and y have equal lengths; coordinates, t and s are finite."""
+    """Free-space diffusion Green's function, the heat kernel at |x - y| and age
+    t - s; 0 for t <= s by causality.  x and y have equal lengths; all finite."""
     if not nu > 0:
         raise DomainError(f"nu must be > 0, got {nu}")
     xs, ys = [float(v) for v in x], [float(v) for v in y]
@@ -300,14 +301,12 @@ def greens_eval(x, t: float, y, s: float, nu: float) -> float:
     dt = t - s
     if dt <= 0.0:
         return 0.0
-    rr = sum((a - b) ** 2 for a, b in zip(xs, ys))
-    expo = -rr / (4.0 * nu * dt)
-    if expo < -700.0:
-        return 0.0
-    return math.exp(expo) / (4.0 * math.pi * nu * dt) ** 1.5
+    if not 0.0 < 4.0 * nu * dt < math.inf:
+        raise DomainError(f"4 nu (t - s) must be a finite float > 0, got nu={nu}, t - s={dt}")
+    rr = sum((a - b) * (a - b) for a, b in zip(xs, ys))  # ** 2 would raise OverflowError
+    return _heat_kernel(1.0, rr, nu, dt)
 
 
 def superpose(events, nu: float, x, t: float) -> float:
     """Sum of Green's-function responses, linear in the event strengths."""
     return sum(ev.strength * greens_eval(x, t, ev.pos, ev.time, nu) for ev in events)
-

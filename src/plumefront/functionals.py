@@ -8,7 +8,7 @@ assumed throughout, which keeps every integral one-dimensional.  The
 boundary radius refines its scan bracket by Brent's method to rounding.
 
 Moments and energy integrate over r in [r_min, inf), exposure over
-w = sqrt(t) in [sqrt(t_min), sqrt(T)] with T possibly inf, all through
+s = r / (L sqrt(t)) for t up to a horizon T, possibly inf, all through
 `quadrature`, the package's one QUADPACK call, so an integral that diverges
 or does not converge raises NumericalError instead of returning a truncated
 number.
@@ -45,16 +45,20 @@ def quadrature(f, a: float, b: float, split: float | None = None,
                reltol: float = QUAD_RELTOL, what: str = "integral") -> tuple[float, float]:
     """int_a^b f dx and its error estimate by QUADPACK (Piessens et al. 1983):
     QAGS on a finite range, QAGI when b is inf, in two pieces if a < split < b.
-    Raises NumericalError, naming `what`, if either is not finite or the
-    estimate exceeds max(100 reltol |value|, 1e-280); full_output=1 keeps
-    scipy from warning in place of that check."""
+    Raises NumericalError, naming `what`, if either is not finite, if the
+    estimate exceeds max(100 reltol |value|, 1e-280), or if QUADPACK flags a
+    piece as probably divergent (ier = 5: its extrapolation can then give a
+    finite value with a small error estimate); full_output=1 keeps scipy from
+    warning in place of these checks."""
     from scipy.integrate import quad
 
     ends = [a, split, b] if split is not None and a < split < b else [a, b]
     val = err = 0.0
     for lo, hi in zip(ends, ends[1:]):
-        piece, piece_err = quad(f, lo, hi, epsabs=1e-300, epsrel=reltol, limit=200,
-                                full_output=1)[:2]
+        piece, piece_err, _, *flag = quad(f, lo, hi, epsabs=1e-300, epsrel=reltol, limit=200,
+                                          full_output=1)
+        if flag and "divergent" in flag[0]:  # QUADPACK's ier = 5
+            raise NumericalError(f"{what} did not converge: probably divergent on [{lo}, {hi}]")
         val += piece
         err += piece_err
     if not (math.isfinite(val) and err <= max(100 * reltol * abs(val), 1e-280)):
@@ -236,10 +240,13 @@ def boundary_velocity(field, spec: BoundarySpec, t: float) -> float:
 def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = math.inf) -> float:
     """Time-integrated intensity at fixed radius, int_{t_min}^{T} tau(r, t) dt.
 
-    Taken as int 2 w tau(r, w^2) dw over w = sqrt(t) in [sqrt(t_min), sqrt(T)],
-    T = inf allowed, split at w = r / sqrt(nu): smooth where tau vanishes to
-    all orders as t -> 0, with an algebraic tail for QAGI.  Raises
-    NumericalError if it diverges or the (dropped) error estimate exceeds 1e-6.
+    Taken over s = r / (L sqrt(t)), L the diffusion length at t = 1, as
+    int 2 (t / s) tau(r, t) ds with t = (r / (L s))^2, over [r / (L sqrt(T)),
+    r / (L sqrt(t_min))], split at s = 1; T = inf is allowed.  The Gaussian's
+    integrand is a multiple of exp(-s^2 / 4) at every r, so QUADPACK sees all
+    of its mass even where r is far inside a diffusion length.  Raises
+    NumericalError if it diverges or the (dropped) error estimate exceeds
+    1e-6, and DomainError where r / L is so small that t underflows.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
@@ -249,9 +256,19 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
         raise DomainError(f"horizon must be >= t_min, got horizon={horizon}, t_min={t_min}")
     if horizon == t_min:
         return 0.0
-    return quadrature(lambda w: 2.0 * w * field.value(r, w * w) if w * w > 0 else 0.0,
-                      math.sqrt(t_min), math.sqrt(horizon),
-                      split=r / _field_scale(field, 1.0), what=f"exposure at r={r}")[0]
+    scale = r / _field_scale(field, 1.0)
+
+    def integrand(s):
+        root = scale / s
+        t = root * root
+        if t == 0.0:
+            raise DomainError(f"exposure at r={r}: the time (r / (L s))^2 underflows "
+                              f"at r / L = {scale:.3g}")
+        return 2.0 * t / s * field.value(r, t)
+
+    hi = scale / math.sqrt(t_min) if t_min > 0 else math.inf
+    return quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
+                      what=f"exposure at r={r}")[0]
 
 
 def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:

@@ -22,6 +22,8 @@ from .errors import DomainError, PlumefrontError
 from .estimation import (
     DEFAULT_CLAMP,
     LN10,
+    _check_bootstrap_args,
+    _check_grid_size,
     boundary_from_kappa,
     bootstrap_boundary_interval,
     detect_boundary,
@@ -172,8 +174,9 @@ def _summarize(spec, method, records, n_obs):
     n_failed = sum(r.failed for r in records)
     bias = rmse = coverage = fp = cr = None
     if spec.true_boundary is None:
-        fp = n_detected / len(records)
-        cr = 1.0 - fp
+        if n_failed < len(records):  # rates over the replications that did not fail
+            fp = n_detected / (len(records) - n_failed)
+            cr = 1.0 - fp
     elif n_detected:
         err = estimates - spec.true_boundary
         bias = float(err.mean())
@@ -213,15 +216,19 @@ def run_campaign(
 ):
     """Run every method on every DGP over seeded replications and aggregate.
 
+    The detector arguments are checked before the first replication.
     Per-replication failures are recorded, not fatal; the summary carries the
-    failure count.  Returns the summaries, plus the per-replication records
-    when keep_replications is set.
+    failure count, and the flat DGP's rates count only the replications that
+    did not fail (None if all did).  Returns the summaries, plus the
+    per-replication records when keep_replications is set.
     """
     if n_reps < 10:
         raise DomainError(f"n_reps must be >= 10, got {n_reps}")
     unknown = set(methods) - {"parametric", "nonparametric"}
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
+    _check_bootstrap_args(fraction, n_boot, alpha_level)
+    _check_grid_size(n_grid)
 
     summaries = []
     all_records = []

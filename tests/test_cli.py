@@ -415,3 +415,39 @@ class TestFunctionalArguments:
         code, out, err = run_cli(["moments", "--t", "1", "--k", k], capsys)
         assert code == 1
         assert "usage error" in err and out == ""
+
+
+class TestFieldEdges:
+    @pytest.mark.parametrize("t", ["1e-163", "1e300"])
+    def test_gaussian_underflow_prints_zero(self, capsys, t):
+        code, out, _ = run_cli(["field", "--r", "1", "--t", t], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "0"
+
+    @pytest.mark.parametrize("t", ["1e-300", "1e-320"])
+    def test_bessel_rows_hold_no_nan(self, capsys, t):
+        code, out, _ = run_cli(["field", "--profile", "bessel", "--r", "1,1e-150", "--t", t],
+                               capsys)
+        assert code == 0
+        assert "nan" not in out and len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--nu", "inf"],
+        ["--q", "inf"],
+        ["--profile", "bessel", "--amplitude", "inf"],
+        ["--profile", "kummer", "--coeffs", "nan"],
+    ])
+    def test_non_finite_parameter_is_exit_two(self, capsys, argv):
+        code, out, err = run_cli(["field", "--r", "1", "--t", "1", *argv], capsys)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    def test_exposure_whose_time_underflows_is_exit_two(self, capsys):
+        code, out, _ = run_cli(["exposure", "--r", "1e-300"], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"]])
+    def test_bad_montecarlo_argument_is_exit_two(self, capsys, argv):
+        code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",
+                                *argv], capsys)
+        assert code == 2 and out == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, hyp1f1
 
-from plumefront.errors import DomainError
+from plumefront.errors import DomainError, NumericalError, PlumefrontError
 from plumefront.fields import (
     BesselField,
     DecayingSourceField,
@@ -354,3 +354,65 @@ class TestSuperposition:
     def test_strength_must_be_positive(self):
         with pytest.raises(DomainError):
             SourceEvent(pos=(0.0, 0.0, 0.0), time=0.0, strength=0.0)
+
+
+class TestDomainEdges:
+    """Extreme (nu, r, t): every call returns floats without NaN or raises a
+    PlumefrontError, never NaN, ZeroDivisionError or OverflowError."""
+
+    RADII = [0.0, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
+    TIMES = [1e-320, 1e-300, 1e-220, 1e-163, 1e-8, 1.0, 1e8, 1e300]
+    NUS = [1e-300, 1.0, 1e300]
+
+    @staticmethod
+    def _calls(nu):
+        gauss = GaussianField(FieldParams(nu=nu, q=1.0))
+        bessel = BesselField(FieldParams(nu=nu, dim=2, source_pos=(0.0, 0.0)), 1.0)
+        kummer = KummerField([(1, 0), (0.5, 2)], FieldParams(nu=nu))
+        decaying = DecayingSourceField(FieldParams(nu=nu, lam=0.5))
+        return [gauss.value, gauss.eval, bessel.value, bessel.eval, kummer.value,
+                decaying.value, decaying.eval,
+                lambda r, t: greens_eval((r, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, nu)]
+
+    def test_no_nan_and_no_raw_exception(self):
+        bad = []
+        for nu in self.NUS:
+            for call in self._calls(nu):
+                for r in self.RADII:
+                    for t in self.TIMES:
+                        try:
+                            out = call(r, t)
+                        except PlumefrontError:
+                            continue
+                        except Exception as exc:  # the failure under test
+                            bad.append((nu, r, t, type(exc).__name__))
+                            continue
+                        values = tuple(out) if isinstance(out, tuple) else (out,)
+                        if not all(isinstance(v, float) and not math.isnan(v) for v in values):
+                            bad.append((nu, r, t, values))
+        assert bad == []
+
+    @pytest.mark.parametrize("t", [1e-220, 1e300])
+    def test_gaussian_and_greens_underflow_to_zero(self, t):
+        assert GaussianField(UNIT).value(1.0, t) == 0.0
+        assert gaussian_field(UNIT, 1.0, t) == (0.0, -0.0, 0.0)
+        assert greens_eval((1.0, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: FieldParams(nu=1.0, lam=math.nan),
+        lambda: FieldParams(nu=math.inf),
+        lambda: FieldParams(nu=1.0, q=math.inf),
+        lambda: KummerField([(1.0, 1.5)], UNIT),
+        lambda: KummerField([(math.nan, 0)], UNIT),
+        lambda: SourceEvent(pos=(0.0, 0.0, 0.0), time=0.0, strength=math.inf),
+        lambda: BesselField(FieldParams(nu=1.0, dim=2, source_pos=(0.0, 0.0)), math.inf),
+    ], ids=["lam-nan", "nu-inf", "q-inf", "kummer-order", "kummer-coeff", "strength-inf",
+            "amplitude-inf"])
+    def test_non_finite_or_non_integer_parameters_raise(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_kummer_zero_coefficient_at_overflowed_term_raises(self):
+        # M(3/2, 3, z) overflows at z = 1000, and 0 * inf would be NaN
+        with pytest.raises(NumericalError):
+            KummerField([(1.0, 0), (0.0, 1)], UNIT).value(math.sqrt(4000.0), 1.0)

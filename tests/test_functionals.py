@@ -462,3 +462,23 @@ def test_relative_threshold_needs_finite_source_value(field, spec):
     for call in (lambda: spec.threshold(field, 2.0), lambda: boundary_radius(field, spec, 2.0)):
         with pytest.raises(DomainError, match="relative modes need a finite source value"):
             call()
+
+
+class TestExposureAtSmallRadii:
+    """The s = r / (L sqrt(t)) substitution keeps the Gaussian integrand a
+    multiple of exp(-s^2 / 4) at every radius."""
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-50, 1e-100])
+    def test_inverse_distance_law_far_inside_a_diffusion_length(self, r):
+        assert cumulative_exposure(GAUSS, r) == pytest.approx(1.0 / (4.0 * math.pi * r), rel=1e-12)
+
+    def test_time_underflow_raises(self):
+        with pytest.raises(DomainError):
+            cumulative_exposure(GAUSS, 1e-300)
+
+    def test_decaying_source_exposure_to_infinity_diverges(self):
+        # tau tends to the nonzero Yukawa limit, so its time integral diverges;
+        # QUADPACK's extrapolation alone gives -0.0301 with a small error estimate
+        field = DecayingSourceField(FieldParams(nu=1.0, q=0.9, lam=0.4))
+        with pytest.raises(NumericalError):
+            cumulative_exposure(field, 1.0)

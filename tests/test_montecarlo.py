@@ -175,3 +175,25 @@ class TestParameterRecovery:
         rs = parameter_recovery_campaign(n_reps=60, seed=2)
         assert rs.qq_normality_corr_nu > 0.97
         assert rs.qq_normality_corr_q > 0.97
+
+
+class TestFailedReplications:
+    def test_bad_arguments_raise_before_any_replication(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "generate_dgp", unreachable)
+        for kwargs in ({"n_boot": 0}, {"fraction": 1.5}, {"alpha_level": 0.0}, {"n_grid": 100}):
+            with pytest.raises(DomainError):
+                run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, **kwargs)
+
+    def test_flat_rates_skip_failed_replications(self, monkeypatch):
+        def fail(*args):
+            raise DomainError("replication failed")
+
+        monkeypatch.setattr(montecarlo, "_parametric_detect", fail)
+        monkeypatch.setattr(montecarlo, "_nonparametric_detect", fail)
+        for summary in run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300):
+            assert summary.n_failed == 10
+            assert summary.false_positive_rate is None
+            assert summary.correct_rejection_rate is None
