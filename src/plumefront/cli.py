@@ -127,8 +127,7 @@ def _boundary_spec(args) -> functionals.BoundarySpec:
 def _run_field(args):
     _require(args, "r", "t")
     fld = _make_field(args)
-    evaluate = fld.eval if hasattr(fld, "eval") else lambda r, t: (fld.value(r, t), None, None)
-    rows = [(r, t, *evaluate(r, t)) for t in _parse_floats(args.t) for r in _parse_floats(args.r)]
+    rows = [(r, t, *fld.eval(r, t)) for t in _parse_floats(args.t) for r in _parse_floats(args.r)]
     _write_table(_table(("r_km", "t", "value", "d_dr", "d_dt"), rows), args.out, args.format)
     return 0
 

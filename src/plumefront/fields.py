@@ -190,7 +190,12 @@ class BesselField(_RadialField):
 
 class KummerField(_RadialField):
     """Truncated confluent-hypergeometric profile for cylindrical symmetry,
-    tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t)), C_n finite, n >= 0."""
+    tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t)), C_n finite, n >= 0.
+
+    eval differentiates within the profile family: with M_n = M(n + 1/2, 2n + 1, z),
+    dM_n/dz = (M_n + z M_(n+1) / (4 (n + 1))) / 2, from Kummer's second formula
+    (DLMF 13.6.9) and I_n' = I_(n+1) + (n/x) I_n.
+    """
 
     def __init__(self, coeffs, params: FieldParams):
         coeffs = [(float(c), n) for c, n in coeffs]
@@ -208,6 +213,22 @@ class KummerField(_RadialField):
         if math.isnan(total):  # terms of opposite sign, or a zero C_n, met an overflowed M
             raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
         return total / t
+
+    def eval(self, r: float, t: float) -> FieldEval:
+        """With S = sum_n C_n M_n(z) and S' = dS/dz: tau = S / t,
+        tau_r = (2 r / 4 nu t) S' / t and tau_t = -(S + z S') / t^2."""
+        four_nu_t = self._check(r, t)
+        z = r * r / four_nu_t
+        m = {k: kummer_m(k + 0.5, 2.0 * k + 1.0, z).value
+             for _, n in self.coeffs for k in (n, n + 1)}
+        total = slope = 0.0
+        for c, n in self.coeffs:
+            total += c * m[n]
+            slope += c * 0.5 * (m[n] + z / (4.0 * (n + 1)) * m[n + 1])
+        out = FieldEval(total / t, 2.0 * r / four_nu_t * slope / t, -(total + z * slope) / t / t)
+        if any(map(math.isnan, out)):
+            raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
+        return out
 
 
 class DecayingSourceField(_RadialField):

@@ -266,6 +266,14 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
                               f"at r / L = {scale:.3g}")
         return 2.0 * t / s * field.value(r, t)
 
+    if horizon == math.inf:
+        # The integral diverges unless t tau(r, t) = s integrand(s) / 2 -> 0 as s -> 0,
+        # and QUADPACK may not notice (a Kummer sum tends to sum C_n / t): ask for a 2x
+        # fall from s = 1e-6 to 1e-7, or from 1e-140 r / L where t would overflow.
+        late = max(1e-6, 1e-140 * scale)
+        if not abs(integrand(0.1 * late)) <= 5.0 * abs(integrand(late)):
+            raise NumericalError(f"exposure at r={r} did not converge: t tau(r, t) does not "
+                                 f"fall as t -> inf")
     hi = scale / math.sqrt(t_min) if t_min > 0 else math.inf
     return quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
                       what=f"exposure at r={r}")[0]

@@ -1,36 +1,29 @@
 """Special functions underlying the diffusion profile hierarchy.
 
-Everything is computed directly from series, integral, or asymptotic
-representations so the accuracy claims can be audited term by term; no
-library special-function calls are wrapped.  Arguments are real and limited
-to the ranges that actually occur in the field solutions: non-negative
-series arguments, strictly positive arguments for K0/K1.
+Kummer M and the modified Bessel functions are computed from series,
+integral or asymptotic representations, so that each accuracy claim can be
+audited term by term; Gamma and erfc come from the math module.  Arguments
+are real and limited to the ranges that occur in the field solutions:
+non-negative series arguments, strictly positive arguments for K0/K1.
 
 Evaluation strategy
 -------------------
-gamma_fn     Stirling asymptotic series for ln Gamma after shifting the
-             argument above 12 by the recurrence Gamma(z) = Gamma(z+1)/z.
+gamma_fn     math.gamma; inf where Gamma overflows.
 kummer_m     the profile family a = n + 1/2, b = 2n + 1 (n = 0, 1, ...),
              which is every call the fields and fits make, through
              Kummer's second formula M(n+1/2, 2n+1, 2x) = n! e^x (x/2)^-n
-             I_n(x) (DLMF 13.6.9), with two regimes that need no gamma_fn
-             call.  Below x = max(15, n^2), e^x sum_k n!/(k!(n+k)!)
-             (x^2/4)^k: positive terms, stopped below 1e-16 of the running
-             sum.  From there the large-argument series of I_n (DLMF
-             10.40.1), n! (2/x)^n e^2x / sqrt(2 pi x) sum_k (-1)^k a_k(n)/x^k,
-             truncated at its smallest term; x >= n^2 keeps its first
-             correction (4n^2-1)/(8x) below 1/2.  e^2x is formed as
-             e^x (e^x c) and the product is tested before it is taken, so
-             the result is inf only where M overflows, without setting the
-             floating-point overflow flag; from x = ln(max float) M > e^x
-             overflows before any work.
-             Both regimes stay within 3e-14 relative of mpmath for n <= 3
-             (the worst case is the truncation at x = 15).  Other (a, b):
-             defining power series up to z = 30 (same stopping rule, hard
-             cap 500 terms); leading asymptotic term Gamma(b)/Gamma(a)
-             z^(a-b) e^z beyond, with an honest first-correction error
-             estimate.
-bessel_i     defining power series with the same stopping rule.
+             I_n(x) (DLMF 13.6.9): below x = max(15, n^2) the positive
+             series e^x sum_k n!/(k!(n+k)!) (x^2/4)^k, from there the
+             large-argument series of I_n (DLMF 10.40.1) truncated at its
+             smallest term, with e^2x formed as e^x (e^x c) so that the
+             result is inf only where M overflows, without setting the
+             floating-point overflow flag.  Both regimes stay within 3e-14
+             relative of mpmath for n <= 3 (the worst case is the
+             truncation at x = 15).  Every other (a, b): the defining
+             series (DLMF 13.2.2) at every finite z.
+bessel_i     the defining series (DLMF 10.25.2).  Both series bound their
+             error by their truncation plus 4 (k + 2) eps times the sum of
+             the |terms| for rounding, as the profile family does.
 bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
              the integral representation int_0^inf exp(-z cosh t) cosh(nt) dt
              on [2, 12) (the integrand decays doubly exponentially, so the
@@ -39,26 +32,17 @@ bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
              error is below 1e-11 relative.  A plain two-regime split at
              z = 2 cannot reach the 1e-9 target: the asymptotic series'
              smallest term at z = 2 is ~7e-3 of the value.
-bessel_k01   K0 and K1 together, from the kernel _k01, which returns both
-             orders and their error bounds as floats.  Below z = 12 one
-             series loop accumulates I0, I1 and both harmonic sums (no
-             bessel_i or gamma_fn call), and one trapezoid loop over the
-             module table _K_COSH of cosh(0.2 k) shares each exp(-z cosh t)
-             between the orders (DLMF 10.31.2, 10.32.9).  bessel_k0,
-             bessel_k1 and bessel_k01 build SpecFunResult from the kernel
-             when they return; the Bessel field's eval calls the kernel.
+bessel_k01   K0 and K1 together from the float kernel _k01, which the
+             Bessel field's eval calls directly: one series loop for I0, I1
+             and both harmonic sums below z = 2, and one trapezoid loop over
+             the table _K_COSH of cosh(0.2 k) that shares each exp(-z cosh t)
+             between the orders (DLMF 10.31.2, 10.32.9).
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
-             the same three representations and branch points as bessel_k0,
-             one mask per regime.  The series terms and the asymptotic terms
-             are running products along a second axis (the asymptotic ones
-             truncated per element where the scalar loop stops); the
-             trapezoid rule is one outer product of z with _K_COSH.  On 300
-             points it takes 0.10 ms, against 0.9 ms for bessel_k0 point by
-             point.  The scalar functions stay separate: the fields and
-             functionals call K0 one point at a time, where one call through
-             the array kernel costs 5-7x a scalar call (14-28 us against
-             2.2-4.6 us, 2-vCPU box), and they need est_abs_error.
+             the representations and branch points of bessel_k0, one mask
+             per regime, terms as running products along a second axis.
+             The fields and functionals call the scalar functions, which are
+             faster point by point and carry est_abs_error.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -75,11 +59,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Series controls: stop when a term falls below TERM_STOP of the running sum.
+# Series controls: stop once a term, or a tail bound, is below TERM_STOP of the sum.
 TERM_STOP = 1e-16
 MAX_TERMS = 500
 
@@ -109,17 +93,6 @@ _K_STEP = 0.2
 _K_COSH = tuple(math.cosh(_K_STEP * k)
                 for k in range(1, int(math.acosh(745.0 / K_SERIES_MAX) / _K_STEP) + 2))
 
-# Stirling series coefficients B_2n / (2n (2n-1)).
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
 
 @dataclass(frozen=True)
 class SpecFunResult:
@@ -134,28 +107,13 @@ class SpecFunResult:
 
 
 def gamma_fn(z: float) -> float:
-    """Gamma function for strictly positive real argument.
-
-    Relative error is below 1e-12 on [0.5, 50] (verified against a
-    high-precision oracle in the test suite).
-    """
+    """Gamma(z) for real z > 0 by math.gamma; inf where it overflows."""
     if not z > 0:
         raise DomainError(f"gamma_fn requires z > 0, got {z}")
-    # Shift into the asymptotic regime, then divide the factors back out.
-    shift = 1.0
-    zz = z
-    while zz < 12.0:
-        shift *= zz
-        zz += 1.0
-    w = 1.0 / zz
-    w2 = w * w
-    series = 0.0
-    power = w
-    for c in _STIRLING:
-        series += c * power
-        power *= w2
-    log_gamma = (zz - 0.5) * math.log(zz) - zz + 0.5 * math.log(2.0 * math.pi) + series
-    return math.exp(log_gamma) / shift
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        return math.inf
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -172,15 +130,11 @@ def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
     """Confluent hypergeometric function M(a, b, z) for finite z >= 0.
 
     The profile family a = n + 1/2, b = 2n + 1 (integer n >= 0) goes through
-    Kummer's second formula, by series below z/2 = max(15, n^2) and by the
-    Bessel-I asymptotic series from there; it is within 3e-14 relative of
-    the true value for n <= 3, est_abs_error bounds its error, and it is
-    (inf, inf) exactly where M overflows.  Any other (a, b) takes the
-    defining series sum_n (a)_n/(b)_n z^n/n! for z <= 30, accurate to ~1e-14
-    relative there for non-negative parameters; beyond 30 only the leading
-    asymptotic term Gamma(b)/Gamma(a) z^(a-b) e^z is evaluated and
-    est_abs_error reports the first neglected correction, |(1-a)(b-a)|/z
-    of the value.
+    Kummer's second formula (`_kummer_profile`); it is within 3e-14 relative
+    of the true value for n <= 3.  Any other (a, b) takes the defining series
+    sum_k (a)_k/(b)_k z^k/k! past its largest term, until the bound on its
+    tail falls below 1e-16 of the sum, or raises NumericalError after 500 + 2z
+    terms.  est_abs_error bounds the error; (+-inf, inf) where the sums overflow.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"kummer_m requires finite a and b, got a = {a}, b = {b}")
@@ -193,23 +147,22 @@ def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
         # float(): np.vectorize passes numpy scalars, whose arithmetic is slower
         return _kummer_profile(n, 0.5 * float(z))
 
-    if z <= KUMMER_SERIES_MAX or a <= 0:
-        total = 1.0
-        term = 1.0
-        for n in range(1, MAX_TERMS + 1):
-            term *= (a + n - 1) / ((b + n - 1) * n) * z
-            total += term
-            if abs(term) < TERM_STOP * abs(total):
-                break
-        return SpecFunResult(total, abs(term) + 1e-15 * abs(total))
-
-    # Leading asymptotic term; degraded accuracy, reported honestly.
-    exponent = z + (a - b) * math.log(z) + math.log(gamma_fn(b) / gamma_fn(a))
-    if exponent > 700.0:
-        return SpecFunResult(math.inf, math.inf)
-    value = math.exp(exponent)
-    correction = abs((1.0 - a) * (b - a)) / z
-    return SpecFunResult(value, abs(value) * max(correction, 1e-15))
+    # Once a + k, b + k > 0, every later term ratio z (a + m) / ((b + m)(m + 1))
+    # lies in [0, rho]: past rho < 1 the tail is below |term| rho / (1 - rho).
+    total = term = abs_sum = 1.0
+    for k in range(1, MAX_TERMS + 2 * int(z) + 1):
+        term *= z * (a + k - 1) / ((b + k - 1) * k)
+        total += term
+        abs_sum += abs(term)
+        if abs(total) == math.inf:
+            return SpecFunResult(total, math.inf)
+        rho = z / (k + 1) * (1.0 + max(0.0, a - b) / (b + k))
+        tail = abs(term) * rho / (1.0 - rho) if k + min(a, b) > 0 and rho < 1.0 else math.inf
+        if term == 0.0 or tail < TERM_STOP * abs(total):  # 0.0: a polynomial, or underflow
+            break
+    else:
+        raise NumericalError(f"kummer_m({a}, {b}, {z}): the series did not converge in {k} terms")
+    return SpecFunResult(total, (tail if term else 0.0) + 4.0 * (k + 2) * _EPS * abs_sum)
 
 
 def _kummer_profile(n: float, x: float) -> SpecFunResult:
@@ -261,7 +214,13 @@ def _kummer_profile(n: float, x: float) -> SpecFunResult:
 
 
 def bessel_i(nu: float, z: float) -> SpecFunResult:
-    """Modified Bessel function of the first kind from its defining series."""
+    """Modified Bessel function of the first kind, (z/2)^nu / Gamma(nu + 1)
+    sum_k (z^2/4)^k / (k! (nu + 1)_k) (DLMF 10.25.2), for finite nu, z >= 0.
+
+    The terms are positive and their ratios fall, so term rho / (1 - rho), rho
+    the next ratio, bounds the tail.  The prefactor comes from logarithms
+    where (z/2)^nu or Gamma(nu + 1) leaves the float range.
+    """
     if not 0 <= nu < math.inf:
         raise DomainError(f"bessel_i requires finite nu >= 0, got {nu}")
     if not 0 <= z < math.inf:
@@ -270,15 +229,29 @@ def bessel_i(nu: float, z: float) -> SpecFunResult:
         return SpecFunResult(1.0 if nu == 0 else 0.0, 0.0)
 
     half = 0.5 * z
-    term = half**nu / gamma_fn(nu + 1.0)
-    total = term
+    power, log_gamma = nu * math.log(half), math.lgamma(nu + 1.0)
     quarter_sq = half * half
-    for k in range(MAX_TERMS):
-        term *= quarter_sq / ((k + 1.0) * (nu + k + 1.0))
+    total = term = 1.0
+    for k in range(1, MAX_TERMS + int(z) + 1):
+        term *= quarter_sq / (k * (nu + k))
         total += term
+        if total == math.inf:
+            if power < log_gamma:  # a prefactor < 1 may bring I_nu back into range
+                raise NumericalError(f"bessel_i({nu}, {z}): the series overflows")
+            return SpecFunResult(math.inf, math.inf)
         if term < TERM_STOP * total:
             break
-    return SpecFunResult(total, term + 1e-15 * total)
+    else:
+        raise NumericalError(f"bessel_i({nu}, {z}): the series did not converge in {k} terms")
+    rho = quarter_sq / ((k + 1) * (nu + k + 1))
+    rel_err = term / total * rho / (1.0 - rho) + 4.0 * (k + 2) * _EPS
+    if nu < 170.0 and abs(power) < _EXP_MAX:
+        value = half ** nu / math.gamma(nu + 1.0) * total
+    else:  # rounding the exponent costs a multiple of its terms' size
+        exponent = power - log_gamma + math.log(total)
+        value = math.exp(exponent) if exponent < _EXP_MAX else math.inf
+        rel_err += 2.0 * (abs(power) + log_gamma + abs(exponent)) * _EPS
+    return SpecFunResult(value, value * rel_err)
 
 
 def _k01_series(z: float) -> tuple[float, float]:
@@ -381,11 +354,8 @@ def bessel_k0(z: float) -> SpecFunResult:
 
 
 def bessel_k1(z: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind, order one, for z > 0.
-
-    Implemented (rather than differencing K0) so field derivatives through
-    K0' = -K1 carry full accuracy.
-    """
+    """Modified Bessel function of the second kind, order one, for z > 0:
+    K0' = -K1 at full accuracy, which differencing K0 would not give."""
     if not z > 0:
         raise DomainError(f"bessel_k1 requires z > 0, got {z}")
     _, _, k1, err1 = _k01(z)

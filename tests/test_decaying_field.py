@@ -13,6 +13,7 @@ it, relatively; where it is subnormal, within the smallest normal float.
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,8 +22,6 @@ from plumefront.dynamics import boundary_ode_integrate
 from plumefront.fields import DecayingSourceField, FieldParams
 from plumefront.functionals import BoundarySpec, boundary_radius
 from plumefront.specfun import ERFC_ASYMPTOTIC_MIN, _exp_erfc
-
-mp = pytest.importorskip("mpmath")
 
 RTOL = 1e-11
 UNIT = FieldParams(nu=1.0, q=1.0, lam=1.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,34 @@ class TestKummerField:
             assert kummer_field(coeffs, params, r=r, t=t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("coeffs", [[(1.0, 0)], [(1.0, 0), (0.5, 2)], [(0.3, 1), (2.0, 3)]])
+    def test_eval_against_mpmath(self, coeffs):
+        # mpmath differentiates the sum of M(n + 1/2, 2n + 1, z) at 40 digits
+        params = FieldParams(nu=0.7, q=1.0)
+        field = KummerField(coeffs, params)
+
+        def tau(r, t):
+            z = r * r / (4 * params.nu * t)
+            return sum(c * mp.hyp1f1(n + 0.5, 2 * n + 1, z) for c, n in coeffs) / t
+
+        with mp.workdps(40):
+            for r in (0.0, 0.3, 1.0, 4.0, 12.0, 25.0):
+                for t in (0.4, 1.0, 6.0):
+                    ev = field.eval(r, t)
+                    assert ev.value == field.value(r, t)
+                    r_mp, t_mp = mp.mpf(r), mp.mpf(t)
+                    exact = (tau(r_mp, t_mp), mp.diff(lambda x: tau(x, t_mp), r_mp),
+                             mp.diff(lambda x: tau(r_mp, x), t_mp))
+                    for got, ref in zip(ev, exact):
+                        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    def test_d_dr_and_d_dt_come_from_eval(self):
+        field = KummerField([(1.0, 0), (0.5, 2)], UNIT)
+        ev = field.eval(2.0, 1.5)
+        assert (field.d_dr(2.0, 1.5), field.d_dt(2.0, 1.5)) == (ev.d_dr, ev.d_dt)
+        assert field.eval(0.0, 1.0).d_dr == 0.0
+
+
 @settings(max_examples=60)
 @given(
     st.floats(0.0, 20.0),
@@ -266,9 +295,8 @@ class TestDecayingSourceField:
 def test_non_finite_arguments_rejected(field, r, t):
     with pytest.raises(DomainError):
         field.value(r, t)
-    if hasattr(field, "eval"):
-        with pytest.raises(DomainError):
-            field.eval(r, t)
+    with pytest.raises(DomainError):
+        field.eval(r, t)
 
 
 class TestGreensFunction:
@@ -370,7 +398,7 @@ class TestDomainEdges:
         bessel = BesselField(FieldParams(nu=nu, dim=2, source_pos=(0.0, 0.0)), 1.0)
         kummer = KummerField([(1, 0), (0.5, 2)], FieldParams(nu=nu))
         decaying = DecayingSourceField(FieldParams(nu=nu, lam=0.5))
-        return [gauss.value, gauss.eval, bessel.value, bessel.eval, kummer.value,
+        return [gauss.value, gauss.eval, bessel.value, bessel.eval, kummer.value, kummer.eval,
                 decaying.value, decaying.eval,
                 lambda r, t: greens_eval((r, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, nu)]
 

@@ -9,6 +9,7 @@ used by the implementation path.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -482,3 +483,30 @@ class TestExposureAtSmallRadii:
         field = DecayingSourceField(FieldParams(nu=1.0, q=0.9, lam=0.4))
         with pytest.raises(NumericalError):
             cumulative_exposure(field, 1.0)
+
+
+class TestDivergentExposureToInfinity:
+    """An infinite-horizon exposure converges only where t tau(r, t) -> 0."""
+
+    @pytest.mark.parametrize("coeffs,nu,r", [([(1, 0), (0.5, 2)], 0.5, 7.0),
+                                             ([(1, 0), (0.5, 2)], 2.0, 30.0),
+                                             ([(1, 0)], 1.0, 7.0)])
+    def test_kummer_sum_with_nonzero_total_raises(self, coeffs, nu, r):
+        # tau tends to (sum C_n) / t: the integral grows like log T
+        with pytest.raises(NumericalError, match="did not converge"):
+            cumulative_exposure(KummerField(coeffs, FieldParams(nu=nu)), r, t_min=0.2)
+
+    def test_bessel_exposure_raises(self):
+        # tau = (A/t) K0(r / sqrt(4 nu t)) ~ (A / 2t) ln t
+        field = BesselField(FieldParams(nu=1.0, dim=2, source_pos=(0.0, 0.0)), 1.0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            cumulative_exposure(field, 1.0)
+
+    def test_kummer_sum_with_zero_total_converges(self):
+        # M(1/2, 1, z) - M(3/2, 3, z) = z^2 / 32 + O(z^3): tau ~ 1 / t^3
+        coeffs = [(1.0, 0), (-1.0, 1)]
+        with mp.workdps(30):
+            exact = mp.quad(lambda t: sum(c * mp.hyp1f1(n + 0.5, 2 * n + 1, 1 / t)
+                                          for c, n in coeffs) / t, [0.2, 1, 10, mp.inf])
+        got = cumulative_exposure(KummerField(coeffs, FieldParams(nu=1.0)), 2.0, t_min=0.2)
+        assert got == pytest.approx(float(exact), rel=1e-8)

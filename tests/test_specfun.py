@@ -1,19 +1,21 @@
 """Special-function accuracy against independent high-precision oracles.
 
-scipy.special serves as the oracle throughout; the implementation under
-test never calls it.
+scipy.special serves as the oracle, and mpmath at 40 digits where the error
+bounds are checked; the implementation under test calls neither.
 """
 
 import math
+import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_oracle
 
-from plumefront.errors import DomainError
+from plumefront.errors import DomainError, NumericalError
 from plumefront.specfun import (
     SpecFunResult,
     _k01,
@@ -44,6 +46,17 @@ class TestGamma:
             gamma_fn(0.0)
         with pytest.raises(DomainError):
             gamma_fn(-1.5)
+
+    def test_within_2e_15_of_mpmath(self):
+        with mp.workdps(40):
+            for z in np.linspace(0.5, 50.0, 500):
+                z = float(z)
+                assert abs(gamma_fn(z) / mp.gamma(z) - 1) <= 2e-15, z
+        assert gamma_fn(1.0) == 1.0 and gamma_fn(5.0) == 24.0
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-310, 171.7, 1e300, math.inf])
+    def test_inf_where_gamma_overflows(self, z):
+        assert gamma_fn(z) == math.inf
 
 
 class TestPochhammer:
@@ -93,13 +106,12 @@ class TestKummer:
     def test_large_z_asymptotic_error_is_honest(self):
         res = kummer_m(0.5, 1.0, 50.0)
         truth = float(sp_oracle.hyp1f1(0.5, 1.0, 50.0))
-        assert abs(res.value - truth) <= 2.0 * res.est_abs_error
+        assert abs(res.value - truth) <= res.est_abs_error
 
     def test_large_z_asymptotic_error_is_honest_off_the_profile_family(self):
-        # the profile family no longer reaches the leading-term branch
         res = kummer_m(0.7, 1.3, 50.0)
         truth = float(sp_oracle.hyp1f1(0.7, 1.3, 50.0))
-        assert abs(res.value - truth) <= 2.0 * res.est_abs_error
+        assert abs(res.value - truth) <= res.est_abs_error
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -409,6 +421,71 @@ def test_error_estimates_bound_true_error():
         assert isinstance(res, SpecFunResult)
         assert res.est_abs_error >= 0
         assert abs(res.value - truth) <= max(res.est_abs_error, 5e-15 * abs(truth))
+
+
+class TestErrorBoundsAgainstMpmath:
+    """est_abs_error >= |error| against mpmath at 40 digits, on grids up to
+    where the functions overflow (z ~ 713); K0 and K1 only where they are
+    normal floats, as their bounds carry no term for subnormal rounding."""
+
+    GRID = np.concatenate([np.linspace(0.0, 713.0, 93), [29.99, 30.0, 30.01]])
+    # off the profile family: terms of one sign, except for a < 0
+    PAIRS = [(3.0, 0.5), (0.7, 1.3), (1.0, 2.0), (2.5, 1.0), (0.3, 4.0), (1.5, 0.5),
+             (0.5, 2.0), (-2.5, 1.5)]
+
+    @staticmethod
+    def _check(res, exact):
+        """|error| <= est_abs_error; the relative error, 0 where both are inf."""
+        if math.isinf(res.value):
+            assert abs(exact) > sys.float_info.max and res.value * exact > 0
+            return 0.0
+        error = abs(res.value - exact)
+        assert error <= res.est_abs_error
+        return float(error / abs(exact)) if exact else float(error)
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_general_kummer(self, a, b):
+        with mp.workdps(40):
+            worst = max(self._check(kummer_m(a, b, z), mp.hyp1f1(a, b, z))
+                        for z in map(float, self.GRID))
+        if a > 0:  # within 1e-13, with no jump at the old leading-term switch at z = 30
+            assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_profile_family(self, n):
+        zs = np.concatenate([self.GRID, [2.0 * n * n, np.nextafter(2.0 * n * n, 0.0)]])
+        with mp.workdps(40):
+            for z in map(float, zs):
+                self._check(kummer_m(n + 0.5, 2.0 * n + 1.0, z), mp.hyp1f1(n + 0.5, 2 * n + 1, z))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+    def test_bessel_i(self, nu):
+        with mp.workdps(40):
+            worst = max(self._check(bessel_i(nu, z), mp.besseli(nu, z))
+                        for z in map(float, self.GRID))
+        assert worst <= 1e-13
+
+    def test_bessel_k0_k1(self):
+        with mp.workdps(40):
+            for z in map(float, np.geomspace(1e-6, 713.0, 120)):
+                for res, order in zip(bessel_k01(z), (0, 1)):
+                    exact = mp.besselk(order, z)
+                    if exact >= sys.float_info.min:
+                        self._check(res, exact)
+
+    def test_bessel_i_of_large_order(self):
+        # Gamma(201) overflows: I_200(1) ~ 1e-435 underflows, I_200(60) does not
+        assert bessel_i(200.0, 1.0).value == 0.0
+        with mp.workdps(40):
+            self._check(bessel_i(200.0, 60.0), mp.besseli(200, 60))
+            self._check(bessel_i(180.5, 900.0), mp.besseli(180.5, 900))
+        assert bessel_i(0.0, 800.0) == SpecFunResult(math.inf, math.inf)
+
+    def test_unconverged_series_raise(self):
+        # b + k < 0 up to k = 600, and the terms grow again past it: the tail
+        # bound needs more than the cap of 500 + 2z terms
+        with pytest.raises(NumericalError, match="did not converge"):
+            kummer_m(1.0, -600.5, 100.0)
 
 
 @settings(max_examples=50)
