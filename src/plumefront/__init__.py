@@ -43,11 +43,7 @@ from .fields import (
     GaussianField,
     KummerField,
     SourceEvent,
-    bessel_field,
-    decaying_source_field,
-    gaussian_field,
     greens_eval,
-    kummer_field,
     superpose,
 )
 from .functionals import (

@@ -202,29 +202,24 @@ class KummerField(_RadialField):
         if not all(math.isfinite(c) and n >= 0 and float(n).is_integer() for c, n in coeffs):
             raise DomainError(f"coefficients must be finite and indices integers >= 0: {coeffs}")
         self.coeffs = [(c, int(n)) for c, n in coeffs]
+        self._orders = {k for _, n in self.coeffs for k in (n, n + 1)}  # each M_k once per eval
         self.params = params
         self.dim = params.dim
 
     def value(self, r: float, t: float) -> float:
-        z = r * r / self._check(r, t)
-        total = 0.0
-        for c, n in self.coeffs:
-            total += c * kummer_m(n + 0.5, 2.0 * n + 1.0, z).value
-        if math.isnan(total):  # terms of opposite sign, or a zero C_n, met an overflowed M
-            raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
-        return total / t
+        return self.eval(r, t).value
 
     def eval(self, r: float, t: float) -> FieldEval:
         """With S = sum_n C_n M_n(z) and S' = dS/dz: tau = S / t,
         tau_r = (2 r / 4 nu t) S' / t and tau_t = -(S + z S') / t^2."""
         four_nu_t = self._check(r, t)
         z = r * r / four_nu_t
-        m = {k: kummer_m(k + 0.5, 2.0 * k + 1.0, z).value
-             for _, n in self.coeffs for k in (n, n + 1)}
+        m = {k: kummer_m(k + 0.5, 2.0 * k + 1.0, z).value for k in self._orders}
         total = slope = 0.0
         for c, n in self.coeffs:
             total += c * m[n]
-            slope += c * 0.5 * (m[n] + z / (4.0 * (n + 1)) * m[n + 1])
+            # halve each part before adding: (z/4) M_1 ~ M_0, so the sum overflows first
+            slope += c * (0.5 * m[n] + z / (8.0 * (n + 1)) * m[n + 1])
         out = FieldEval(total / t, 2.0 * r / four_nu_t * slope / t, -(total + z * slope) / t / t)
         if any(map(math.isnan, out)):
             raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
@@ -287,26 +282,6 @@ class DecayingSourceField(_RadialField):
             raise DomainError(f"radius must be > 0, got {r}")
         p = self.params
         return p.q * math.exp(-r * math.sqrt(p.lam / p.nu)) / (4.0 * math.pi * p.nu * r)
-
-
-def gaussian_field(p: FieldParams, r: float, t: float) -> FieldEval:
-    """Evaluate the 3D Gaussian point-source field and its derivatives."""
-    return GaussianField(p).eval(r, t)
-
-
-def bessel_field(p: FieldParams, amplitude: float, r: float, t: float) -> FieldEval:
-    """Evaluate the 2D Bessel line-source field and its derivatives."""
-    return BesselField(p, amplitude).eval(r, t)
-
-
-def kummer_field(coeffs, p: FieldParams, r: float, t: float) -> float:
-    """Evaluate the truncated Kummer profile sum; empty coefficients give 0."""
-    return KummerField(coeffs, p).value(r, t)
-
-
-def decaying_source_field(p: FieldParams, r: float, t: float) -> float:
-    """Evaluate the decaying-source convolution field in closed form."""
-    return DecayingSourceField(p).value(r, t)
 
 
 def greens_eval(x, t: float, y, s: float, nu: float) -> float:

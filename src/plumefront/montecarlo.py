@@ -24,7 +24,6 @@ from .estimation import (
     LN10,
     _check_bootstrap_args,
     _check_grid_size,
-    boundary_from_kappa,
     bootstrap_boundary_interval,
     detect_boundary,
     fit_field_nls,
@@ -150,8 +149,7 @@ def _parametric_detect(d, y):
     """Naive always-report rule: log-linear fit on floored outcomes, boundary
     whenever the fitted decay is positive, no significance gate."""
     fit = fit_loglinear(d, np.maximum(y, DEFAULT_CLAMP))
-    d_star, ci = boundary_from_kappa(fit.kappa_s, fit.se_classical)
-    return d_star, ci
+    return fit.d_star, fit.d_star_ci
 
 
 def _nonparametric_detect(d, y, fraction, n_boot, alpha_level, n_grid, seed):

@@ -24,25 +24,21 @@ kummer_m     the profile family a = n + 1/2, b = 2n + 1 (n = 0, 1, ...),
 bessel_i     the defining series (DLMF 10.25.2).  Both series bound their
              error by their truncation plus 4 (k + 2) eps times the sum of
              the |terms| for rounding, as the profile family does.
-bessel_k0/k1 ascending log series below z = 2; trapezoidal evaluation of
-             the integral representation int_0^inf exp(-z cosh t) cosh(nt) dt
-             on [2, 12) (the integrand decays doubly exponentially, so the
-             trapezoid rule is spectrally accurate there); large-argument
-             asymptotic series from z = 12 where its optimal truncation
-             error is below 1e-11 relative.  A plain two-regime split at
-             z = 2 cannot reach the 1e-9 target: the asymptotic series'
-             smallest term at z = 2 is ~7e-3 of the value.
+bessel_k0/k1 ascending log series below z = 2; from there the trapezoid
+             rule on e^-z int_0^inf exp(-z (cosh t - 1)) cosh(nt) dt (DLMF
+             10.32.9) with step min(0.2, 0.7/sqrt(z)), at most 19 nodes;
+             within 1e-15 relative of mpmath wherever K is normal.
 bessel_k01   K0 and K1 together from the float kernel _k01, which the
              Bessel field's eval calls directly: one series loop for I0, I1
-             and both harmonic sums below z = 2, and one trapezoid loop over
-             the table _K_COSH of cosh(0.2 k) that shares each exp(-z cosh t)
-             between the orders (DLMF 10.31.2, 10.32.9).
+             and both harmonic sums below z = 2 (DLMF 10.31.2), one
+             trapezoid loop from there that shares each exponential between
+             the orders.
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
-             the representations and branch points of bessel_k0, one mask
-             per regime, terms as running products along a second axis.
-             The fields and functionals call the scalar functions, which are
-             faster point by point and carry est_abs_error.
+             the representations and branch point of bessel_k0, one mask
+             per regime, terms along a second axis.  The fields and
+             functionals call the scalar functions, which are faster point
+             by point and carry est_abs_error.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -69,7 +65,6 @@ MAX_TERMS = 500
 
 # Branch points for K0/K1 and the Kummer series.
 K_SERIES_MAX = 2.0
-K_ASYMPTOTIC_MIN = 12.0
 KUMMER_SERIES_MAX = 30.0
 # erfc(26) = 5.7e-296; from z = 26.5 erfc is subnormal, from 27.3 it is 0.
 ERFC_ASYMPTOTIC_MIN = 26.0
@@ -80,18 +75,19 @@ _EXP_MAX = math.log(_FLOAT_MAX)
 _EPS = sys.float_info.epsilon
 _SQRT_PI = math.sqrt(math.pi)
 
-# Terms the array K0 forms in each regime.  Below z = 2, (z^2/4)^k / (k!)^2
-# times H_k is below TERM_STOP from k = 12; from z = 12 the scalar
-# asymptotic loop stops by k = 36 (at z ~ 17).
+# Terms the array K0 series forms below z = 2: (z^2/4)^k / (k!)^2 times H_k
+# is below TERM_STOP from k = 12.
 _K0_SERIES_TERMS = 14
-_K_ASYMPTOTIC_TERMS = 40
 
-# Trapezoid step of the K integrals on [2, 12), and cosh of its nodes
-# t = step, 2 step, ... out to where z cosh t passes 745 (exp underflows)
-# at the smallest z of the regime.
+# Trapezoid step of the K integrals up to z = 12.25, where 0.7/sqrt(z) takes
+# over, and the number of nodes t = h, 2h, ...: at the last, z (cosh t - 1) > 42.
 _K_STEP = 0.2
-_K_COSH = tuple(math.cosh(_K_STEP * k)
-                for k in range(1, int(math.acosh(745.0 / K_SERIES_MAX) / _K_STEP) + 2))
+_K_STEP_SCALE = 0.7
+_K_STEP_MAX_Z = 12.25  # (_K_STEP_SCALE / _K_STEP) ** 2
+_K_NODE_COUNT = 19
+_K_REL_ERR = 4.0 * (_K_NODE_COUNT + 2) * _EPS
+# The smallest subnormal: the rounding of a subnormal K0 or K1.
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -288,113 +284,104 @@ def _k01_series(z: float) -> tuple[float, float]:
 
 
 def _k01_integral(z: float) -> tuple[float, float]:
-    """K0 and K1 on [2, 12) from int_0^inf exp(-z cosh t) cosh(n t) dt,
-    n = 0 and 1 (DLMF 10.32.9), by one trapezoid pass over _K_COSH.
+    """K0 and K1 for z >= 2 from e^-z int_0^inf exp(-z (cosh t - 1)) cosh(n t) dt,
+    n = 0 and 1 (DLMF 10.32.9), by one trapezoid pass with step min(0.2,
+    0.7/sqrt(z)), which follows the exp(-z t^2/2) width of the peak.
 
-    The integrand is even in t and decays like exp(-z e^t / 2); for functions
-    of this type the trapezoid rule converges geometrically in 1/h, so a step
-    of 0.2 already leaves discretization error far below double precision.
-    Each exp(-z cosh t) serves both orders; the pass stops once the K1 term
-    falls below TERM_STOP of the K0 sum, and past the last node of _K_COSH
-    every term underflows anyway.
+    The integrand is analytic and decays doubly exponentially, so the rule
+    converges geometrically in 1/h (Trefethen and Weideman 2014): its error
+    is below 5e-16 relative at every z (the most, for K1, at z = 12.25).
+    Each term serves both orders, as cosh t = 1 + (cosh t - 1); the pass
+    stops once a term of the second sum falls below TERM_STOP of the first,
+    and past the last node every term is below 1e-17 of the sum.
     """
-    k0 = k1 = 0.5 * math.exp(-z)  # t = 0 terms, cosh(0) = 1
-    for ch in _K_COSH:
-        w = math.exp(-z * ch)
-        k0 += w
-        k1 += w * ch
-        if w * ch < TERM_STOP * k0:
+    if z < _K_STEP_MAX_Z:
+        h, nodes = _K_STEP, _K_NODES
+    else:
+        h = _K_STEP_SCALE / math.sqrt(z)
+        nodes = _k_nodes(h)
+    s0, s1 = 0.5, 0.0  # sums of the terms w and of w (cosh t - 1); w = 1/2 at t = 0
+    for c in nodes:
+        w = math.exp(-z * c)
+        s0 += w
+        s1 += w * c
+        if w * c < TERM_STOP * s0:
             break
-    return _K_STEP * k0, _K_STEP * k1
+    scale = math.exp(-z)  # last: where it is subnormal, only one rounding follows
+    return h * s0 * scale, h * (s0 + s1) * scale
+
+
+def _k_nodes(h: float):
+    """cosh t - 1 = 2 sinh(t/2)^2, which keeps its relative accuracy as
+    t -> 0, at the nodes t = h, 2h, ..., _K_NODE_COUNT h."""
+    for k in range(1, _K_NODE_COUNT + 1):
+        half = math.sinh(0.5 * h * k)
+        yield 2.0 * half * half
+
+
+_K_NODES = tuple(_k_nodes(_K_STEP))  # the nodes below z = 12.25
 
 
 def _k01(z: float) -> tuple[float, float, float, float]:
-    """(K0, its error bound, K1, its error bound) as floats; callers check z > 0."""
+    """(K0, its error bound, K1, its error bound) as floats; callers check
+    that z is finite and > 0.
+
+    From z = 2 the bound is 4 (_K_NODE_COUNT + 2) eps (1.9e-14) of the value,
+    for the trapezoid error and the rounding of at most that many positive
+    terms and the scale factor, plus the smallest subnormal for the rounding
+    of a subnormal result.
+    """
     if z < K_SERIES_MAX:
         k0, k1 = _k01_series(z)
         return k0, 1e-14 * (abs(k0) + 1.0), k1, 1e-14 * (abs(k1) + 1.0 / z)
-    if z < K_ASYMPTOTIC_MIN:
-        k0, k1 = _k01_integral(z)
-        return k0, 1e-13 * k0, k1, 1e-13 * k1
-    return (*_k_asymptotic(z, 0.0), *_k_asymptotic(z, 4.0))
-
-
-def _k_asymptotic(z: float, mu: float) -> tuple[float, float]:
-    """Large-argument series sqrt(pi/2z) e^-z sum_k prod(mu-(2j-1)^2)/(k!(8z)^k),
-    mu = 4 n^2 for K_n: (value, error bound).
-
-    Terms are added while they shrink; the first omitted term bounds the
-    relative truncation error.
-    """
-    total = 1.0
-    term = 1.0
-    truncation = 0.0
-    for k in range(1, MAX_TERMS + 1):
-        ratio = (mu - (2 * k - 1) ** 2) / (8.0 * z * k)
-        nxt = term * ratio
-        if abs(nxt) >= abs(term):
-            truncation = abs(nxt)
-            break
-        term = nxt
-        total += term
-        if abs(term) < TERM_STOP * abs(total):
-            truncation = abs(term)
-            break
-    prefactor = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    value = prefactor * total
-    return value, prefactor * truncation + 1e-15 * abs(value)
+    k0, k1 = _k01_integral(z)
+    return k0, _K_REL_ERR * k0 + _TINY, k1, _K_REL_ERR * k1 + _TINY
 
 
 def bessel_k0(z: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind, order zero, for z > 0."""
-    if not z > 0:
-        raise DomainError(f"bessel_k0 requires z > 0, got {z}")
+    """Modified Bessel function of the second kind, order zero, for finite z > 0."""
+    if not 0 < z < math.inf:
+        raise DomainError(f"bessel_k0 requires finite z > 0, got {z}")
     k0, err0, _, _ = _k01(z)
     return SpecFunResult(k0, err0)
 
 
 def bessel_k1(z: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind, order one, for z > 0:
+    """Modified Bessel function of the second kind, order one, for finite z > 0:
     K0' = -K1 at full accuracy, which differencing K0 would not give."""
-    if not z > 0:
-        raise DomainError(f"bessel_k1 requires z > 0, got {z}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"bessel_k1 requires finite z > 0, got {z}")
     _, _, k1, err1 = _k01(z)
     return SpecFunResult(k1, err1)
 
 
 def bessel_k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
-    """(K0(z), K1(z)) for z > 0: the values of `bessel_k0` and `bessel_k1`
+    """(K0(z), K1(z)) for finite z > 0: the values of `bessel_k0` and `bessel_k1`
     from one kernel call."""
-    if not z > 0:
-        raise DomainError(f"bessel_k01 requires z > 0, got {z}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"bessel_k01 requires finite z > 0, got {z}")
     k0, err0, k1, err1 = _k01(z)
     return SpecFunResult(k0, err0), SpecFunResult(k1, err1)
 
 
 def bessel_k0_array(z) -> np.ndarray:
-    """K0 of every element of z > 0, shaped like z; values only.
+    """K0 of every element of z, finite and > 0, shaped like z; values only.
 
-    Same representations and branch points as `bessel_k0`, within 1e-13 of
+    Same representations and branch point as `bessel_k0`, within 1e-15 of
     it wherever K0 is normal; past z ~ 705 the values are subnormal and
     reach 0 near z = 742.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(z > 0):
-        raise DomainError(f"bessel_k0_array requires z > 0, got {z[~(z > 0)].flat[0]}")
+    ok = (z > 0) & (z < math.inf)
+    if not ok.all():
+        raise DomainError(f"bessel_k0_array requires finite z > 0, got {z[~ok].flat[0]}")
     flat = z.ravel()
     out = np.empty_like(flat)
-
     small = flat < K_SERIES_MAX
     if small.any():
         out[small] = _k0_series_array(flat[small])
-
-    mid = ~small & (flat < K_ASYMPTOTIC_MIN)
-    if mid.any():
-        out[mid] = _k0_integral_array(flat[mid])
-
-    large = flat >= K_ASYMPTOTIC_MIN
-    if large.any():
-        out[large] = _k0_asymptotic_array(flat[large])
+    if not small.all():
+        out[~small] = _k0_integral_array(flat[~small])
     return out.reshape(z.shape)
 
 
@@ -409,32 +396,14 @@ def _k0_series_array(z: np.ndarray) -> np.ndarray:
 
 
 def _k0_integral_array(z: np.ndarray) -> np.ndarray:
-    """The K0 half of `_k01_integral` for an array, on every node of
-    _K_COSH; terms past z cosh t = 745 underflow to 0."""
+    """The K0 half of `_k01_integral` for an array, on all _K_NODE_COUNT
+    nodes of each element's step; the terms past the scalar pass's stop are
+    below 1e-16 of the sum."""
+    h = np.minimum(_K_STEP, _K_STEP_SCALE / np.sqrt(z))
+    half = np.sinh(0.5 * np.multiply.outer(h, np.arange(1, _K_NODE_COUNT + 1)))
     with np.errstate(under="ignore"):
-        terms = np.exp(-np.multiply.outer(z, _K_COSH))
-    return _K_STEP * (0.5 * np.exp(-z) + terms.sum(axis=1))
-
-
-def _k0_asymptotic_array(z: np.ndarray) -> np.ndarray:
-    """`_k_asymptotic` with mu = 0 for an array, truncated per element.
-
-    All _K_ASYMPTOTIC_TERMS terms are formed at once; each element keeps the
-    terms the scalar loop adds: up to the first term that does not shrink
-    (excluded) or the first below TERM_STOP of the running sum (included).
-    """
-    k = np.arange(1, _K_ASYMPTOTIC_TERMS + 1)
-    ratios = -((2 * k - 1.0) ** 2) / np.multiply.outer(8.0 * z, k)
-    terms = np.cumprod(np.column_stack([np.ones_like(z), ratios]), axis=1)
-    sums = np.cumsum(terms, axis=1)  # sums[:, j] = 1 + term_1 + ... + term_j
-    size = np.abs(terms)
-    grows = size[:, 1:] >= size[:, :-1]
-    stop = grows | (size[:, 1:] < TERM_STOP * np.abs(sums[:, 1:]))
-    rows = np.arange(z.size)
-    first = np.argmax(stop, axis=1)
-    total = sums[rows, first + ~grows[rows, first]]
-    with np.errstate(under="ignore"):
-        return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * total
+        terms = np.exp(-z[:, None] * (2.0 * half * half))
+        return h * (0.5 + terms.sum(axis=1)) * np.exp(-z)
 
 
 def _exp_erfc(a: float, z: float) -> float:

@@ -18,11 +18,7 @@ from plumefront.fields import (
     GaussianField,
     KummerField,
     SourceEvent,
-    bessel_field,
-    decaying_source_field,
-    gaussian_field,
     greens_eval,
-    kummer_field,
     superpose,
 )
 from plumefront.specfun import bessel_k0, kummer_m
@@ -43,18 +39,18 @@ def test_field_params_validation():
 
 class TestGaussianField:
     def test_peak_value(self):
-        ev = gaussian_field(UNIT, r=0.0, t=1.0)
+        ev = GaussianField(UNIT).eval(r=0.0, t=1.0)
         assert ev.value == pytest.approx((4.0 * math.pi) ** -1.5, rel=1e-14)
 
     def test_off_center_value(self):
-        ev = gaussian_field(UNIT, r=2.0, t=1.0)
+        ev = GaussianField(UNIT).eval(r=2.0, t=1.0)
         assert ev.value == pytest.approx((4.0 * math.pi) ** -1.5 * math.exp(-1.0), rel=1e-14)
 
     def test_gradient_zero_at_source(self):
-        assert gaussian_field(UNIT, r=0.0, t=3.7).d_dr == 0.0
+        assert GaussianField(UNIT).eval(r=0.0, t=3.7).d_dr == 0.0
 
     def test_gradient_points_inward(self):
-        assert gaussian_field(UNIT, r=1.0, t=1.0).d_dr < 0
+        assert GaussianField(UNIT).eval(r=1.0, t=1.0).d_dr < 0
 
     def test_derivatives_match_finite_differences(self):
         g = GaussianField(UNIT)
@@ -99,24 +95,24 @@ class TestGaussianField:
 
     def test_time_domain(self):
         with pytest.raises(DomainError):
-            gaussian_field(UNIT, r=1.0, t=0.0)
+            GaussianField(UNIT).eval(r=1.0, t=0.0)
 
 
 class TestBesselField:
     PARAMS = FieldParams(nu=1.0, q=1.0, dim=2, source_pos=(0.0, 0.0))
 
     def test_value_is_scaled_k0(self):
-        ev = bessel_field(self.PARAMS, amplitude=1.0, r=2.0, t=1.0)
+        ev = BesselField(self.PARAMS, amplitude=1.0).eval(r=2.0, t=1.0)
         assert ev.value == pytest.approx(bessel_k0(1.0).value, rel=1e-12)
 
     def test_one_over_t_amplitude_scaling(self):
-        ev = bessel_field(self.PARAMS, amplitude=1.0, r=2.0, t=4.0)
+        ev = BesselField(self.PARAMS, amplitude=1.0).eval(r=2.0, t=4.0)
         assert ev.value == pytest.approx(bessel_k0(0.5).value / 4.0, rel=1e-12)
 
     def test_positive(self):
         for r in (0.1, 1.0, 5.0):
             for t in (0.2, 1.0, 8.0):
-                assert bessel_field(self.PARAMS, 2.0, r, t).value > 0
+                assert BesselField(self.PARAMS, 2.0).eval(r, t).value > 0
 
     def test_derivatives_match_finite_differences(self):
         f = BesselField(self.PARAMS, amplitude=1.5)
@@ -128,27 +124,28 @@ class TestBesselField:
             assert f.d_dt(r, t) == pytest.approx(fd_t, rel=1e-6)
 
     def test_eval_agrees_with_the_three_methods(self):
-        # arguments w = r / (2 sqrt(nu t)) in all three K regimes
+        # arguments w = r / (2 sqrt(nu t)) in both K regimes, with both trapezoid steps
         f = BesselField(self.PARAMS, amplitude=1.5)
-        for r, t in [(0.5, 1.0), (3.9, 1.0), (4.0, 1.0), (10.0, 1.0), (24.0, 1.0), (60.0, 2.0)]:
+        for r, t in [(0.5, 1.0), (3.9, 1.0), (4.0, 1.0), (10.0, 1.0), (24.0, 1.0), (24.5, 1.0),
+                     (60.0, 2.0)]:
             ev = f.eval(r, t)
             assert (ev.value, ev.d_dr) == (f.value(r, t), f.d_dr(r, t))
             assert ev.d_dt == pytest.approx(f.d_dt(r, t), rel=1e-15, abs=0.0)
 
     def test_singular_at_origin(self):
         with pytest.raises(DomainError):
-            bessel_field(self.PARAMS, 1.0, r=0.0, t=1.0)
+            BesselField(self.PARAMS, 1.0).eval(r=0.0, t=1.0)
 
 
 class TestKummerField:
     def test_empty_sum(self):
-        assert kummer_field([], UNIT, r=3.0, t=2.0) == 0.0
+        assert KummerField([], UNIT).value(r=3.0, t=2.0) == 0.0
 
     def test_leading_term_at_source(self):
-        assert kummer_field([(1.0, 0)], UNIT, r=0.0, t=1.0) == pytest.approx(1.0, rel=1e-14)
+        assert KummerField([(1.0, 0)], UNIT).value(r=0.0, t=1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_kummer_series(self):
-        val = kummer_field([(1.0, 0)], UNIT, r=2.0, t=1.0)
+        val = KummerField([(1.0, 0)], UNIT).value(r=2.0, t=1.0)
         assert val == pytest.approx(kummer_m(0.5, 1.0, 1.0).value, rel=1e-12)
 
     def test_single_term_is_rescaled_bessel_i_composition(self):
@@ -158,11 +155,11 @@ class TestKummerField:
         r, t = 2.5, 1.7
         w = r * r / (8.0 * t)
         expected = math.exp(w) * bessel_i(0.0, w).value / t
-        assert kummer_field([(1.0, 0)], UNIT, r=r, t=t) == pytest.approx(expected, rel=1e-8)
+        assert KummerField([(1.0, 0)], UNIT).value(r=r, t=t) == pytest.approx(expected, rel=1e-8)
 
     def test_linear_in_coefficients(self):
-        a = kummer_field([(1.0, 0), (0.5, 1)], UNIT, r=1.0, t=2.0)
-        b = kummer_field([(2.0, 0), (1.0, 1)], UNIT, r=1.0, t=2.0)
+        a = KummerField([(1.0, 0), (0.5, 1)], UNIT).value(r=1.0, t=2.0)
+        b = KummerField([(2.0, 0), (1.0, 1)], UNIT).value(r=1.0, t=2.0)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_matches_scipy_on_both_sides_of_z_30(self):
@@ -173,7 +170,7 @@ class TestKummerField:
             r = math.sqrt(4.0 * params.nu * t * z)
             z_field = r * r / (4.0 * params.nu * t)
             expected = sum(c * hyp1f1(n + 0.5, 2.0 * n + 1.0, z_field) for c, n in coeffs) / t
-            assert kummer_field(coeffs, params, r=r, t=t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert KummerField(coeffs, params).value(r=r, t=t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
     @pytest.mark.parametrize("coeffs", [[(1.0, 0)], [(1.0, 0), (0.5, 2)], [(0.3, 1), (2.0, 3)]])
@@ -244,7 +241,7 @@ class TestDecayingSourceField:
         p = FieldParams(nu=1.0, q=1.0, lam=1e-8)
         g = GaussianField(UNIT)
         sustained, _ = quad(lambda s: g.value(1.0, s) if s > 0 else 0.0, 0.0, 1.0, epsrel=1e-10)
-        assert decaying_source_field(p, r=1.0, t=1.0) == pytest.approx(sustained, rel=1e-4)
+        assert DecayingSourceField(p).value(r=1.0, t=1.0) == pytest.approx(sustained, rel=1e-4)
 
     def test_settles_to_steady_state(self):
         # less than 1% relative motion between lam*t = 20 and lam*t = 40
@@ -423,7 +420,7 @@ class TestDomainEdges:
     @pytest.mark.parametrize("t", [1e-220, 1e300])
     def test_gaussian_and_greens_underflow_to_zero(self, t):
         assert GaussianField(UNIT).value(1.0, t) == 0.0
-        assert gaussian_field(UNIT, 1.0, t) == (0.0, -0.0, 0.0)
+        assert GaussianField(UNIT).eval(1.0, t) == (0.0, -0.0, 0.0)
         assert greens_eval((1.0, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("make", [
@@ -444,3 +441,18 @@ class TestDomainEdges:
         # M(3/2, 3, z) overflows at z = 1000, and 0 * inf would be NaN
         with pytest.raises(NumericalError):
             KummerField([(1.0, 0), (0.0, 1)], UNIT).value(math.sqrt(4000.0), 1.0)
+
+    @pytest.mark.parametrize("coeffs", [[(1.0, 0), (-0.5, 0)], [(1.0, 0), (-1000.0, 1)]])
+    def test_kummer_value_raises_only_where_the_sum_is_nan(self, coeffs):
+        # M_0 reaches the largest float near z = 713.6, and (z/4) M_1 ~ M_0 there, so a
+        # derivative that added M_0 to (z/4) M_1 before halving would overflow first
+        t = 2.0
+        for z in np.linspace(712.0, 714.5, 251):
+            r = math.sqrt(4.0 * t * z)
+            z_field = r * r / (4.0 * t)
+            total = sum(c * kummer_m(n + 0.5, 2.0 * n + 1.0, z_field).value for c, n in coeffs)
+            if math.isnan(total):
+                with pytest.raises(NumericalError):
+                    KummerField(coeffs, UNIT).value(r, t)
+            else:
+                assert KummerField(coeffs, UNIT).value(r, t) == total / t
