@@ -7,6 +7,9 @@ distances are kilometres throughout.  Every run echoes its resolved
 configuration (and seed, where one applies) on stderr so results can be
 reproduced byte for byte.
 
+The closed-form subcommands need no numpy; estimate, diagnose, ingest and
+montecarlo import the modules that do when they run.
+
 Exit codes: 0 success, 1 usage error, 2 data or numerical error.
 """
 
@@ -18,9 +21,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import estimation, functionals, ingest, montecarlo
+from . import functionals
 from .errors import PlumefrontError
 from .fields import BesselField, DecayingSourceField, FieldParams, GaussianField, KummerField
 
@@ -173,6 +174,8 @@ def _run_exposure(args):
 
 
 def _run_montecarlo(args):
+    from . import montecarlo
+
     if args.dgp == "all":
         specs = list(montecarlo.STANDARD_DGPS.values())
     else:
@@ -195,6 +198,8 @@ def _run_montecarlo(args):
 
 
 def _run_estimate(args):
+    from . import estimation, ingest
+
     _require(args, "input")
     d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
     rows = []
@@ -221,6 +226,8 @@ def _run_estimate(args):
 
 
 def _run_diagnose(args):
+    from . import estimation, ingest
+
     _require(args, "input")
     d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
     report = estimation.diagnostics(d, y, n_bins=args.bins)
@@ -243,6 +250,8 @@ def _run_diagnose(args):
 
 
 def _run_ingest(args):
+    from . import ingest
+
     _require(args, "sources", "observations")
     sources = ingest.load_sources(args.sources, min_capacity=args.min_capacity)
     obs, delimiter = ingest.read_observation_columns(args.observations)

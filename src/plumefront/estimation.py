@@ -304,7 +304,9 @@ def _loclin_sums(xs, w, wy, grid, h):
     p = np.empty((10, grid.size))
     for g0, g1 in zip(starts, ends):
         a, b = lo[g0], hi[g1 - 1]
-        zp = ((xs[a:b] - centre[g0]) / h) ** np.arange(5)[:, None]
+        z = (xs[a:b] - centre[g0]) / h
+        z2 = z * z
+        zp = np.array([np.ones_like(z), z, z2, z2 * z, z2 * z2])  # z^i by products, not pow
         cs = np.zeros((10, b - a + 1))  # column 0 is the empty prefix
         np.cumsum(np.vstack([w[a:b] * zp, wy[a:b] * zp[:4], w[a:b] > 0]), axis=1, out=cs[:, 1:])
         p[:, g0:g1] = cs[:, hi[g0:g1] - a] - cs[:, lo[g0:g1] - a]

@@ -14,8 +14,9 @@ NaN: a value that underflows is 0.0, and so are its derivatives; one that
 overflows is inf, except that GaussianField.eval raises NumericalError.
 
 Every value is a float expression in math and the specfun kernels: nothing
-here imports scipy.  Drift velocity is zero throughout, as in every closed-form
-solution in scope, and FieldParams deliberately reserves no slot for it.
+here imports numpy or scipy.  Drift velocity is zero throughout, as in every
+closed-form solution in scope, and FieldParams deliberately reserves no slot
+for it.
 """
 
 from __future__ import annotations

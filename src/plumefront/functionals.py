@@ -12,6 +12,10 @@ s = r / (L sqrt(t)) for t up to a horizon T, possibly inf, all through
 `quadrature`, the package's one QUADPACK call, so an integral that diverges
 or does not converge raises NumericalError instead of returning a truncated
 number.
+
+Scalars throughout are floats in math, so importing this module loads no
+numpy: only `optimal_centroid` and `functional_derivative`, which take
+arrays, import it, and only `quadrature` imports scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NonMonotoneFieldWarning, NumericalError
 from .specfun import unit_sphere_area
@@ -207,9 +209,13 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
     else:
         return None
 
-    samples = [float(r) for r in np.linspace(r_lo if r_lo > 0 else r_hi * 1e-9, r_hi, 33)]
+    # the radii of np.linspace(start, r_hi, 33): start + k step, the last one r_hi
+    start = r_lo if r_lo > 0 else r_hi * 1e-9
+    step = (r_hi - start) / 32
+    samples = [start + k * step for k in range(32)] + [r_hi]
     values = [field.value(r, t) for r in samples]
-    if np.any(np.diff(values) > 1e-12 * np.max(np.abs(values))):
+    rise = 1e-12 * max(map(abs, values))
+    if any(b - a > rise for a, b in zip(values, values[1:])):
         warnings.warn(
             "field is not radially monotone at this time; reporting the first "
             "threshold crossing, which may not be unique",
@@ -321,6 +327,8 @@ def boundary_sensitivity(field_factory, nu: float, spec: BoundarySpec, t: float)
 
 def optimal_centroid(population) -> tuple[float, ...]:
     """Weight-averaged location Sum w_i x_i / Sum w_i of a discrete population."""
+    import numpy as np
+
     population = list(population)
     if not population:
         raise DomainError("population must be non-empty")
@@ -350,6 +358,8 @@ def functional_derivative(
     differences in the radial form f'' + (d-1)/r f', so gradient_energy is
     unavailable at the grid endpoints.
     """
+    import numpy as np
+
     if kind not in _DERIVATIVE_KINDS:
         raise DomainError(f"unknown functional kind {kind!r}")
     r = np.asarray(r_grid, dtype=float)

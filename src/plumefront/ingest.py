@@ -20,6 +20,8 @@ chord-nearest source is the haversine-nearest one).
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -106,13 +108,15 @@ def _unit_vectors(lat, lon) -> np.ndarray:
 
 
 def _read_text_columns(path, names, label):
-    """(delimiter, the named columns as lists of text, each row's line number).
+    """(delimiter, the named columns as tuples of text, the line lookup).
 
     names: two or more column names.  None for a file with no header.  The
     delimiter is a tab when the first 4 kB hold more tabs than commas.  Blank
     lines are skipped; a short row reads None past its end and a repeated
     header name its last column, as csv.DictReader would.  Only the named
-    fields of a row are kept.
+    fields of a row are kept.  The lookup maps a row's index in the columns
+    to the file line it ends on; it reads the file again, so it is called
+    only for the row an error message cites.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         sample = handle.read(4096)
@@ -128,10 +132,20 @@ def _read_text_columns(path, names, label):
         index = {n: i for i, n in enumerate(header)}
         position = [index[n] for n in names]
         get, top, pad = operator.itemgetter(*position), max(position), [None] * len(header)
-        numbered = [get(row if len(row) > top else row + pad) + (rows.line_num,)
-                    for row in rows if row]
-    *columns, lines = ([t[k] for t in numbered] for k in range(len(names) + 1))
-    return rows.dialect.delimiter, columns, lines
+        picked = [get(row if len(row) > top else row + pad) for row in rows if row]
+    delimiter = rows.dialect.delimiter
+    columns = list(zip(*picked)) or [()] * len(names)
+    return delimiter, columns, functools.partial(_line_number, path, delimiter)
+
+
+def _line_number(path, delimiter, index):
+    """The line on which row `index` of the columns of `_read_text_columns`
+    ends, as its csv reader counts lines (a quoted field may span several)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = csv.reader(handle, delimiter=delimiter)
+        next(rows)  # the header
+        ends = (rows.line_num for row in rows if row)
+        return next(itertools.islice(ends, index, None))
 
 
 def _float_column(texts):
@@ -148,16 +162,17 @@ def _float_column(texts):
     return values, bad
 
 
-def _raise_first(lines, checks, where=""):
+def _raise_first(line_number, checks, where=""):
     """Raise DataError for the first row in file order that fails a check.
 
     checks: (mask of failing rows, message of row i and its label "row N"),
-    in the order one row is checked, so a row failing two reports the first.
+    in the order one row is checked, so a row failing two reports the first;
+    line_number(i) is the N of row i.
     """
     failed = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
     if failed:
         i, k = min(failed)
-        raise DataError(checks[k][1](i, f"{where}row {lines[i]}"))
+        raise DataError(checks[k][1](i, f"{where}row {line_number(i)}"))
 
 
 def _not_numeric(column, texts):
@@ -173,9 +188,10 @@ def read_numeric_columns(path, names) -> list[np.ndarray]:
     table = _read_text_columns(path, names, f"{path}:")
     if table is None:
         raise DataError(f"{path}: empty input file")
-    _, texts, lines = table
+    _, texts, line_number = table
     parsed = [_float_column(t) for t in texts]
-    _raise_first(lines, [(bad, _not_numeric(n, t)) for n, t, (_, bad) in zip(names, texts, parsed)],
+    _raise_first(line_number,
+                 [(bad, _not_numeric(n, t)) for n, t, (_, bad) in zip(names, texts, parsed)],
                  f"{path} ")
     return [values for values, _ in parsed]
 
@@ -204,13 +220,13 @@ def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
     table = _read_text_columns(path, SOURCE_COLUMNS, "sources file")
     if table is None:
         return []
-    _, (raw_id, lat_text, lon_text, capacity_text), lines = table
+    _, (raw_id, lat_text, lon_text, capacity_text), line_number = table
     ids = [(text or "").strip() for text in raw_id]
     first = {}
     repeated = np.array([first.setdefault(sid, k) != k for k, sid in enumerate(ids)], dtype=bool)
     (lat, bad_lat), (lon, bad_lon), (capacity, bad_capacity) = map(
         _float_column, (lat_text, lon_text, capacity_text))
-    _raise_first(lines, [
+    _raise_first(line_number, [
         (np.array([not sid for sid in ids], dtype=bool), lambda i, row: f"{row}: empty source id"),
         (repeated, lambda i, row: f"duplicate source id {ids[i]!r} at {row}"),
         (bad_lat, _not_numeric("lat", lat_text)),
@@ -245,14 +261,14 @@ def read_observation_columns(path) -> tuple[dict, str]:
     table = _read_text_columns(path, OBSERVATION_COLUMNS, "observations file")
     if table is None:
         return _observation_columns([]), ","
-    delimiter, (lat_text, lon_text, raw_period, raw_outcome), lines = table
+    delimiter, (lat_text, lon_text, raw_period, raw_outcome), line_number = table
     strip = {raw: (raw or "").strip() for raw in set(raw_period)}
     period = np.array([strip[raw] for raw in raw_period], dtype=object)
     bad_periods = {raw for raw, p in strip.items() if not _is_period(p)}
     outcome_text = [(text or "").strip() for text in raw_outcome]
     outcome, bad_outcome = _float_column([text or "nan" for text in outcome_text])
     (lat, bad_lat), (lon, bad_lon) = _float_column(lat_text), _float_column(lon_text)
-    _raise_first(lines, [
+    _raise_first(line_number, [
         (np.array([raw in bad_periods for raw in raw_period], dtype=bool),
          lambda i, row: f"{row}: period {period[i]!r} is not YYYY-MM"),
         (bad_outcome, _not_numeric("outcome", outcome_text)),

@@ -38,7 +38,9 @@ bessel_k0_array
              the representations and branch point of bessel_k0, one mask
              per regime, terms along a second axis.  The fields and
              functionals call the scalar functions, which are faster point
-             by point and carry est_abs_error.
+             by point and carry est_abs_error.  It and its two helpers are
+             the only numpy code here and import it when called, so
+             importing specfun loads no numpy.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -52,8 +54,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NumericalError
 
@@ -371,6 +371,8 @@ def bessel_k0_array(z) -> np.ndarray:
     it wherever K0 is normal; past z ~ 705 the values are subnormal and
     reach 0 near z = 742.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=float)
     ok = (z > 0) & (z < math.inf)
     if not ok.all():
@@ -388,6 +390,8 @@ def bessel_k0_array(z) -> np.ndarray:
 def _k0_series_array(z: np.ndarray) -> np.ndarray:
     """The K0 half of `_k01_series` for an array: the terms u_k as one
     running product over k = 1 .. _K0_SERIES_TERMS."""
+    import numpy as np
+
     k_sq = np.arange(1, _K0_SERIES_TERMS + 1) ** 2
     terms = np.cumprod(np.divide.outer(0.25 * z * z, k_sq), axis=1)
     harmonic = np.cumsum(1.0 / np.arange(1, _K0_SERIES_TERMS + 1))
@@ -399,6 +403,8 @@ def _k0_integral_array(z: np.ndarray) -> np.ndarray:
     """The K0 half of `_k01_integral` for an array, on all _K_NODE_COUNT
     nodes of each element's step; the terms past the scalar pass's stop are
     below 1e-16 of the sum."""
+    import numpy as np
+
     h = np.minimum(_K_STEP, _K_STEP_SCALE / np.sqrt(z))
     half = np.sinh(0.5 * np.multiply.outer(h, np.arange(1, _K_NODE_COUNT + 1)))
     with np.errstate(under="ignore"):

@@ -1,6 +1,12 @@
-"""Importing the package, running closed-form commands (the decaying-source
-field and boundary too) and selecting a profile model (Gaussian data, and
-Bessel data with the cylindrical hint) load neither scipy nor statistics."""
+"""What each entry point loads.
+
+`import plumefront` and the closed-form commands (`field` and `boundary` for
+every profile) load no numpy, scipy or statistics; the exports of
+dynamics, estimation, ingest and montecarlo resolve on first use to their
+home module's attributes.  Selecting a profile model (Gaussian data, and
+Bessel data with the cylindrical hint) loads neither scipy nor statistics.
+`ingest` loads no estimation, montecarlo or dynamics, and `estimate` and
+`diagnose` no montecarlo or dynamics."""
 
 import os
 import subprocess
@@ -12,24 +18,52 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = """
 import sys
 
+def loaded(*roots):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+
 def lazy_modules():
     # statistics, too, is imported only where it is used
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "statistics"))
+    return loaded("scipy", "statistics")
 
 import plumefront, plumefront.cli
-assert not lazy_modules(), lazy_modules()
-code = plumefront.cli.dispatch(
-    ["boundary", "--profile", "gaussian", "--nu", "1", "--epsilon", "0.1", "--t", "4"]
-)
-assert code == 0, code
-assert not lazy_modules(), lazy_modules()
+assert not loaded("numpy", "scipy", "statistics"), loaded("numpy", "scipy", "statistics")
 
-# the decaying-source field is a closed form in math and specfun
-for argv in (["field", "--profile", "decaying", "--lam", "1", "--r", "1,2", "--t", "2"],
-             ["boundary", "--profile", "decaying", "--lam", "1", "--tau-min", "1e-6",
-              "--t", "30"]):
-    assert plumefront.cli.dispatch(argv) == 0, argv
-    assert not lazy_modules(), (argv, lazy_modules())
+# the closed forms are floats in math and specfun, for every profile
+for profile in (["gaussian"], ["bessel", "--amplitude", "0.7"], ["kummer", "--coeffs", "1,0.5"],
+                ["decaying", "--lam", "1"]):
+    for argv in (["field", "--r", "1,2", "--t", "2"],
+                 ["boundary", "--tau-min", "1e-4", "--t", "1,30"]):
+        argv = [*argv, "--profile", *profile]
+        assert plumefront.cli.dispatch(argv) == 0, argv
+        assert not loaded("numpy", "scipy", "statistics"), (argv, loaded("numpy"))
+
+# the rest of the namespace resolves on first use, to its home module's object
+assert "plumefront.dynamics" not in sys.modules
+assert plumefront.dynamics is sys.modules["plumefront.dynamics"]
+import importlib
+modules = [importlib.import_module("plumefront." + name)
+           for name in ("errors", "specfun", "fields", "functionals", "dynamics", "estimation",
+                        "ingest", "montecarlo")]
+assert set(plumefront.__all__) <= set(dir(plumefront))
+for name in plumefront.__all__:
+    homes = [m for m in modules if name in vars(m)]
+    assert homes, name
+    assert all(getattr(plumefront, name) is vars(m)[name] for m in homes), name
+
+# nothing is cached here: a patch of the home module shows through the package
+original = plumefront.estimation.fit_loglinear
+plumefront.estimation.fit_loglinear = patched = lambda *args: None
+assert plumefront.fit_loglinear is patched
+plumefront.estimation.fit_loglinear = original
+assert plumefront.fit_loglinear is original and "fit_loglinear" not in vars(plumefront)
+
+try:
+    plumefront.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("plumefront.no_such_name resolved")
+assert not lazy_modules(), lazy_modules()
 
 # the field fits search log nu themselves (no scipy.optimize)
 from plumefront.estimation import select_profile_model, simulate_gaussian_field_sample
@@ -82,16 +116,20 @@ with open(obs, "w") as fh:
             for month in range(1, 13):
                 value = math.exp(-0.02 * d) * (1.0 + 0.1 * math.sin(7 * i + 3 * j + month))
                 fh.write(f"{lat:.1f},{lon:.1f},2020-{month:02d},{value:.6g}\n")
-for argv in (
-    ["ingest", "--sources", src, "--observations", obs, "--out", sample],
-    ["estimate", "--input", sample, "--method", "both", "--robust-cutoff", "50",
-     "--out", os.devnull],
-    ["diagnose", "--input", sample, "--split", "30", "--out", os.devnull],
+for argv, unused in (
+    (["ingest", "--sources", src, "--observations", obs, "--out", sample],
+     ("estimation", "montecarlo", "dynamics")),
+    (["estimate", "--input", sample, "--method", "both", "--robust-cutoff", "50",
+      "--out", os.devnull], ("montecarlo", "dynamics")),
+    (["diagnose", "--input", sample, "--split", "30", "--out", os.devnull],
+     ("montecarlo", "dynamics")),
 ):
     code = plumefront.cli.dispatch(argv)
     assert code == 0, (argv[0], code)
     scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not scipy, (argv[0], scipy)
+    loaded = [m for m in unused if "plumefront." + m in sys.modules]
+    assert not loaded, (argv[0], loaded)
 """
 
 

@@ -14,7 +14,13 @@ import pytest
 
 from plumefront.cli import dispatch
 from plumefront.errors import DataError
-from plumefront.ingest import build_sample, haversine_km, load_observations, load_sources
+from plumefront.ingest import (
+    build_sample,
+    haversine_km,
+    load_observations,
+    load_sources,
+    read_numeric_columns,
+)
 
 COLUMNS = ["lat", "lon", "period", "outcome", "nearest_source_id", "distance_km"]
 
@@ -149,6 +155,25 @@ def test_first_bad_row_in_file_order_wins(tmp_path):
     obs.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=r"^row 6: period '2019-3x' is not YYYY-MM$"):
         load_observations(obs)
+
+
+def test_row_number_counts_blank_lines_and_multiline_fields(tmp_path):
+    # "row N" is the file line a row ends on: the blank line 3 and the quoted
+    # field spanning lines 4-5 both count, and neither is a row of its own
+    obs = tmp_path / "obs.csv"
+    obs.write_text('lat,lon,period,outcome\n30.1,-95,2019-01,1.5\n\n'
+                   '30.2,-95,2019-02,"1.5\n"\nnorth,-95,2019-03,1.0\n')
+    with pytest.raises(DataError) as excinfo:
+        load_observations(obs)
+    assert str(excinfo.value) == "row 6: column 'lat' is not numeric: 'north'"
+    table = tmp_path / "table.csv"
+    table.write_text('distance_km,outcome\n1,2\n\n2,"3\n"\nx,4\n')
+    with pytest.raises(DataError) as excinfo:
+        read_numeric_columns(table, ["distance_km", "outcome"])
+    assert str(excinfo.value) == f"{table} row 6: column 'distance_km' is not numeric: 'x'"
+    table.write_text('distance_km,outcome\n1,2\n\n2,"3\n"\n5,4\n')
+    d, y = read_numeric_columns(table, ["distance_km", "outcome"])
+    assert d.tolist() == [1.0, 2.0, 5.0] and y.tolist() == [2.0, 3.0, 4.0]
 
 
 def test_nan_coordinate_is_out_of_range(tmp_path):
