@@ -70,18 +70,10 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DataError", "DomainError", "FitError", "InsufficientDataError",
-    "NonMonotoneFieldWarning", "NumericalError", "PlumefrontError",
-    "BesselField", "DecayingSourceField", "FieldEval", "FieldParams", "GaussianField",
-    "KummerField", "SourceEvent", "greens_eval", "superpose",
-    "BoundarySpec", "MomentResult", "boundary_radius", "boundary_sensitivity",
-    "boundary_velocity", "cumulative_exposure", "energy", "functional_derivative",
-    "optimal_centroid", "spatial_moment",
-    "SpecFunResult", "bessel_i", "bessel_k0", "bessel_k01", "bessel_k1", "gamma_fn",
-    "kummer_m", "pochhammer",
-    *_HOME,
-]
+# every name imported above (not the submodules themselves), then the lazy ones
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(importlib))]
+__all__ += _HOME
 
 
 def __getattr__(name):

@@ -121,9 +121,8 @@ def _read_text_columns(path, names, label):
     with open(path, newline="", encoding="utf-8") as handle:
         sample = handle.read(4096)
         handle.seek(0)
-        tabs = sample.count("\t") > sample.count(",")
-        rows = csv.reader(handle, delimiter="\t" if tabs else ",")
-        header = next(rows, None)
+        delimiter = "\t" if sample.count("\t") > sample.count(",") else ","
+        _, header, rows = _data_rows(handle, delimiter)
         if header is None:
             return None
         missing = [n for n in names if n not in header]
@@ -132,19 +131,26 @@ def _read_text_columns(path, names, label):
         index = {n: i for i, n in enumerate(header)}
         position = [index[n] for n in names]
         get, top, pad = operator.itemgetter(*position), max(position), [None] * len(header)
-        picked = [get(row if len(row) > top else row + pad) for row in rows if row]
-    delimiter = rows.dialect.delimiter
+        picked = [get(row if len(row) > top else row + pad) for row in rows]
     columns = list(zip(*picked)) or [()] * len(names)
     return delimiter, columns, functools.partial(_line_number, path, delimiter)
+
+
+def _data_rows(handle, delimiter):
+    """(the csv reader, its header or None, its non-blank rows after it).
+
+    The one rule for which rows are data, shared by `_read_text_columns` and
+    `_line_number` so that a row's index maps to its line."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    return reader, next(reader, None), filter(None, reader)
 
 
 def _line_number(path, delimiter, index):
     """The line on which row `index` of the columns of `_read_text_columns`
     ends, as its csv reader counts lines (a quoted field may span several)."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = csv.reader(handle, delimiter=delimiter)
-        next(rows)  # the header
-        ends = (rows.line_num for row in rows if row)
+        reader, _, rows = _data_rows(handle, delimiter)
+        ends = (reader.line_num for _ in rows)
         return next(itertools.islice(ends, index, None))
 
 

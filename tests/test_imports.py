@@ -36,6 +36,12 @@ for profile in (["gaussian"], ["bessel", "--amplitude", "0.7"], ["kummer", "--co
         argv = [*argv, "--profile", *profile]
         assert plumefront.cli.dispatch(argv) == 0, argv
         assert not loaded("numpy", "scipy", "statistics"), (argv, loaded("numpy"))
+# a relative threshold with one value on stdout, and a decaying boundary at a large radius
+for argv in (["boundary", "--profile", "gaussian", "--nu", "1", "--epsilon", "0.1", "--t", "4"],
+             ["boundary", "--profile", "decaying", "--lam", "1", "--tau-min", "1e-6",
+              "--t", "30"]):
+    assert plumefront.cli.dispatch(argv) == 0, argv
+    assert not loaded("numpy", "scipy", "statistics"), (argv, loaded("numpy"))
 
 # the rest of the namespace resolves on first use, to its home module's object
 assert "plumefront.dynamics" not in sys.modules
@@ -45,6 +51,8 @@ modules = [importlib.import_module("plumefront." + name)
            for name in ("errors", "specfun", "fields", "functionals", "dynamics", "estimation",
                         "ingest", "montecarlo")]
 assert set(plumefront.__all__) <= set(dir(plumefront))
+unlisted = {name for name in dir(plumefront) if not name.startswith("_")} - set(plumefront.__all__)
+assert all(type(getattr(plumefront, name)) is type(sys) for name in unlisted), unlisted
 for name in plumefront.__all__:
     homes = [m for m in modules if name in vars(m)]
     assert homes, name
