@@ -43,10 +43,11 @@ class BoundaryTrajectory:
 
 @dataclass(frozen=True)
 class AdiabaticBoundary:
-    """Exact and first-order boundary radii under slow diffusion growth."""
+    """Boundary radii under slow diffusion growth (adiabatic_boundary)."""
 
     exact: float
     first_order: float
+    integrated: float
 
 
 def boundary_ode_integrate(
@@ -152,8 +153,15 @@ def adiabatic_boundary(
 ) -> AdiabaticBoundary:
     """Boundary under slowly growing diffusion nu(t) = nu0 (1 + alpha t).
 
-    exact       2 sqrt(nu0 (1 + alpha t) t ln(1/(1 - eps)))
-    first_order the same to O(alpha t): baseline boundary times (1 + alpha t / 2)
+    exact       2 sqrt(nu0 (1 + alpha t) t ln(1/(1 - eps))), the Gaussian's
+                boundary with nu frozen at its value at t
+    first_order exact to O(alpha t): baseline boundary times (1 + alpha t / 2)
+    integrated  2 sqrt(nu0 (t + alpha t^2 / 2) ln(1/(1 - eps))), the boundary of
+                the Gaussian that solves tau_t = nu(t) lap tau, whose variance
+                grows with int_0^t nu (Carslaw and Jaeger 1959)
+
+    first_order expands exact, not integrated: against integrated it is off
+    by 2.5% at alpha t = 0.1.
     """
     if not nu0 > 0:
         raise DomainError(f"nu0 must be > 0, got {nu0}")
@@ -166,4 +174,6 @@ def adiabatic_boundary(
     log_term = math.log(1.0 / (1.0 - eps_threshold))
     base = 2.0 * math.sqrt(nu0 * t * log_term)
     exact = 2.0 * math.sqrt(nu0 * (1.0 + alpha * t) * t * log_term)
-    return AdiabaticBoundary(exact=exact, first_order=base * (1.0 + 0.5 * alpha * t))
+    integrated = 2.0 * math.sqrt(nu0 * (t + 0.5 * alpha * t * t) * log_term)
+    return AdiabaticBoundary(exact=exact, first_order=base * (1.0 + 0.5 * alpha * t),
+                             integrated=integrated)

@@ -203,25 +203,34 @@ class KummerField(_RadialField):
         if not all(math.isfinite(c) and n >= 0 and float(n).is_integer() for c, n in coeffs):
             raise DomainError(f"coefficients must be finite and indices integers >= 0: {coeffs}")
         self.coeffs = [(c, int(n)) for c, n in coeffs]
-        self._orders = {k for _, n in self.coeffs for k in (n, n + 1)}  # each M_k once per eval
+        self._orders = {n for _, n in self.coeffs}  # the M_n that value sums
+        self._eval_orders = self._orders | {n + 1 for n in self._orders}  # and M_(n+1) for S'
         self.params = params
         self.dim = params.dim
 
     def value(self, r: float, t: float) -> float:
-        return self.eval(r, t).value
+        """S / t from the M_n alone: eval also needs M_(n+1)."""
+        return self._series(r, t, derivatives=False)[0]
 
     def eval(self, r: float, t: float) -> FieldEval:
         """With S = sum_n C_n M_n(z) and S' = dS/dz: tau = S / t,
         tau_r = (2 r / 4 nu t) S' / t and tau_t = -(S + z S') / t^2."""
+        return self._series(r, t, derivatives=True)
+
+    def _series(self, r: float, t: float, derivatives: bool) -> tuple:
+        """(tau,) or, with derivatives, the FieldEval; each M_k is evaluated once."""
         four_nu_t = self._check(r, t)
         z = r * r / four_nu_t
-        m = {k: kummer_m(k + 0.5, 2.0 * k + 1.0, z).value for k in self._orders}
+        orders = self._eval_orders if derivatives else self._orders
+        m = {k: kummer_m(k + 0.5, 2.0 * k + 1.0, z).value for k in orders}
         total = slope = 0.0
         for c, n in self.coeffs:
             total += c * m[n]
-            # halve each part before adding: (z/4) M_1 ~ M_0, so the sum overflows first
-            slope += c * (0.5 * m[n] + z / (8.0 * (n + 1)) * m[n + 1])
-        out = FieldEval(total / t, 2.0 * r / four_nu_t * slope / t, -(total + z * slope) / t / t)
+            if derivatives:
+                # halve each part before adding: (z/4) M_1 ~ M_0, so the sum overflows first
+                slope += c * (0.5 * m[n] + z / (8.0 * (n + 1)) * m[n + 1])
+        out = (FieldEval(total / t, 2.0 * r / four_nu_t * slope / t, -(total + z * slope) / t / t)
+               if derivatives else (total / t,))
         if any(map(math.isnan, out)):
             raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
         return out

@@ -252,7 +252,9 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
     integrand is a multiple of exp(-s^2 / 4) at every r, so QUADPACK sees all
     of its mass even where r is far inside a diffusion length.  Raises
     NumericalError if it diverges or the (dropped) error estimate exceeds
-    1e-6, and DomainError where r / L is so small that t underflows.
+    1e-6 or the result is 0.0 from an integrand that underflows (the unit
+    Gaussian at r = 1e110), and DomainError where r / L is so small that t
+    underflows.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
@@ -262,7 +264,8 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
         raise DomainError(f"horizon must be >= t_min, got horizon={horizon}, t_min={t_min}")
     if horizon == t_min:
         return 0.0
-    scale = r / _field_scale(field, 1.0)
+    length = _field_scale(field, 1.0)
+    scale = r / length
 
     def integrand(s):
         root = scale / s
@@ -281,8 +284,14 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
             raise NumericalError(f"exposure at r={r} did not converge: t tau(r, t) does not "
                                  f"fall as t -> inf")
     hi = scale / math.sqrt(t_min) if t_min > 0 else math.inf
-    return quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
-                      what=f"exposure at r={r}")[0]
+    value = quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
+                       what=f"exposure at r={r}")[0]
+    # tau(L, 1) is the profile at the same s = 1: if it is not 0, a 0 at r has underflowed
+    if value == 0.0 and integrand(1.0) == 0.0 and field.value(length, 1.0) != 0.0:
+        raise NumericalError(f"exposure at r={r}: the integrand t tau(r, t) underflows to 0 "
+                             f"at t = (r / L)^2 = {scale * scale:.3g}, so the quadrature "
+                             f"sees only zeros")
+    return value
 
 
 def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:

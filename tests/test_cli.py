@@ -446,6 +446,10 @@ class TestFieldEdges:
         code, out, _ = run_cli(["exposure", "--r", "1e-300"], capsys)
         assert code == 2 and out == ""
 
+    def test_exposure_whose_integrand_underflows_is_exit_two(self, capsys):
+        code, out, err = run_cli(["exposure", "--r", "1e110"], capsys)
+        assert code == 2 and out == "" and "underflows" in err
+
     @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"]])
     def test_bad_montecarlo_argument_is_exit_two(self, capsys, argv):
         code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",

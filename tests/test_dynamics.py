@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -307,6 +308,34 @@ class TestAdiabaticBoundary:
         alphas = np.linspace(0.0, 0.5, 20)
         vals = [adiabatic_boundary(1.0, float(a), 0.1, 3.0).exact for a in alphas]
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("nu0,alpha,eps,t", [(1.0, 0.05, 0.1, 2.0), (0.7, 0.1, 0.3, 3.0),
+                                                 (2.0, 0.02, 0.05, 10.0)])
+    def test_integrated_is_the_boundary_of_the_true_solution(self, nu0, alpha, eps, t):
+        # 40-digit mpmath: the Gaussian with variance growing as int_0^t nu solves
+        # tau_t = nu(t) lap tau in 3D, and its eps-crossing is `integrated`
+        def tau(r, s):
+            phi = nu0 * (s + alpha * s * s / 2)
+            return (4 * mp.pi * phi) ** -1.5 * mp.exp(-r * r / (4 * phi))
+
+        res = adiabatic_boundary(nu0, alpha, eps, t)
+        with mp.workdps(40):
+            t_mp = mp.mpf(t)
+            for r in (0.3, 1.0, 2.5, 6.0):
+                r_mp = mp.mpf(r)
+                tau_t = mp.diff(lambda s: tau(r_mp, s), t_mp)
+                laplacian = (mp.diff(lambda x: tau(x, t_mp), r_mp, 2)
+                             + 2 / r_mp * mp.diff(lambda x: tau(x, t_mp), r_mp))
+                residual = tau_t - nu0 * (1 + alpha * t_mp) * laplacian
+                assert abs(residual / tau_t) <= 1e-30
+            crossing = mp.findroot(lambda x: tau(x, t_mp) - (1 - mp.mpf(eps)) * tau(0, t_mp),
+                                   res.exact)
+        assert res.integrated == pytest.approx(float(crossing), rel=1e-14, abs=0.0)
+
+    def test_first_order_expands_exact_not_integrated(self):
+        res = adiabatic_boundary(1.0, 0.05, 0.1, 2.0)  # alpha t = 0.1
+        assert res.first_order / res.integrated - 1.0 == pytest.approx(0.025, abs=1e-3)
+        assert abs(res.first_order / res.exact - 1.0) <= 0.15 * 0.1 ** 2
 
 
 @pytest.mark.parametrize("field", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, hyp1f1
 
+from plumefront import fields
 from plumefront.errors import DomainError, NumericalError, PlumefrontError
 from plumefront.fields import (
     BesselField,
@@ -193,6 +194,25 @@ class TestKummerField:
                              mp.diff(lambda x: tau(r_mp, x), t_mp))
                     for got, ref in zip(ev, exact):
                         assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    def test_value_evaluates_only_the_orders_it_sums(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, z):
+            calls.append((a, b))
+            return kummer_m(a, b, z)
+
+        monkeypatch.setattr(fields, "kummer_m", counting)
+        KummerField(((1.0, 0), (0.0, 1), (1.0, 2)), UNIT).value(2.0, 1.5)
+        assert sorted(calls) == [(0.5, 1.0), (1.5, 3.0), (2.5, 5.0)]
+
+    def test_value_is_eval_value_bitwise_across_z_30(self):
+        params = FieldParams(nu=0.7, q=1.0)
+        field = KummerField(((1.0, 0), (0.0, 1), (1.0, 2)), params)
+        for t in (0.4, 1.3, 6.0):
+            for z in np.linspace(24.0, 36.0, 49):
+                r = math.sqrt(4.0 * params.nu * t * z)
+                assert field.value(r, t) == field.eval(r, t).value
 
     def test_d_dr_and_d_dt_come_from_eval(self):
         field = KummerField([(1.0, 0), (0.5, 2)], UNIT)

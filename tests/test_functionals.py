@@ -477,6 +477,20 @@ class TestExposureAtSmallRadii:
         with pytest.raises(DomainError):
             cumulative_exposure(GAUSS, 1e-300)
 
+    def test_inverse_distance_law_far_outside_a_diffusion_length(self):
+        assert cumulative_exposure(GAUSS, 1e100) == pytest.approx(1.0 / (4.0 * math.pi * 1e100),
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e110, 1e134])
+    def test_integrand_underflow_raises(self, r):
+        # t tau(r, t) underflows everywhere, so QUADPACK would return 0.0 for 7.2e-112
+        with pytest.raises(NumericalError, match="underflows"):
+            cumulative_exposure(GAUSS, r)
+
+    @pytest.mark.parametrize("horizon", [math.inf, 3.0])
+    def test_field_that_is_zero_has_zero_exposure(self, horizon):
+        assert cumulative_exposure(KummerField([], UNIT), 1.0, horizon=horizon) == 0.0
+
     def test_decaying_source_exposure_to_infinity_diverges(self):
         # tau tends to the nonzero Yukawa limit, so its time integral diverges;
         # QUADPACK's extrapolation alone gives -0.0301 with a small error estimate

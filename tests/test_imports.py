@@ -1,12 +1,13 @@
 """What each entry point loads.
 
-`import plumefront` and the closed-form commands (`field` and `boundary` for
-every profile) load no numpy, scipy or statistics; the exports of
-dynamics, estimation, ingest and montecarlo resolve on first use to their
-home module's attributes.  Selecting a profile model (Gaussian data, and
-Bessel data with the cylindrical hint) loads neither scipy nor statistics.
-`ingest` loads no estimation, montecarlo or dynamics, and `estimate` and
-`diagnose` no montecarlo or dynamics."""
+`import plumefront` loads no submodule and no dataclasses: every export
+resolves on first use to its home module's attribute, loading that module
+alone, and is not cached in the package.  The closed-form commands (`field`
+and `boundary` for every profile) load no numpy, scipy or statistics.
+Selecting a profile model (Gaussian data, and Bessel data with the
+cylindrical hint) loads neither scipy nor statistics.  `ingest` loads no
+estimation, montecarlo or dynamics, and `estimate` and `diagnose` no
+montecarlo or dynamics."""
 
 import os
 import subprocess
@@ -14,6 +15,66 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+def run_probe(probe):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+EXPORTS = [
+    "DataError", "DomainError", "FitError", "InsufficientDataError", "NonMonotoneFieldWarning",
+    "NumericalError", "PlumefrontError",
+    "BesselField", "DecayingSourceField", "FieldEval", "FieldParams", "GaussianField",
+    "KummerField", "SourceEvent", "greens_eval", "superpose",
+    "BoundarySpec", "MomentResult", "boundary_radius", "boundary_sensitivity",
+    "boundary_velocity", "cumulative_exposure", "energy", "functional_derivative",
+    "optimal_centroid", "spatial_moment",
+    "SpecFunResult", "bessel_i", "bessel_k0", "bessel_k01", "bessel_k1", "gamma_fn", "kummer_m",
+    "pochhammer",
+    "AdiabaticBoundary", "BoundaryTrajectory", "adiabatic_boundary", "boundary_ode_integrate",
+    "perturbed_boundary", "steady_state_boundary",
+    "DecayFit", "DiagnosticsReport", "FieldFitResult", "NonparFit", "ProfileSelection",
+    "RegionalResult", "boundary_from_kappa", "bootstrap_boundary_interval", "detect_boundary",
+    "diagnostics", "fit_field_nls", "fit_loglinear", "nonparametric_fit",
+    "regional_heterogeneity", "select_profile_model",
+    "GridObservation", "SourceSite", "build_sample", "haversine_km", "load_observations",
+    "load_sources", "match_nearest_source",
+    "DGPSpec", "MCSummary", "RecoverySummary", "STANDARD_DGPS", "generate_dgp",
+    "parameter_recovery_campaign", "run_campaign",
+]
+
+FRESH_PROBE = f"""
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "plumefront")
+
+import plumefront
+assert loaded() == ["plumefront"], loaded()
+assert "dataclasses" not in sys.modules
+assert plumefront.__all__ == {EXPORTS!r}, plumefront.__all__
+
+# a name loads its home module (and what that module imports: specfun, for fields)
+from plumefront import GaussianField, PlumefrontError
+assert loaded() == ["plumefront", "plumefront.errors", "plumefront.fields",
+                    "plumefront.specfun"], loaded()
+
+# nothing is cached here: a patch of the home module shows through the package
+fields = sys.modules["plumefront.fields"]
+fields.GaussianField = patched = type("Patched", (), {{}})
+assert plumefront.GaussianField is patched
+fields.GaussianField = GaussianField
+assert plumefront.GaussianField is GaussianField and "GaussianField" not in vars(plumefront)
+"""
+
+
+def test_import_loads_no_submodule():
+    run_probe(FRESH_PROBE)
+
 
 PROBE = """
 import sys
@@ -96,12 +157,7 @@ assert not lazy_modules(), lazy_modules()
 
 
 def test_import_and_boundary_load_no_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_probe(PROBE)
 
 
 # A stray scipy import (a k-d tree below its size limit, `rankdata`) would
@@ -142,10 +198,4 @@ for argv, unused in (
 
 
 def test_ingest_estimate_and_diagnose_load_no_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", EMPIRICAL_PROBE], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_probe(EMPIRICAL_PROBE)
