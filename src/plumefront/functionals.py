@@ -252,9 +252,9 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
     integrand is a multiple of exp(-s^2 / 4) at every r, so QUADPACK sees all
     of its mass even where r is far inside a diffusion length.  Raises
     NumericalError if it diverges or the (dropped) error estimate exceeds
-    1e-6 or the result is 0.0 from an integrand that underflows (the unit
-    Gaussian at r = 1e110), and DomainError where r / L is so small that t
-    underflows.
+    1e-6 or the field at s = 1 is subnormal or 0 where the profile there is
+    not (the unit Gaussian from r = 1e102, where the integrand's tail
+    underflows), and DomainError where r / L is so small that t underflows.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
@@ -267,12 +267,16 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
     length = _field_scale(field, 1.0)
     scale = r / length
 
-    def integrand(s):
+    def time(s):
         root = scale / s
         t = root * root
         if t == 0.0:
             raise DomainError(f"exposure at r={r}: the time (r / (L s))^2 underflows "
                               f"at r / L = {scale:.3g}")
+        return t
+
+    def integrand(s):
+        t = time(s)
         return 2.0 * t / s * field.value(r, t)
 
     if horizon == math.inf:
@@ -283,15 +287,15 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
         if not abs(integrand(0.1 * late)) <= 5.0 * abs(integrand(late)):
             raise NumericalError(f"exposure at r={r} did not converge: t tau(r, t) does not "
                                  f"fall as t -> inf")
+    # tau(L, 1) is the profile at the same s = 1: if it is not 0, a subnormal or 0 at r
+    # has underflowed, and QUADPACK would integrate a tail of rounding noise or zeros
+    at_r = field.value(r, time(1.0))
+    if abs(at_r) < sys.float_info.min and field.value(length, 1.0) != 0.0:
+        raise NumericalError(f"exposure at r={r}: the field underflows to {at_r:.3g}, "
+                             f"subnormal or 0, at t = (r / L)^2 = {scale * scale:.3g}")
     hi = scale / math.sqrt(t_min) if t_min > 0 else math.inf
-    value = quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
-                       what=f"exposure at r={r}")[0]
-    # tau(L, 1) is the profile at the same s = 1: if it is not 0, a 0 at r has underflowed
-    if value == 0.0 and integrand(1.0) == 0.0 and field.value(length, 1.0) != 0.0:
-        raise NumericalError(f"exposure at r={r}: the integrand t tau(r, t) underflows to 0 "
-                             f"at t = (r / L)^2 = {scale * scale:.3g}, so the quadrature "
-                             f"sees only zeros")
-    return value
+    return quadrature(integrand, scale / math.sqrt(horizon), hi, split=1.0,
+                      what=f"exposure at r={r}")[0]
 
 
 def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:

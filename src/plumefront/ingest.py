@@ -11,10 +11,10 @@ Observations are read, checked, matched and filtered as numpy columns
 `load_observations`, `match_nearest_source` and `build_sample` are adapters
 that build a GridObservation only for each row they return.
 
-Nearest-source matching is exact and runs once per distinct (lat, lon) cell:
-small problems scan all cell-source pairs, large ones use a k-d tree on
-unit-sphere 3D coordinates (chord length is monotone in central angle, so the
-chord-nearest source is the haversine-nearest one).
+Nearest-source matching runs once per distinct (lat, lon) cell, by one search
+at every size: the largest dot product of unit vectors (squared chords within
+1 km, where products lose precision), then the haversine distance of the pick,
+which is within about 1e-8 km of the nearest source's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import numpy as np
 from .errors import DataError, DomainError
 
 EARTH_RADIUS_KM = 6371.0088
-BRUTE_FORCE_MAX_PAIRS = 1_000_000
+SEARCH_BLOCK_PAIRS = 1 << 17  # dot products formed at once: 1 MB, which stays in cache
+NEAR_COS = math.cos(1.0 / EARTH_RADIUS_KM)  # 1 km: farther picks are within ~1e-8 km
 
 SOURCE_COLUMNS = ("id", "lat", "lon", "capacity_mw")
 OBSERVATION_COLUMNS = ("lat", "lon", "period", "outcome")
@@ -89,22 +90,18 @@ def haversine_km(a, b) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
-def _haversine_matrix(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Pairwise distances (rows: first set, cols: second set), vectorised."""
-    phi1 = np.radians(lat1)[:, None]
-    phi2 = np.radians(lat2)[None, :]
+def _haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine_km, elementwise over numpy arrays that broadcast together."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
-    dlam = np.radians(lon2)[None, :] - np.radians(lon1)[:, None]
+    dlam = np.radians(lon2) - np.radians(lon1)
     s = np.sin(0.5 * dphi) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(0.5 * dlam) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
 def _unit_vectors(lat, lon) -> np.ndarray:
-    phi = np.radians(lat)
-    lam = np.radians(lon)
-    return np.column_stack(
-        [np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)]
-    )
+    phi, lam = np.radians(lat), np.radians(lon)
+    return np.column_stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
 
 
 def _read_text_columns(path, names, label):
@@ -296,7 +293,9 @@ def load_observations(path) -> list[GridObservation]:
 
 def _nearest(lat, lon, sources):
     """(nearest source index, distance, cell) of every point; each distinct
-    (lat, lon) cell is matched once."""
+    (lat, lon) cell is matched once, by the largest dot product of unit vectors,
+    SEARCH_BLOCK_PAIRS at a time.  A product near 1 resolves angles only to
+    ~1e-15 / angle: cells within 1 km of their pick take the smallest squared chord."""
     if not sources:
         raise DataError("no sources to match against")
     # The complex key lat + i lon sorts by (lat, lon); it finds the same cells
@@ -304,17 +303,18 @@ def _nearest(lat, lon, sources):
     cells, row_cell = np.unique(lat + 1j * lon, return_inverse=True)
     src_lat = np.array([s.lat for s in sources])
     src_lon = np.array([s.lon for s in sources])
-
-    if len(cells) * len(sources) <= BRUTE_FORCE_MAX_PAIRS:
-        dm = _haversine_matrix(cells.real, cells.imag, src_lat, src_lon)
-        idx = np.argmin(dm, axis=1)
-        dist = dm[np.arange(len(cells)), idx]
-    else:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(_unit_vectors(src_lat, src_lon))
-        chord, idx = tree.query(_unit_vectors(cells.real, cells.imag))
-        dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    # one row per distinct site: BLAS may round the products of equal rows apart
+    sites, first = np.unique(src_lat + 1j * src_lon, return_index=True)
+    points, xyz = _unit_vectors(cells.real, cells.imag), _unit_vectors(sites.real, sites.imag)
+    best, rows = np.empty(len(cells), dtype=np.intp), max(1, SEARCH_BLOCK_PAIRS // len(sites))
+    for lo in range(0, len(cells), rows):
+        np.argmax(points[lo:lo + rows] @ xyz.T, axis=1, out=best[lo:lo + rows])
+    near = np.flatnonzero(np.einsum("ij,ij->i", points, xyz[best]) > NEAR_COS)
+    for lo in range(0, len(near), rows):
+        part = near[lo:lo + rows]
+        best[part] = np.square(points[part, None, :] - xyz).sum(axis=2).argmin(axis=1)
+    idx = first[best]
+    dist = _haversine(cells.real, cells.imag, src_lat[idx], src_lon[idx])
     return idx[row_cell], dist[row_cell], row_cell
 
 
@@ -328,8 +328,7 @@ def match_nearest_source(observations, sources):
     """Attach nearest_source_id and distance_km to every observation.
 
     Each distinct (lat, lon) is matched once and its result shared by every
-    row at that cell.  Exact for any input size; the k-d tree path kicks in
-    above one million cell-source pairs.
+    row at that cell; sources at the same coordinates resolve to the first.
     """
     observations = list(observations)
     obs = _observation_columns(observations)

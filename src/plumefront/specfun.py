@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NumericalError
 
@@ -90,16 +90,11 @@ _K_REL_ERR = 4.0 * (_K_NODE_COUNT + 2) * _EPS
 _TINY = math.ulp(0.0)
 
 
-@dataclass(frozen=True)
-class SpecFunResult:
-    """A function value together with an estimated absolute error bound."""
+class SpecFunResult(NamedTuple):
+    """A function value together with an estimated absolute error bound (>= 0)."""
 
     value: float
     est_abs_error: float
-
-    def __post_init__(self):
-        if self.est_abs_error < 0:
-            raise DomainError("est_abs_error must be non-negative")
 
 
 def gamma_fn(z: float) -> float:

@@ -450,6 +450,11 @@ class TestFieldEdges:
         code, out, err = run_cli(["exposure", "--r", "1e110"], capsys)
         assert code == 2 and out == "" and "underflows" in err
 
+    def test_exposure_whose_field_is_subnormal_is_exit_two(self, capsys):
+        # the field at s = 1 is subnormal: QUADPACK would give 1 - 1.6e-9 of Q / (4 pi nu r)
+        code, out, err = run_cli(["exposure", "--r", "1e103"], capsys)
+        assert code == 2 and out == "" and "underflows" in err
+
     @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"]])
     def test_bad_montecarlo_argument_is_exit_two(self, capsys, argv):
         code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",

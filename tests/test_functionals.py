@@ -481,9 +481,17 @@ class TestExposureAtSmallRadii:
         assert cumulative_exposure(GAUSS, 1e100) == pytest.approx(1.0 / (4.0 * math.pi * 1e100),
                                                                   rel=1e-12)
 
-    @pytest.mark.parametrize("r", [1e110, 1e134])
+    def test_inverse_distance_law_at_the_last_normal_field(self):
+        # tau(r, (r / L)^2) = 1.7e-305 is still a normal float
+        assert cumulative_exposure(GAUSS, 1e101) == pytest.approx(1.0 / (4.0 * math.pi * 1e101),
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e102, 1e103, 1e104, 1e107, 1e110, 1e134])
     def test_integrand_underflow_raises(self, r):
-        # t tau(r, t) underflows everywhere, so QUADPACK would return 0.0 for 7.2e-112
+        # from r = 1e102 the field at s = 1 is subnormal: QUADPACK alone would
+        # give 1 + 2.7e-11 and 1 - 1.6e-9 of Q / (4 pi nu r) at 1e102 and 1e103,
+        # fail to converge from 1e104 to 1e107, and give 0.0 for 7.2e-112 at
+        # 1e110, where t tau(r, t) underflows everywhere
         with pytest.raises(NumericalError, match="underflows"):
             cumulative_exposure(GAUSS, r)
 

@@ -6,8 +6,8 @@ alone, and is not cached in the package.  The closed-form commands (`field`
 and `boundary` for every profile) load no numpy, scipy or statistics.
 Selecting a profile model (Gaussian data, and Bessel data with the
 cylindrical hint) loads neither scipy nor statistics.  `ingest` loads no
-estimation, montecarlo or dynamics, and `estimate` and `diagnose` no
-montecarlo or dynamics."""
+estimation, montecarlo or dynamics, and no scipy at any size, and `estimate`
+and `diagnose` no montecarlo or dynamics."""
 
 import os
 import subprocess
@@ -160,8 +160,8 @@ def test_import_and_boundary_load_no_scipy():
     run_probe(PROBE)
 
 
-# A stray scipy import (a k-d tree below its size limit, `rankdata`) would
-# cost each of these CLI processes about a second.
+# A stray scipy import (`rankdata`, a spatial index for nearest sources)
+# would cost each of these CLI processes about a second.
 EMPIRICAL_PROBE = r"""
 import math, os, sys, tempfile
 
@@ -199,3 +199,32 @@ for argv, unused in (
 
 def test_ingest_estimate_and_diagnose_load_no_scipy():
     run_probe(EMPIRICAL_PROBE)
+
+
+# `ingest` above a million cell-source pairs (3,400 cells x 300 sources)
+# loads no scipy either.  One month a cell, so the months filter drops every
+# row.
+LARGE_INGEST_PROBE = r"""
+import os, sys, tempfile
+
+import plumefront.cli
+
+with tempfile.TemporaryDirectory() as work:
+    src, obs = os.path.join(work, "src.csv"), os.path.join(work, "obs.csv")
+    with open(src, "w") as fh:
+        fh.write("id,lat,lon,capacity_mw\n")
+        fh.writelines(f"s{k},{30 + k % 20 * 0.1:.1f},{-95 + k // 20 * 0.1:.1f},500\n"
+                      for k in range(300))
+    with open(obs, "w") as fh:
+        fh.write("lat,lon,period,outcome\n")
+        fh.writelines(f"{29 + i * 0.05:.2f},{-96 + j * 0.05:.2f},2020-01,1.0\n"
+                      for i in range(68) for j in range(50))
+    argv = ["ingest", "--sources", src, "--observations", obs, "--out", os.devnull]
+    assert plumefront.cli.dispatch(argv) == 0
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy, scipy
+"""
+
+
+def test_ingest_above_a_million_pairs_loads_no_scipy():
+    run_probe(LARGE_INGEST_PROBE)

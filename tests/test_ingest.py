@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumefront import ingest
+from plumefront.cli import dispatch
 from plumefront.errors import DataError, DomainError
 from plumefront.ingest import (
-    BRUTE_FORCE_MAX_PAIRS,
     EARTH_RADIUS_KM,
     GridObservation,
     SourceSite,
@@ -144,16 +144,50 @@ def _grid_fixture(n_side, n_sources, seed):
     return observations, sources
 
 
+def _global_fixture(seed):
+    """Cells on a 5-degree grid of latitudes from pole to pole, at longitudes
+    on both sides of the antimeridian and around the globe; sources anywhere,
+    a few of them next to the antimeridian and the poles."""
+    rng = np.random.default_rng(seed)
+    lat = np.linspace(-90.0, 90.0, 37)
+    lon = np.concatenate([np.linspace(-180.0, -170.0, 6), np.linspace(170.0, 180.0, 6),
+                          [-120.0, -60.0, 0.0, 60.0, 120.0]])
+    observations = [GridObservation(lat=float(a), lon=float(b), period="2019-01", outcome=1.0)
+                    for a in lat for b in lon]
+    src_lat = np.concatenate([rng.uniform(-90.0, 90.0, 60), [89.9, -89.95, 10.0, -10.0]])
+    src_lon = np.concatenate([rng.uniform(-180.0, 180.0, 60), [45.0, -135.0, 179.95, -179.9]])
+    sources = [SourceSite(id=f"s{i}", lat=float(a), lon=float(b), capacity_mw=500.0)
+               for i, (a, b) in enumerate(zip(src_lat, src_lon))]
+    return observations, sources
+
+
+def _metre_fixture(seed):
+    """2,000 cells and 200 sources, all within 11 m of each other."""
+    rng = np.random.default_rng(seed)
+    observations = [GridObservation(lat=30.0 + a, lon=-95.0 + b, period="2019-01", outcome=1.0)
+                    for a, b in rng.uniform(0.0, 1e-4, (2000, 2)).tolist()]
+    sources = [SourceSite(id=f"s{i}", lat=30.0 + a, lon=-95.0 + b, capacity_mw=500.0)
+               for i, (a, b) in enumerate(rng.uniform(0.0, 1e-4, (200, 2)).tolist())]
+    return observations, sources
+
+
 class TestNearestSourceMatching:
-    def _brute(self, observations, sources):
+    @staticmethod
+    def _brute(observations, sources):
+        """haversine_km to every source; the lowest index among equals."""
         ids, dists = [], []
         for o in observations:
-            best = min(
-                ((haversine_km((o.lat, o.lon), (s.lat, s.lon)), s.id) for s in sources),
-            )
-            ids.append(best[1])
+            best = min((haversine_km((o.lat, o.lon), (s.lat, s.lon)), k)
+                       for k, s in enumerate(sources))
+            ids.append(sources[best[1]].id)
             dists.append(best[0])
         return ids, dists
+
+    def _assert_exhaustive(self, observations, sources):
+        matched = match_nearest_source(observations, sources)
+        ids, dists = self._brute(observations, sources)
+        assert [m.nearest_source_id for m in matched] == ids
+        assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-12, atol=1e-9)
 
     def test_matches_exhaustive_search(self):
         observations, sources = _grid_fixture(22, 30, seed=0)
@@ -162,67 +196,103 @@ class TestNearestSourceMatching:
         assert [m.nearest_source_id for m in matched] == ids
         assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-9)
 
-    def test_tree_path_matches_exhaustive_search(self):
-        # enough pairs to trigger the k-d tree branch
+    def test_large_input_matches_exhaustive_search(self):
+        # more than a million cell-source pairs, several search blocks
         observations, sources = _grid_fixture(60, 300, seed=1)
         assert len(observations) * len(sources) > 1_000_000
+        self._assert_exhaustive(observations, sources)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_global_cells_match_exhaustive_search(self, seed):
+        # across the antimeridian and up to both poles, where longitudes wrap
+        self._assert_exhaustive(*_global_fixture(seed))
+
+    def test_cells_metres_from_sources_match_exhaustive_search(self):
+        # dot products of unit vectors resolve angles only to about 1e-15 /
+        # angle: alone they would pick a source up to 0.1 m too far for one
+        # cell in 50 here; squared chords settle the cells within 1 km of one
+        self._assert_exhaustive(*_metre_fixture(7))
+
+    def test_sources_at_the_same_coordinates_resolve_to_the_first(self):
+        observations, sources = _grid_fixture(22, 300, seed=5)
+        # three copies of one site spread through the list, and a pair at its
+        # ends on a corner cell of the grid
+        sources[0] = replace(sources[0], lat=29.0, lon=-96.0)
+        sources[7] = replace(sources[7], lat=30.0, lon=-95.0)
+        for k in (40, 151, 297):
+            sources[k] = replace(sources[7], id=f"copy{k}")
+        sources[299] = replace(sources[0], id="copy299")
         matched = match_nearest_source(observations, sources)
-        ids, dists = self._brute(observations, sources)
-        assert [m.nearest_source_id for m in matched] == ids
-        assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-7, atol=1e-7)
+        ids = [m.nearest_source_id for m in matched]
+        assert ids == self._brute(observations, sources)[0]
+        assert "s7" in ids and "s0" in ids
+        assert not any(i.startswith("copy") for i in ids)
 
-    @staticmethod
-    def _spy_on_pair_scan(monkeypatch):
-        calls = []
-        scan = ingest._haversine_matrix
+    @pytest.mark.parametrize("fixture", [lambda: _grid_fixture(22, 30, seed=6),
+                                         lambda: _metre_fixture(8)], ids=["km", "metres"])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, fixture):
+        observations, sources = fixture()
+        results = []
+        # all cells in one block, 7 cells a block, one cell a block
+        for pairs in (len(observations) * len(sources), 7 * len(sources), 1):
+            monkeypatch.setattr(ingest, "SEARCH_BLOCK_PAIRS", pairs)
+            results.append(match_nearest_source(observations, sources))
+        assert results[1] == results[0] and results[2] == results[0]
 
-        def spy(lat1, lon1, lat2, lon2):
-            calls.append((len(lat1), len(lat2)))
-            return scan(lat1, lon1, lat2, lon2)
+    def test_no_observations_give_no_matches(self):
+        _, sources = _grid_fixture(2, 30, seed=0)
+        assert match_nearest_source([], sources) == []
 
-        monkeypatch.setattr(ingest, "_haversine_matrix", spy)
-        return calls
+    def test_cli_ingest_of_only_invalid_outcomes_is_a_header(self, tmp_path, capsys):
+        # every outcome missing or negative: the search runs over zero cells
+        src, obs = tmp_path / "sources.csv", tmp_path / "obs.csv"
+        src.write_text("id,lat,lon,capacity_mw\np,30,-95,500\n")
+        obs.write_text("lat,lon,period,outcome\n"
+                       + "".join(f"30.1,-95,2019-{m:02d},{'' if m % 2 else -1}\n"
+                                 for m in range(1, 13)))
+        assert dispatch(["ingest", "--sources", str(src), "--observations", str(obs)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "lat,lon,period,outcome,nearest_source_id,distance_km\n"
+        assert "# ingested 0 observations (12 read, 1 sources kept)" in captured.err
 
     def test_repeated_cells_are_scanned_once(self, monkeypatch):
-        # every cell observed in 24 months: the rows exceed the pair limit,
-        # the distinct cells do not, so the exact pair scan runs on the cells
+        # every cell observed in 24 months: the search runs once, on the
+        # distinct cells, and its results are shared by their rows
         cells, sources = _grid_fixture(40, 300, seed=2)
         observations = [
             replace(o, period=f"{2019 + m // 12}-{m % 12 + 1:02d}")
             for m in range(24)
             for o in cells
         ]
-        assert len(observations) * len(sources) > BRUTE_FORCE_MAX_PAIRS
-        assert len(cells) * len(sources) <= BRUTE_FORCE_MAX_PAIRS
         # exhaustive search row by row, in chunks to bound the pair matrix
         src_lat = np.array([s.lat for s in sources])
         src_lon = np.array([s.lon for s in sources])
         ids, dists = [], []
         for k in range(0, len(observations), len(cells)):
             chunk = observations[k : k + len(cells)]
-            dm = ingest._haversine_matrix(
-                np.array([o.lat for o in chunk]), np.array([o.lon for o in chunk]),
+            dm = ingest._haversine(
+                np.array([o.lat for o in chunk])[:, None], np.array([o.lon for o in chunk])[:, None],
                 src_lat, src_lon,
             )
             best = np.argmin(dm, axis=1)
             ids += [sources[i].id for i in best]
             dists += list(dm[np.arange(len(chunk)), best])
 
-        calls = self._spy_on_pair_scan(monkeypatch)
+        calls = []
+        unit_vectors = ingest._unit_vectors
+
+        def spy(lat, lon):
+            calls.append(len(lat))
+            return unit_vectors(lat, lon)
+
+        monkeypatch.setattr(ingest, "_unit_vectors", spy)
         matched = match_nearest_source(observations, sources)
-        assert calls == [(len(cells), len(sources))]
+        assert calls == [len(cells), len(sources)]
         assert [m.nearest_source_id for m in matched] == ids
         assert np.allclose([m.distance_km for m in matched], dists, rtol=1e-12, atol=0.0)
         assert [(m.lat, m.lon, m.period) for m in matched] == [
             (o.lat, o.lon, o.period) for o in observations
         ]
-
-    def test_tree_fixture_takes_tree_branch(self, monkeypatch):
-        observations, sources = _grid_fixture(60, 300, seed=1)
-        assert len(observations) * len(sources) > BRUTE_FORCE_MAX_PAIRS
-        calls = self._spy_on_pair_scan(monkeypatch)
-        match_nearest_source(observations, sources)
-        assert calls == []
 
 
 class TestBuildSample:

@@ -456,6 +456,7 @@ class TestErrorBoundsAgainstMpmath:
     @staticmethod
     def _check(res, exact):
         """|error| <= est_abs_error; the relative error, 0 where both are inf."""
+        assert res.est_abs_error >= 0
         if math.isinf(res.value):
             assert abs(exact) > sys.float_info.max and res.value * exact > 0
             return 0.0
