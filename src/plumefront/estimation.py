@@ -25,6 +25,7 @@ draws only the observations in the bins its two endpoint windows read.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 Z05_ONESIDED = 1.6448536269514722
 CHI2_1_99 = 6.6348966010212145
+SCAN_HALF_WIDTH = 12.0  # the field fits scan log nu over log median r^2 / 4t +- this
+_LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 CV_GRID_SIZE = 10
 CV_GRID_SPAN = 4.0  # bandwidth grid from rot/span to rot*span
@@ -744,18 +747,49 @@ def _gaussian_model(r, t, nu):
     return np.exp(-r * r / (4.0 * nu * t)) / (4.0 * math.pi * nu * t) ** 1.5
 
 
-_m_half_vec = np.vectorize(lambda z: kummer_m(0.5, 1.0, z).value, otypes=[float])
-
-
 def _bessel_model(r, t, nu):
     return bessel_k0_array(r / (2.0 * np.sqrt(nu * t))) / t
 
 
 def _kummer_model(r, t, nu):
-    return _m_half_vec(r * r / (4.0 * nu * t)) / t
+    """M(1/2, 1, z) / t, z = r^2 / 4 nu t, by scalar kummer_m; all inf when
+    the value at the largest z squares to inf.  M grows with z, so then g.g
+    overflows whatever the other points give, and the row's rss is inf."""
+    z = r * r / (4.0 * nu * t)
+    top = int(np.argmax(z))
+    m_top = kummer_m(0.5, 1.0, float(z[top])).value
+    g_top = m_top / float(t[top])
+    if g_top * g_top == math.inf:
+        return np.full(z.shape, math.inf)
+    zs = z.tolist()
+    m = [kummer_m(0.5, 1.0, x).value for x in zs[:top]]
+    m.append(m_top)
+    m += [kummer_m(0.5, 1.0, x).value for x in zs[top + 1:]]
+    return np.array(m) / t
 
 
 _MODELS = {"gaussian": _gaussian_model, "bessel": _bessel_model, "kummer": _kummer_model}
+
+
+def _scan_centre(r, t) -> float:
+    """log median r^2 / 4t over r != 0, the centre of the log-nu scan; DomainError
+    outside the domain `fit_field_nls` states, where the profiles or cov[0, 0]
+    under- or overflow."""
+    with np.errstate(over="ignore", under="ignore"):
+        q = (r * r / (4.0 * t))[r != 0]
+    mid, lo, hi = float(np.median(q)), float(q.min()), float(q.max())
+    ok = sys.float_info.min <= lo and hi < math.inf
+    if ok:
+        centre = math.log(mid)
+        # ln of nu^2 at both ends of the scan, and of the least and greatest r^2 / 4 nu t
+        logs = (2.0 * (centre - SCAN_HALF_WIDTH), 2.0 * (centre + SCAN_HALF_WIDTH),
+                math.log(lo) - centre - SCAN_HALF_WIDTH, math.log(hi) - centre + SCAN_HALF_WIDTH)
+        ok = all(_LOG_FLOAT_MIN <= x < _LOG_FLOAT_MAX for x in logs)
+    if not ok:
+        raise DomainError(f"r^2 / 4t (median {mid:.6e}) and the nu scan around it (median "
+                          f"* e^+-{SCAN_HALF_WIDTH:g}) leave the range of normal floats: "
+                          f"rescale the distances or times")
+    return centre
 
 
 def _golden_section(f, a, b):
@@ -786,7 +820,14 @@ def fit_field_nls(
     dg/dnu a central difference.  FitError when the minimum is on the scan
     edge, the rss is not finite or the amplitude is not positive: the
     single-term Kummer profile grows with r, so on decaying data its least
-    squares lie at nu -> infinity.  The fit is deterministic; seed is unused.
+    squares lie at nu -> infinity.  A Kummer row whose value at the largest
+    r^2 / 4 nu t squares to inf has rss inf without its other points being
+    evaluated; n_iter still counts it.  The fit is deterministic; seed is unused.
+
+    Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
+    nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of
+    cov[0, 0]) and the profile arguments r^2 / 4 nu t must be finite normal
+    floats over the scan, or DomainError names the median r^2 / 4t.
     """
     if field_class not in _MODELS:
         raise DomainError(f"unknown field class {field_class!r}")
@@ -795,10 +836,14 @@ def fit_field_nls(
         raise InsufficientDataError(f"field fit needs n >= 50, got {r.size}")
     if np.any(t <= 0) or not r.any():
         raise DomainError("times must be > 0 and some distance nonzero")
-    if field_class == "bessel" and np.any(r <= 0):
-        n_bad = np.count_nonzero(r <= 0)
+    n_bad = np.count_nonzero(r < 0)
+    if n_bad:
+        raise DomainError(f"distances must be >= 0: {n_bad} of {r.size} are negative")
+    if field_class == "bessel" and not r.all():
+        n_bad = r.size - np.count_nonzero(r)
         raise DomainError(f"the Bessel profile needs every distance > 0 (K0 is infinite "
-                          f"at r = 0): {n_bad} of {r.size} distances are <= 0")
+                          f"at r = 0): {n_bad} of {r.size} distances are 0")
+    centre = _scan_centre(r, t)
     if np.unique(t).size < 2:
         warnings.warn(
             "all observations share one time: nu and q are only weakly "
@@ -810,8 +855,8 @@ def fit_field_nls(
     evals = []  # (rss, log nu, amplitude) of every evaluation
 
     def rss_at(log_nu):
-        g = model(r, t, math.exp(log_nu))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
+            g = model(r, t, math.exp(log_nu))
             gg = float(g @ g)
         amp, rss = math.nan, math.inf
         if 0.0 < gg < math.inf:
@@ -822,8 +867,7 @@ def fit_field_nls(
         evals.append((rss, log_nu, amp))
         return rss
 
-    centre = math.log(float(np.median((r * r / (4.0 * t))[r != 0])))
-    grid = centre + np.linspace(-12.0, 12.0, 49)
+    grid = centre + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 49)
     i = int(np.argmin([rss_at(x) for x in grid]))
     inside = 0 < i < grid.size - 1
     if inside:

@@ -135,7 +135,7 @@ def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
         raise DomainError(f"kummer_m requires finite z >= 0, got {z}")
     n = 0.5 * (b - 1.0)
     if a == 0.5 * b and n >= 0 and n.is_integer():
-        # float(): np.vectorize passes numpy scalars, whose arithmetic is slower
+        # float(): numpy scalar arguments would make every step of the sum slower
         return _kummer_profile(n, 0.5 * float(z))
 
     # Once a + k, b + k > 0, every later term ratio z (a + m) / ((b + m)(m + 1))

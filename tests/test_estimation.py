@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumefront import estimation
 from plumefront.errors import DataError, DomainError, FitError, InsufficientDataError
 from plumefront.estimation import (
     LN10,
@@ -28,6 +29,7 @@ from plumefront.estimation import (
     simulate_gaussian_field_sample,
     spearman_correlation,
 )
+from plumefront.specfun import kummer_m
 
 
 def _brute_force_hac_se(d, x, u, cutoff):
@@ -557,6 +559,48 @@ class TestFieldNls:
         with pytest.raises(FitError, match="scan edge: True"):
             fit_field_nls(r, t, y, field_class="kummer")
 
+    @staticmethod
+    def _kummer_sample(nu, seed):
+        """M(1/2, 1, r^2 / 4 nu t) / t plus noise 0.01, r up to 2 sqrt(nu)."""
+        rng = np.random.default_rng(seed)
+        t = rng.choice([0.5, 1.0, 2.0], size=300)
+        r = rng.uniform(0.0, 2.0 * math.sqrt(nu), size=300)
+        y = np.array([kummer_m(0.5, 1.0, a * a / (4.0 * nu * b)).value / b for a, b in zip(r, t)])
+        return r, t, y + 0.01 * rng.standard_normal(300)
+
+    @staticmethod
+    def _full_row_kummer(r, t, nu):
+        """The Kummer profile at every point of the row, overflowing or not."""
+        return np.array([kummer_m(0.5, 1.0, z).value for z in r * r / (4.0 * nu * t)]) / t
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("nu", [0.3, 2.0, 7.0])
+    def test_kummer_fit_equals_full_row_evaluation(self, nu, seed, monkeypatch):
+        r, t, y = self._kummer_sample(nu, seed)
+        fit = fit_field_nls(r, t, y, field_class="kummer")
+        monkeypatch.setitem(estimation._MODELS, "kummer", self._full_row_kummer)
+        full = fit_field_nls(r, t, y, field_class="kummer")
+        assert (fit.nu, fit.q, fit.rss, fit.n_iter) == (full.nu, full.q, full.rss, full.n_iter)
+        assert fit.cov.tobytes() == full.cov.tobytes()
+        assert abs(fit.nu - nu) < 0.01 * nu
+
+    def test_kummer_failure_on_decaying_data_is_unchanged(self, monkeypatch):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        rows = []
+
+        def spy(r, t, nu):
+            g = estimation._kummer_model(r, t, nu)
+            rows.append(bool(np.isinf(g).all()))
+            return g
+
+        monkeypatch.setitem(estimation._MODELS, "kummer", spy)
+        with pytest.raises(FitError) as err:
+            fit_field_nls(r, t, y, field_class="kummer")
+        assert str(err.value) == ("kummer field fit failed at nu=3.531417e+05 (scan edge: True), "
+                                  "rss=4.065522e-02, amplitude=6.117900e-03")
+        # all 49 scan points are evaluated and counted, 17 of them skipped as overflowing
+        assert len(rows) == 49 and sum(rows) == 17
+
     def test_contracts(self):
         with pytest.raises(DomainError):
             fit_field_nls([1.0], [1.0], [1.0], field_class="exotic")
@@ -568,6 +612,55 @@ class TestFieldNls:
             fit_field_nls(np.zeros(60), np.ones(60), np.ones(60))
         with pytest.raises(DomainError, match=r"every distance > 0 .*: 2 of 60 distances"):
             fit_field_nls(np.r_[0.0, 0.0, np.ones(58)], np.ones(60), np.ones(60), "bessel")
+
+
+class TestFieldFitDomain:
+    CALLS = [
+        lambda r, t, y: fit_field_nls(r, t, y, field_class="gaussian"),
+        lambda r, t, y: fit_field_nls(r, t, y, field_class="kummer"),
+        lambda r, t, y: fit_field_nls(r, t, y, field_class="bessel"),
+        lambda r, t, y: select_profile_model(r, y, t),
+    ]
+    IDS = ["gaussian", "kummer", "bessel", "select_profile_model"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    @pytest.mark.parametrize(
+        "column, scale",
+        # r^2 / 4t is 0, subnormal, subnormal, inf; then normal with the nu scan past 1e300
+        [("distances", 1e-170), ("distances", 1e-160), ("distances", 1e-155),
+         ("distances", 1e160), ("times", 1e-300)],
+    )
+    def test_scale_outside_the_float_range_is_domain_error(self, call, column, scale):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        if column == "distances":
+            r = r * scale
+        else:
+            t = t * scale
+        with pytest.raises(DomainError, match=r"r\^2 / 4t \(median .*normal floats"):
+            call(r, t, y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_time_scale_inside_the_range_rescales_nu(self, scale):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        base = fit_field_nls(r, t, y)
+        fit = fit_field_nls(r, t * scale, y)
+        # the golden sections stop at 1e-10 in log nu, on a shifted grid
+        assert fit.nu * scale == pytest.approx(base.nu, rel=1e-8)
+        assert fit.q == pytest.approx(base.q, rel=1e-8)
+        assert fit.se_nu * scale == pytest.approx(base.se_nu, rel=1e-6)
+        # the rows whose profile overflows get rss inf without a warning
+        with pytest.raises(FitError, match="scan edge: True"):
+            fit_field_nls(r, t * scale, y, field_class="kummer")
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_negative_distances_are_domain_error(self, call):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        r[[4, 9]] = -r[[4, 9]]
+        r[0] = 0.0  # the Bessel zero-distance check comes after
+        with pytest.raises(DomainError, match="distances must be >= 0: 2 of 300 are negative"):
+            call(r, t, y)
 
 
 class TestSelectProfileModel:
@@ -595,6 +688,17 @@ class TestSelectProfileModel:
             sel = select_profile_model(r, y, t, geometry_hint="cylindrical", seed=rep)
             hits += sel.model == "bessel" and abs(sel.params["nu"] - 0.8) / 0.8 < 0.1
         assert hits == 5
+
+    def test_unhinted_selection_kummer_m_call_budget(self, monkeypatch):
+        # The Kummer fit fails on this decaying sample after its 49-row scan: 32 rows
+        # of 300 points and 17 rows skipped after one overflowing point, against
+        # 14,700 calls for every point.  The benchmark's tracer patches this global.
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        calls = []
+        real = estimation.kummer_m
+        monkeypatch.setattr(estimation, "kummer_m", lambda *a: calls.append(a) or real(*a))
+        assert select_profile_model(r, y, t).model == "gaussian"
+        assert 0 < len(calls) <= 32 * 300 + 17
 
     def test_small_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
