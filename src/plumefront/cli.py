@@ -197,11 +197,18 @@ def _run_montecarlo(args):
     return 0
 
 
-def _run_estimate(args):
-    from . import estimation, ingest
+def _read_table(args):
+    """The distance and outcome columns of the --input table."""
+    from . import ingest
 
     _require(args, "input")
-    d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
+    return ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
+
+
+def _run_estimate(args):
+    from . import estimation
+
+    d, y = _read_table(args)
     rows = []
     if args.method in ("loglinear", "both"):
         fit = estimation.fit_loglinear(d, y, robust_cutoff=args.robust_cutoff)
@@ -226,10 +233,9 @@ def _run_estimate(args):
 
 
 def _run_diagnose(args):
-    from . import estimation, ingest
+    from . import estimation
 
-    _require(args, "input")
-    d, y = ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
+    d, y = _read_table(args)
     report = estimation.diagnostics(d, y, n_bins=args.bins)
     rows = [(*bin_stats, decline) for bin_stats, decline
             in zip(report.binned_means, report.pct_decline_from_first_bin)]
@@ -257,6 +263,7 @@ def _run_ingest(args):
     obs, delimiter = ingest.read_observation_columns(args.observations)
     rows, idx, dist = ingest.sample_rows(obs, sources, args.max_distance, args.min_months)
     table = {c: obs[c][rows].tolist() for c in ingest.OBSERVATION_COLUMNS}
+    table["period"] = ingest.period_text(table["period"])
     table["nearest_source_id"] = [sources[i].id for i in idx.tolist()]
     table["distance_km"] = dist.tolist()
     # the output keeps the observation file's delimiter
@@ -294,6 +301,17 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name, None) in (None, ""):
             raise _Usage(f"--{name.replace('_', '-')} is required (flag or config)")
+
+
+def _add_table_options(p):
+    p.add_argument("--input", default=None, help="input table (required)")
+    p.add_argument("--distance-col", dest="distance_col", default="distance_km")
+    p.add_argument("--outcome-col", dest="outcome_col", default="outcome")
+
+
+def _add_gate_options(p):
+    p.add_argument("--fraction", type=float, default=0.1)
+    p.add_argument("--n-boot", dest="n_boot", type=int, default=200)
 
 
 def _add_output_options(p):
@@ -347,24 +365,20 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", default="parametric,nonparametric")
-    p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=200)
+    _add_gate_options(p)
     p.add_argument("--per-rep", dest="per_rep", default=None,
                    help="also write one row per replication to this path")
     _add_output_options(p)
     p.set_defaults(func=_run_montecarlo)
 
     p = sub.add_parser("estimate", help="decay estimation on a distance/outcome table")
-    p.add_argument("--input", default=None, help="input table (required)")
-    p.add_argument("--distance-col", dest="distance_col", default="distance_km")
-    p.add_argument("--outcome-col", dest="outcome_col", default="outcome")
+    _add_table_options(p)
     p.add_argument("--method", default="loglinear", choices=_CHOICES["method"])
     p.add_argument("--robust-cutoff", dest="robust_cutoff", type=float, default=None,
                    help="spatial HAC cutoff in km (e.g. 50)")
     p.add_argument("--bandwidth", default="auto",
                    help="kernel bandwidth in km, 'auto', or 'auto-cv'")
-    p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=200)
+    _add_gate_options(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--curve-out", dest="curve_out", default=None,
                    help="write the fitted nonparametric curve to this path")
@@ -372,9 +386,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.set_defaults(func=_run_estimate)
 
     p = sub.add_parser("diagnose", help="spatial-decay diagnostics for a data table")
-    p.add_argument("--input", default=None, help="input table (required)")
-    p.add_argument("--distance-col", dest="distance_col", default="distance_km")
-    p.add_argument("--outcome-col", dest="outcome_col", default="outcome")
+    _add_table_options(p)
     p.add_argument("--bins", type=int, default=8)
     p.add_argument("--split", type=float, default=None,
                    help="regional heterogeneity split distance in km")

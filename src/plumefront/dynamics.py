@@ -6,7 +6,8 @@ constant; for relative thresholds c(t) tracks the source value and the
 correction term uses the field's temporal derivative at the source.  The
 integrator is a fixed-step classical 4th-order scheme: the right-hand side
 is smooth on the monotone region and fixed steps keep convergence-order
-tests clean.  It reads the field only through `eval(r, t)`.
+tests clean.  It reads the field only through `eval(r, t)`, and a boundary
+that shrinks onto the source ends the run as "boundary_vanished".
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class BoundaryTrajectory:
             raise DomainError("times must be strictly increasing")
 
 
+class _Vanished(Exception):
+    """A radius of the boundary ODE reached the source (r <= 0)."""
+
+
 @dataclass(frozen=True)
 class AdiabaticBoundary:
     """Boundary radii under slow diffusion growth (adiabatic_boundary)."""
@@ -61,11 +66,16 @@ def boundary_ode_integrate(
     """Integrate dd*/dt = -(tau_t - frac * tau_t(0)) / tau_r with RK4.
 
     The field's whole protocol is `eval(r, t)`, a `FieldEval` with `d_dr`
-    and `d_dt` (and `r_min`, if present): one call per stage, 4 * steps in a
-    run.  `spec` supplies the threshold convention; None or an absolute spec
-    gives the plain ratio form.  A relative spec also reads tau_t at r_min
-    (the source value reference), once per distinct stage time
-    t0 + (i + c) dt: 2 * steps + 1 calls in a run that reaches t1.
+    and `d_dt`: one call per stage, 4 * steps in a run.  `spec` supplies the
+    threshold convention; None or an absolute spec gives the plain ratio
+    form.  A relative spec also reads tau_t at the source, r = 0 (the source
+    value reference), once per distinct stage time t0 + (i + c) dt:
+    2 * steps + 1 calls in a run that reaches t1.
+
+    A shrinking boundary that reaches the source ends the run with
+    terminated_reason "boundary_vanished" as soon as a stage or step radius
+    is <= 0; the field is not evaluated there, and the points before it are
+    kept.
     """
     if not d0 > 0:
         raise DomainError(f"initial radius must be > 0, got {d0}")
@@ -75,12 +85,13 @@ def boundary_ode_integrate(
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
 
     frac = spec.relative_fraction(field) if spec is not None else 0.0
-    r_source = getattr(field, "r_min", 0.0)
 
     def source_rate(t: float) -> float:
-        return frac * field.eval(r_source, t).d_dt if frac != 0.0 else 0.0
+        return frac * field.eval(0.0, t).d_dt if frac != 0.0 else 0.0
 
     def rhs(t: float, r: float, source: float) -> float:
+        if r <= 0.0:
+            raise _Vanished
         ev = field.eval(r, t)
         num = ev.d_dt - source
         den = ev.d_dr
@@ -100,13 +111,16 @@ def boundary_ode_integrate(
     source = source_rate(t0)
     for i in range(steps):
         t, t_half, t_new = t0 + i * dt, t0 + (i + 0.5) * dt, t0 + (i + 1) * dt
-        k1 = rhs(t, r, source)
-        source_half = source_rate(t_half)
-        k2 = rhs(t_half, r + 0.5 * dt * k1, source_half)
-        k3 = rhs(t_half, r + 0.5 * dt * k2, source_half)
-        source = source_rate(t_new)
-        k4 = rhs(t_new, r + dt * k3, source)
-        r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            k1 = rhs(t, r, source)
+            source_half = source_rate(t_half)
+            k2 = rhs(t_half, r + 0.5 * dt * k1, source_half)
+            k3 = rhs(t_half, r + 0.5 * dt * k2, source_half)
+            source = source_rate(t_new)
+            k4 = rhs(t_new, r + dt * k3, source)
+            r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except _Vanished:
+            r_new = 0.0
         if r_new <= 0.0:
             reason = "boundary_vanished"
             break

@@ -792,6 +792,18 @@ def _scan_centre(r, t) -> float:
     return centre
 
 
+def _normal_scaled(g):
+    """(g 2^k, its g.g, k): k = 0 unless g.g is below the normal floats, as
+    when r and t are in units that make every profile value tiny; then k
+    brings max |g| into [0.5, 1), and scaling by it is exact."""
+    gg = float(g @ g)
+    if not gg < sys.float_info.min:
+        return g, gg, 0
+    scale = -math.frexp(float(np.max(np.abs(g))))[1]
+    g = np.ldexp(g, scale)
+    return g, float(g @ g), scale
+
+
 def _golden_section(f, a, b):
     """Shrink [a, b] around a minimum of f to 1e-10 by golden sections."""
     w = 0.5 * (math.sqrt(5.0) - 1.0)  # inverse golden ratio
@@ -817,8 +829,12 @@ def fit_field_nls(
     out is scanned at 49 points of log nu (log median r^2 / 4t, r != 0, +- 12) and
     minimised by golden sections inside the best cell to 1e-10 (Golub and
     Pereyra 1973).  cov = sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with
-    dg/dnu a central difference.  FitError when the minimum is on the scan
-    edge, the rss is not finite or the amplitude is not positive: the
+    dg/dnu a central difference.  Where g.g underflows the normal floats, as
+    with distances x s and times x s^2, g is projected scaled by a power of
+    two and cov unscaled after, so nu and se_nu do not depend on the units;
+    an amplitude's variance past the floats is inf.  FitError when the
+    minimum is on the scan edge, the rss is not finite or the amplitude is
+    not a positive float: the
     single-term Kummer profile grows with r, so on decaying data its least
     squares lie at nu -> infinity.  A Kummer row whose value at the largest
     r^2 / 4 nu t squares to inf has rss inf without its other points being
@@ -856,14 +872,16 @@ def fit_field_nls(
 
     def rss_at(log_nu):
         with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
-            g = model(r, t, math.exp(log_nu))
-            gg = float(g @ g)
+            g, gg, scale = _normal_scaled(model(r, t, math.exp(log_nu)))
         amp, rss = math.nan, math.inf
         if 0.0 < gg < math.inf:
             # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
             amp = float(g @ y) / gg
             res = y - amp * g
             rss = float(res @ res)
+            if scale:
+                with np.errstate(over="ignore"):  # inf: the amplitude is past the floats
+                    amp = float(np.ldexp(amp, scale))
         evals.append((rss, log_nu, amp))
         return rss
 
@@ -873,17 +891,21 @@ def fit_field_nls(
     if inside:
         _golden_section(rss_at, grid[i - 1], grid[i + 1])
     rss, log_nu, amp = min(evals)
-    if not (inside and math.isfinite(rss) and amp > 0):
+    if not (inside and math.isfinite(rss) and 0 < amp < math.inf):
         raise FitError(f"{field_class} field fit failed at nu={math.exp(log_nu):.6e} "
                        f"(scan edge: {not inside}), rss={rss:.6e}, amplitude={amp:.6e}")
 
     nu = math.exp(log_nu)
     dg = (model(r, t, nu * (1.0 + 1e-6)) - model(r, t, nu * (1.0 - 1e-6))) / (2e-6 * nu)
-    jac = np.column_stack([amp * dg, model(r, t, nu)])
+    g, _, scale = _normal_scaled(model(r, t, nu))
+    jac = np.column_stack([amp * dg, g])  # the columns of nu and of 2^-scale amplitude
     try:
         cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
+    if scale:
+        with np.errstate(over="ignore"):
+            cov = np.ldexp(cov, scale * np.array([[0, 1], [1, 2]]))
     return FieldFitResult(nu=nu, q=amp, cov=cov, rss=rss, n_iter=len(evals))
 
 

@@ -92,8 +92,9 @@ def _heat_kernel(q: float, rr: float, nu: float, t: float) -> float:
 
 
 class _RadialField:
-    """r_min, the (r, t) domain check, the diffusion length, and d_dr and d_dt
-    as fields of eval."""
+    """The (r, t) domain check, the diffusion length, and d_dr and d_dt as
+    fields of eval.  The source sits at r = 0; r_min records that for
+    callers, and nothing in the package reads it."""
 
     r_min = 0.0
     diverges_at_origin = False

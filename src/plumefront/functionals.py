@@ -7,7 +7,7 @@ derivative-free fields are fine except where noted.  Radial symmetry is
 assumed throughout, which keeps every integral one-dimensional.  The
 boundary radius refines its scan bracket by Brent's method to rounding.
 
-Moments and energy integrate over r in [r_min, inf), exposure over
+Moments and energy integrate over r in [0, inf), exposure over
 s = r / (L sqrt(t)) for t up to a horizon T, possibly inf, all through
 `quadrature`, the package's one QUADPACK call, so an integral that diverges
 or does not converge raises NumericalError instead of returning a truncated
@@ -102,7 +102,7 @@ class BoundarySpec:
     def threshold(self, field, t: float) -> float:
         if self.mode == "absolute":
             return self.tau_min
-        return self.relative_fraction(field) * field.value(getattr(field, "r_min", 0.0), t)
+        return self.relative_fraction(field) * field.value(0.0, t)
 
     # Relative modes compare against the source value, which moves with t;
     # the boundary ODE needs that fraction to differentiate the condition.
@@ -110,7 +110,7 @@ class BoundarySpec:
         if self.mode == "absolute":
             return 0.0
         if getattr(field, "diverges_at_origin", False):
-            raise DomainError(f"relative modes need a finite source value tau(r_min, t), and "
+            raise DomainError(f"relative modes need a finite source value tau(0, t), and "
                               f"{type(field).__name__} diverges at its source: use tau_min")
         return 1.0 - self.epsilon if self.mode == "decay_by_epsilon" else self.fraction
 
@@ -197,7 +197,7 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
         else:
             return None
     else:
-        r_lo = getattr(field, "r_min", 0.0)
+        r_lo = 0.0
         if field.value(r_lo, t) <= thr:
             return None
 
@@ -299,21 +299,21 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
 
 
 def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:
-    """omega_d int_{r_min}^inf r^(d-1) f(r) dr and its error estimate, split
+    """omega_d int_0^inf r^(d-1) f(r) dr and its error estimate, split
     RADIAL_SPLIT_SCALES diffusion lengths out."""
     if not t > 0:
         raise DomainError(f"time must be > 0, got {t}")
     dim = getattr(field, "dim", 3)
     omega = unit_sphere_area(dim)
-    val, err = quadrature(lambda r: r ** (dim - 1) * f(r), getattr(field, "r_min", 0.0),
-                          math.inf, split=RADIAL_SPLIT_SCALES * _field_scale(field, t),
+    val, err = quadrature(lambda r: r ** (dim - 1) * f(r), 0.0, math.inf,
+                          split=RADIAL_SPLIT_SCALES * _field_scale(field, t),
                           reltol=RADIAL_RELTOL, what=f"{what} at t={t}")
     return omega * val, omega * err
 
 
 def spatial_moment(field, k: int, t: float) -> MomentResult:
     """k-th radial moment M_k(t) = omega_d int_0^inf r^(k+d-1) tau(r, t) dr,
-    over [r_min, inf) with no cutoff.  Raises NumericalError if it diverges or
+    over [0, inf) with no cutoff.  Raises NumericalError if it diverges or
     quadrature_error, QUADPACK's estimate, exceeds 1e-7 of the value."""
     if not (k >= 0 and float(k).is_integer()):
         raise DomainError(f"moment order must be a non-negative integer, got {k}")
@@ -323,7 +323,7 @@ def spatial_moment(field, k: int, t: float) -> MomentResult:
 
 def energy(field, t: float) -> float:
     """Squared-intensity integral E(t) = int tau^2 dx over R^d, radially over
-    [r_min, inf) with no cutoff.  Raises NumericalError if it diverges or the
+    [0, inf) with no cutoff.  Raises NumericalError if it diverges or the
     (dropped) error estimate exceeds 1e-7 of the value."""
     # v * v overflows to inf, where v ** 2 would raise OverflowError
     return _radial_integral(field, lambda r: (v := field.value(r, t)) * v, t, "energy")[0]

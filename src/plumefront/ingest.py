@@ -2,14 +2,16 @@
 
 Input files are delimited text with a header; columns are referenced by
 name, never by position.  The sources file carries id, lat, lon,
-capacity_mw; the observations file carries lat, lon, period (YYYY-MM),
-outcome (may be empty for missing).  Distances are great-circle kilometres
-on the mean Earth radius 6371.0088 km.
+capacity_mw (finite, >= 0); the observations file carries lat, lon, period
+(YYYY-MM, month 01-12), outcome (usable when finite and >= 0; empty reads as
+NaN).  Distances are great-circle kilometres on the mean Earth radius
+6371.0088 km.
 
 Observations are read, checked, matched and filtered as numpy columns
-(`read_observation_columns`, `sample_rows`); the row functions
-`load_observations`, `match_nearest_source` and `build_sample` are adapters
-that build a GridObservation only for each row they return.
+(`read_observation_columns`, `sample_rows`), a period as its month code
+year * 12 + month - 1; the row functions `load_observations`,
+`match_nearest_source` and `build_sample` are adapters that build a
+GridObservation only for each row they return.
 
 Nearest-source matching runs once per distinct (lat, lon) cell, by one search
 at every size: the largest dot product of unit vectors (squared chords within
@@ -24,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ NEAR_COS = math.cos(1.0 / EARTH_RADIUS_KM)  # 1 km: farther picks are within ~1e
 
 SOURCE_COLUMNS = ("id", "lat", "lon", "capacity_mw")
 OBSERVATION_COLUMNS = ("lat", "lon", "period", "outcome")
+_PERIOD = re.compile(r"([0-9]{4})-(0[1-9]|1[0-2])")  # YYYY-MM: ASCII digits, month 01-12
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class SourceSite:
 
     def __post_init__(self):
         _check_coords(self.lat, self.lon)
-        if self.capacity_mw < 0:
-            raise DomainError(f"capacity must be >= 0, got {self.capacity_mw}")
+        if not 0 <= self.capacity_mw < math.inf:
+            raise DomainError(f"capacity must be a finite number >= 0, got {self.capacity_mw}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +66,14 @@ class GridObservation:
 
     def __post_init__(self):
         _check_coords(self.lat, self.lon)
+        if not isinstance(self.period, str) or _period_code(self.period) < 0:
+            raise DomainError(f"period {self.period!r} is not YYYY-MM")
         if (self.nearest_source_id is None) != (self.distance_km is None):
             raise DomainError("distance_km must be present exactly when nearest_source_id is")
 
     @property
     def year(self) -> int:
-        return int(self.period.split("-")[0])
+        return _period_code(self.period) // 12
 
 
 def _check_coords(lat: float, lon: float):
@@ -209,9 +215,16 @@ def _coordinate_checks(lat, lon):
     ]
 
 
-def _is_period(text: str) -> bool:
-    parts = text.split("-")
-    return len(parts) == 2 and len(parts[0]) == 4 and parts[0].isdigit() and parts[1].isdigit()
+def _period_code(text: str) -> int:
+    """The month code year * 12 + month - 1 of a YYYY-MM text, or -1 for any other text."""
+    match = _PERIOD.fullmatch(text)
+    return int(match[1]) * 12 + int(match[2]) - 1 if match else -1
+
+
+def period_text(codes: list[int]) -> list[str]:
+    """The YYYY-MM text of each month code, formatting each distinct code once."""
+    text = {code: f"{code // 12:04d}-{code % 12 + 1:02d}" for code in set(codes)}
+    return [text[code] for code in codes]
 
 
 def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
@@ -236,7 +249,8 @@ def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
         (bad_lon, _not_numeric("lon", lon_text)),
         (bad_capacity, _not_numeric("capacity_mw", capacity_text)),
         *_coordinate_checks(lat, lon),
-        (capacity < 0, lambda i, row: f"{row}: capacity must be >= 0, got {float(capacity[i])}"),
+        (~(np.isfinite(capacity) & (capacity >= 0)),
+         lambda i, row: f"{row}: capacity must be a finite number >= 0, got {float(capacity[i])}"),
     ])
     return [SourceSite(id=sid, lat=a, lon=b, capacity_mw=c)
             for sid, a, b, c in zip(ids, lat.tolist(), lon.tolist(), capacity.tolist())
@@ -244,51 +258,48 @@ def load_sources(path, min_capacity: float = 100.0) -> list[SourceSite]:
 
 
 def _observation_columns(observations) -> dict:
-    outcome = [o.outcome for o in observations]
     return {"lat": np.array([o.lat for o in observations], dtype=float),
             "lon": np.array([o.lon for o in observations], dtype=float),
-            "period": np.array([o.period for o in observations], dtype=object),
-            "outcome": np.array([np.nan if v is None else v for v in outcome], dtype=float),
-            "missing": np.array([v is None for v in outcome], dtype=bool)}
+            "period": np.array([_period_code(o.period) for o in observations], dtype=np.int64),
+            "outcome": np.array([np.nan if o.outcome is None else o.outcome
+                                 for o in observations], dtype=float)}
 
 
 def read_observation_columns(path) -> tuple[dict, str]:
     """Grid observations as columns, in file order, and the file's delimiter.
 
-    The columns are arrays keyed lat, lon, period (strings), outcome (NaN
-    where missing) and missing (an empty outcome field).  The period format
-    is checked once per distinct string and the coordinates by array masks;
-    the first bad row in file order is reported with the first check it
-    fails.
+    The columns are arrays keyed lat, lon, period (int64 month codes, year *
+    12 + month - 1) and outcome (float; NaN where the field is empty).  Each
+    distinct period text is parsed once and the coordinates are checked by
+    array masks; the first bad row in file order is reported with the first
+    check it fails.
     """
     table = _read_text_columns(path, OBSERVATION_COLUMNS, "observations file")
     if table is None:
         return _observation_columns([]), ","
     delimiter, (lat_text, lon_text, raw_period, raw_outcome), line_number = table
-    strip = {raw: (raw or "").strip() for raw in set(raw_period)}
-    period = np.array([strip[raw] for raw in raw_period], dtype=object)
-    bad_periods = {raw for raw, p in strip.items() if not _is_period(p)}
+    code = {raw: _period_code((raw or "").strip()) for raw in set(raw_period)}
+    period = np.fromiter((code[raw] for raw in raw_period), np.int64, len(raw_period))
     outcome_text = [(text or "").strip() for text in raw_outcome]
     outcome, bad_outcome = _float_column([text or "nan" for text in outcome_text])
     (lat, bad_lat), (lon, bad_lon) = _float_column(lat_text), _float_column(lon_text)
     _raise_first(line_number, [
-        (np.array([raw in bad_periods for raw in raw_period], dtype=bool),
-         lambda i, row: f"{row}: period {period[i]!r} is not YYYY-MM"),
+        (period < 0,
+         lambda i, row: f"{row}: period {(raw_period[i] or '').strip()!r} is not YYYY-MM"),
         (bad_outcome, _not_numeric("outcome", outcome_text)),
         (bad_lat, _not_numeric("lat", lat_text)),
         (bad_lon, _not_numeric("lon", lon_text)),
         *_coordinate_checks(lat, lon),
     ])
-    missing = np.array([not text for text in outcome_text], dtype=bool)
-    return dict(lat=lat, lon=lon, period=period, outcome=outcome, missing=missing), delimiter
+    return dict(lat=lat, lon=lon, period=period, outcome=outcome), delimiter
 
 
 def load_observations(path) -> list[GridObservation]:
-    """Read grid observations; an empty outcome field means missing."""
+    """Read grid observations; a NaN outcome (an empty field or nan) reads as None."""
     obs, _ = read_observation_columns(path)
-    columns = (obs[c].tolist() for c in (*OBSERVATION_COLUMNS, "missing"))
-    return [GridObservation(lat=a, lon=b, period=p, outcome=None if m else v)
-            for a, b, p, v, m in zip(*columns)]
+    return [GridObservation(lat=a, lon=b, period=p, outcome=None if math.isnan(v) else v)
+            for a, b, p, v in zip(obs["lat"].tolist(), obs["lon"].tolist(),
+                                  period_text(obs["period"].tolist()), obs["outcome"].tolist())]
 
 
 def _nearest(lat, lon, sources):
@@ -341,18 +352,15 @@ def sample_rows(obs: dict, sources, max_distance_km: float = 200.0,
     their nearest source index, distance)."""
     if obs["lat"].size == 0 or not sources:
         raise DataError("build_sample requires non-empty observations and sources")
-    rows = np.flatnonzero(~obs["missing"] & (obs["outcome"] >= 0))
+    rows = np.flatnonzero(np.isfinite(obs["outcome"]) & (obs["outcome"] >= 0))
     idx, dist, cell = _nearest(obs["lat"][rows], obs["lon"][rows], sources)
     near = dist <= max_distance_km
     rows, idx, dist, cell = rows[near], idx[near], dist[near], cell[near]
-    # count the distinct (cell-year, period) pairs of each cell-year
-    periods = {}
-    period = np.array([periods.setdefault(p, len(periods)) for p in obs["period"][rows].tolist()],
-                      dtype=int)
-    years, year = np.unique([int(p.split("-")[0]) for p in periods], return_inverse=True)
-    cell_years, cell_year = np.unique(cell * len(years) + year[period], return_inverse=True)
-    months = np.bincount(np.unique(cell_year * len(periods) + period) // len(periods),
-                         minlength=len(cell_years))
+    # count the distinct months (code % 12) of each cell-year (code // 12)
+    period = obs["period"][rows]
+    years, year = np.unique(period // 12, return_inverse=True)
+    cell_years, cell_year = np.unique(cell * len(years) + year, return_inverse=True)
+    months = np.bincount(np.unique(cell_year * 12 + period % 12) // 12, minlength=len(cell_years))
     keep = months[cell_year] >= min_monthly_obs_per_year
     return rows[keep], idx[keep], dist[keep]
 
@@ -365,9 +373,9 @@ def build_sample(
 ) -> list[GridObservation]:
     """Construct the analysis sample: valid, matched, near, well-observed.
 
-    A valid observation has a non-missing, non-negative outcome.  Each valid
-    observation is matched to its nearest source and kept when that distance
-    is within max_distance_km; cell-years with fewer than
+    A valid observation has a finite outcome >= 0.  Each valid observation
+    is matched to its nearest source and kept when that distance is within
+    max_distance_km; cell-years with fewer than
     min_monthly_obs_per_year distinct observed months are then dropped (the
     filter applies per cell-year, so a cell can contribute some years and
     not others).

@@ -347,3 +347,22 @@ def test_relative_spec_needs_finite_source_value(field):
     spec = BoundarySpec(mode="decay_to_fraction", fraction=0.3)
     with pytest.raises(DomainError, match="relative modes need a finite source value"):
         boundary_ode_integrate(field, 1.0, 1.0, 2.0, steps=10, spec=spec)
+
+
+@pytest.mark.parametrize("steps", [50, 1000])
+def test_shrinking_boundary_vanishes_at_the_source(steps):
+    # tau(0, t) = (4 pi t)^-1.5 falls to tau_min = 1e-3 at t_ext = 10^2 / 4 pi = 7.96,
+    # where the boundary closes onto the source; at 50 steps an RK4 stage radius
+    # of the step that crosses it is negative
+    spec = BoundarySpec(mode="absolute", tau_min=1e-3)
+    t_ext = 1e3 ** (2.0 / 3.0) / (4.0 * math.pi)
+    d0 = boundary_radius(GAUSS, spec, 1.0)
+    traj = boundary_ode_integrate(GAUSS, d0, 1.0, 15.9, steps=steps, spec=spec)
+    assert traj.terminated_reason == "boundary_vanished"
+    assert traj.times[-1] < t_ext < traj.times[-1] + 2 * (15.9 - 1.0) / steps
+    assert np.all(traj.radii > 0) and np.all(np.diff(traj.radii[len(traj.radii) // 2:]) < 0)
+    # the points kept are those of the run that stops short of t_ext
+    n = len(traj.times) - 1
+    short = boundary_ode_integrate(GAUSS, d0, 1.0, traj.times[-1], steps=n, spec=spec)
+    assert short.terminated_reason == "horizon_reached"
+    np.testing.assert_allclose(short.radii, traj.radii, rtol=1e-12)

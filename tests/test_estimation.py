@@ -703,3 +703,55 @@ class TestSelectProfileModel:
     def test_small_sample_rejected(self):
         with pytest.raises(InsufficientDataError):
             select_profile_model(np.ones(50), np.ones(50), np.ones(50))
+
+
+class TestFieldFitUnits:
+    """Distances x s and times x s^2 leave r^2 / 4t, and so nu, unchanged, while
+    every profile value shrinks until g.g underflows; the fit scales g by a
+    power of two, which is exact, and gets nu and its standard error back."""
+
+    @staticmethod
+    def _bessel_sample():
+        from plumefront.fields import BesselField, FieldParams
+
+        field = BesselField(FieldParams(nu=0.8, q=1.0, dim=2, source_pos=(0.0, 0.0)), 0.7)
+        rng = np.random.default_rng(100)
+        t = rng.choice([0.5, 1.0, 2.0], size=300)
+        r = rng.uniform(0.1, 4.0, size=300)
+        clean = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
+        return r, t, clean + 0.002 * rng.standard_normal(300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field_class, s", [
+        ("gaussian", 1e60), ("gaussian", 1e100), ("bessel", 1e100), ("bessel", 1e140),
+    ])
+    def test_fit_does_not_depend_on_units(self, field_class, s):
+        if field_class == "gaussian":
+            r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        else:
+            r, t, y = self._bessel_sample()
+        base = fit_field_nls(r, t, y, field_class=field_class)
+        fit = fit_field_nls(r * s, t * s * s, y, field_class=field_class)
+        assert abs(fit.nu - base.nu) <= 1e-9
+        assert fit.rss == pytest.approx(base.rss, rel=1e-9)
+        assert math.isfinite(fit.se_nu) and fit.se_nu == pytest.approx(base.se_nu, rel=1e-6)
+        assert fit.q == pytest.approx(base.q * (s ** 3 if field_class == "gaussian" else s * s),
+                                      rel=1e-8)
+
+
+class TestKummerSelection:
+    @pytest.mark.parametrize("noise, lr_floor", [(1e-4, 4000.0), (1e-3, 3000.0)])
+    def test_kummer_data_selects_kummer(self, noise, lr_floor):
+        from plumefront.fields import FieldParams, KummerField
+
+        field = KummerField([(1.0, 0)], FieldParams(nu=1.0, q=1.0))
+        rng = np.random.default_rng(0)
+        t = rng.choice([0.5, 1.0, 2.0], size=300)
+        r = rng.uniform(0.0, 0.5, size=300)
+        clean = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
+        sel = select_profile_model(r, clean + noise * rng.standard_normal(300), t)
+        assert sel.model == "kummer"
+        assert set(sel.params) == {"nu", "c0"}
+        assert sel.params["nu"] == pytest.approx(1.0, abs=10 * noise)
+        assert sel.params["c0"] == pytest.approx(1.0, abs=10 * noise)
+        assert sel.lr_stat > lr_floor
