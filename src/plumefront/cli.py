@@ -95,7 +95,7 @@ class _Usage(Exception):
 
 
 def _make_field(args):
-    """The field of --profile; argparse and _config_defaults admit no other."""
+    """The field of --profile; argparse admits no other."""
     if args.profile == "bessel":
         return BesselField(FieldParams(nu=args.nu, q=args.q, dim=2, source_pos=(0.0, 0.0)),
                            amplitude=args.amplitude)
@@ -278,13 +278,9 @@ def _run_ingest(args):
 # ---------------------------------------------------------------------------
 
 
-# Options with choices; argparse checks a flag's value, _config_defaults a config's.
-_CHOICES = {"profile": ("gaussian", "bessel", "decaying", "kummer"),
-            "method": ("loglinear", "nonparametric", "both"), "format": ("csv", "json")}
-
-
 def _add_field_options(p, need_r=True, need_t=True):
-    p.add_argument("--profile", default="gaussian", choices=_CHOICES["profile"])
+    p.add_argument("--profile", default="gaussian",
+                   choices=("gaussian", "bessel", "decaying", "kummer"))
     p.add_argument("--nu", type=float, default=1.0, help="diffusion coefficient (km^2/time)")
     p.add_argument("--q", type=float, default=1.0, help="source strength")
     p.add_argument("--amplitude", type=float, default=1.0, help="Bessel profile amplitude")
@@ -316,14 +312,20 @@ def _add_gate_options(p):
 
 def _add_output_options(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", default="csv", choices=_CHOICES["format"])
+    p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The plumefront parser; defaults (dest -> flag text) replace every
-    subcommand's option defaults, and argparse types them as it types flags."""
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage problems raise _Usage, for one error line."""
+
+    def error(self, message):
+        raise _Usage(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The plumefront parser, one subparser per subcommand."""
+    parser = _Parser(
         prog="plumefront",
         description="Point-source diffusion fields, spatial boundaries, and their estimation.",
     )
@@ -373,7 +375,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="decay estimation on a distance/outcome table")
     _add_table_options(p)
-    p.add_argument("--method", default="loglinear", choices=_CHOICES["method"])
+    p.add_argument("--method", default="loglinear", choices=("loglinear", "nonparametric", "both"))
     p.add_argument("--robust-cutoff", dest="robust_cutoff", type=float, default=None,
                    help="spatial HAC cutoff in km (e.g. 50)")
     p.add_argument("--bandwidth", default="auto",
@@ -402,8 +404,6 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(func=_run_ingest)
 
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -420,39 +420,28 @@ def _load_config(path) -> dict:
     return config
 
 
-def _flag_text(value):
+def _flag_text(value) -> str:
     """A config value as the text of its flag; a list joins with commas."""
-    if value is None or isinstance(value, str):
+    if isinstance(value, str):
         return value
     if isinstance(value, list):
         return ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
     return json.dumps(value)
 
 
-def _config_defaults(args) -> dict:
-    """The --config file of parsed args as option defaults (dest -> flag text)."""
-    defaults = {}
-    for key, value in _load_config(args.config).items():
-        dest = key.replace("-", "_")
-        if dest not in vars(args) or dest in ("command", "func"):
-            raise _Usage(f"config key {key!r} is not a recognised option")
-        defaults[dest] = _flag_text(value)
-        if dest in _CHOICES and defaults[dest] not in _CHOICES[dest]:
-            raise _Usage(f"config {key!r} must be one of {', '.join(_CHOICES[dest])}")
-    return defaults
-
-
 def dispatch(argv) -> int:
     """Parse tokens, run the named pipeline, return the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config is not None:
-            # flags, abbreviated ones too, override the config's defaults
-            args = build_parser(_config_defaults(args)).parse_args(argv)
+            # config values parse as flags; the flags after them, abbreviated or not, override
+            config = [f"--{key.replace('_', '-')}={_flag_text(value)}"
+                      for key, value in _load_config(args.config).items() if value is not None]
+            args = parser.parse_args([*argv[:1], *config, *argv[1:]])
         _echo_config(args)
         return args.func(args)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems and 0 on --help
+    except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 1
     except _Usage as exc:
         sys.stderr.write(f"usage error: {exc}\n")

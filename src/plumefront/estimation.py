@@ -17,9 +17,10 @@ prefix sums of powers of distance over the sorted data (Fan and Marron 1994;
 Seifert et al. 1994), centred per block of grid points at most 4 bandwidths
 wide to hold the cancellation near 1e-12.  The reported fit is exact;
 cross-validation and the bootstrap still run on 400 bins, far narrower than
-any admissible bandwidth.  On the bin lattice each CV sum of all ten
-bandwidths is one matrix product of direct sums, and the bootstrap gate
-draws only the observations in the bins its two endpoint windows read.
+any admissible bandwidth.  On the bin lattice the CV takes the sums of every
+occupied bin at all ten bandwidths from one call of the direct-sum kernel,
+one matrix product each, and the bootstrap gate draws only the
+observations in the bins its two endpoint windows read.
 """
 
 from __future__ import annotations
@@ -119,14 +120,8 @@ class FieldFitResult:
     cov: np.ndarray
     rss: float
     n_iter: int  # rss evaluations
-
-    @property
-    def se_nu(self) -> float:
-        return math.sqrt(max(self.cov[0, 0], 0.0))
-
-    @property
-    def se_q(self) -> float:
-        return math.sqrt(max(self.cov[1, 1], 0.0))
+    se_nu: float
+    se_q: float  # finite even where cov[1, 1] = se_q^2 overflows
 
 
 @dataclass(frozen=True)
@@ -393,34 +388,29 @@ def _bin_data(d: np.ndarray, y: np.ndarray, n_bins: int = N_BINS):
 def _cv_scores(width, counts, ysum, yssq, grid_h) -> np.ndarray:
     """Leave-one-out CV score of the binned sample at every bandwidth.
 
-    The bins are a lattice of step width, so each local-linear sum at every
-    centre is a correlation of a bin column with the Epanechnikov taps at
-    offsets k width, |k width| < h: one (bandwidths x taps) matrix against
-    the sliding windows of the zero-padded columns gives all of them as
-    direct sums.  Only occupied bins enter the score, so a bandwidth scores
-    inf only where an occupied bin has no local-linear fit or a self weight
-    of 1; an empty bin, as in a data gap, adds nothing and demands nothing.
+    The bins are a lattice of step width, so the window of every centre
+    holds the bins at the same offsets k width, |k width| < h.  The sliding
+    windows of the zero-padded counts and outcome sums, one row per occupied
+    centre, go to `_window_sums` with those offsets as one column per
+    bandwidth: each of its six sums is one matrix product for all centres
+    and bandwidths.  Only occupied bins enter the score, so a bandwidth
+    scores inf only where an occupied bin has no local-linear fit or a self
+    weight of 1; an empty bin, as in a data gap, adds nothing and demands
+    nothing.
     """
-    n_bins = counts.size
-    n_taps = min(n_bins - 1, int(np.max(grid_h) / width))
+    n_taps = min(counts.size - 1, int(np.max(grid_h) / width))
     off = width * np.arange(-n_taps, n_taps + 1)
-    u = off / grid_h[:, None]
-    inside = np.abs(u) < 1.0
-    k = np.where(inside, 0.75 * (1.0 - u * u), 0.0)
-    kd = k * off
-
+    cols = np.pad(np.array([counts, ysum]), ((0, 0), (n_taps, n_taps)))
+    # cnt[j, k] (ys alike): the bin at offset off[k] from centre j
+    cnt, ys = np.lib.stride_tricks.sliding_window_view(cols, off.size, axis=1)
     occupied = counts > 0
-    cols = np.pad(np.array([occupied, counts, ysum], dtype=float), ((0, 0), (n_taps, n_taps)))
-    window = np.lib.stride_tricks.sliding_window_view(cols, off.size, axis=1)
-    # occ[t, j] (cnt, ys alike): the column at offset t - n_taps from centre j
-    occ, cnt, ys = np.ascontiguousarray(window.transpose(0, 2, 1))
-    sums = np.array([inside @ occ, k @ cnt, kd @ cnt, (kd * off) @ cnt, k @ ys, kd @ ys])
-    m, denom, linear = _loclin_solve(sums)
+    sums = np.array(_window_sums(cnt[occupied], ys[occupied], off[:, None], grid_h))
+    m, denom, linear = _loclin_solve(sums)  # (occupied centre, bandwidth)
+    c, s, q = counts[occupied, None], ysum[occupied, None], yssq[occupied, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        one_minus = 1.0 - 0.75 * sums[3] / denom  # 1 - an observation's weight on itself
-        ok = (linear & (one_minus > 1e-8))[:, occupied].all(axis=1)
-        rss_bin = (yssq - 2.0 * m * ysum + counts * m * m)[:, occupied]
-        scores = np.sum(rss_bin / one_minus[:, occupied] ** 2, axis=1)
+        one_minus = 1.0 - 0.75 * sums[3] / denom  # 1 - a point's weight on itself
+        ok = (linear & (one_minus > 1e-8)).all(axis=0)
+        scores = np.sum((q - 2.0 * m * s + c * m * m) / one_minus ** 2, axis=0)
     return np.where(ok, scores, math.inf)
 
 
@@ -831,14 +821,15 @@ def fit_field_nls(
     Pereyra 1973).  cov = sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with
     dg/dnu a central difference.  Where g.g underflows the normal floats, as
     with distances x s and times x s^2, g is projected scaled by a power of
-    two and cov unscaled after, so nu and se_nu do not depend on the units;
-    an amplitude's variance past the floats is inf.  FitError when the
-    minimum is on the scan edge, the rss is not finite or the amplitude is
-    not a positive float: the
-    single-term Kummer profile grows with r, so on decaying data its least
-    squares lie at nu -> infinity.  A Kummer row whose value at the largest
-    r^2 / 4 nu t squares to inf has rss inf without its other points being
-    evaluated; n_iter still counts it.  The fit is deterministic; seed is unused.
+    two and cov unscaled after, so nu, se_nu and se_q do not depend on the
+    units; se_q comes from the scaled cov, so only an amplitude's variance,
+    cov[1, 1], past the floats is inf.  FitError when the minimum is on the
+    scan edge, the rss is not finite or the amplitude is not a positive
+    float: the single-term Kummer profile grows with r, so on decaying data
+    its least squares lie at nu -> infinity.  A Kummer row whose value at
+    the largest r^2 / 4 nu t squares to inf has rss inf without its other
+    points being evaluated; n_iter still counts it.  The fit is
+    deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
     nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of
@@ -903,10 +894,13 @@ def fit_field_nls(
         cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))  # of nu and of the scaled amplitude
     if scale:
         with np.errstate(over="ignore"):
             cov = np.ldexp(cov, scale * np.array([[0, 1], [1, 2]]))
-    return FieldFitResult(nu=nu, q=amp, cov=cov, rss=rss, n_iter=len(evals))
+            se = np.ldexp(se, [0, scale])
+    return FieldFitResult(nu=nu, q=amp, cov=cov, rss=rss, n_iter=len(evals),
+                          se_nu=float(se[0]), se_q=float(se[1]))
 
 
 def _runs_z(residuals: np.ndarray) -> float:

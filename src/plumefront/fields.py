@@ -1,5 +1,10 @@
 """Closed-form intensity fields for point-source diffusion.
 
+GaussianField and DecayingSourceField solve tau_t = nu lap tau - lam tau in
+3-D.  BesselField and KummerField are closed-form profiles that solve no
+diffusion equation (their class docstrings give the residual); ROADMAP item 1
+replaces them with the self-similar solutions that do.
+
 Every field here is radially symmetric about its source, so the working
 signature is (r, t).  Field objects expose
 
@@ -93,10 +98,8 @@ def _heat_kernel(q: float, rr: float, nu: float, t: float) -> float:
 
 class _RadialField:
     """The (r, t) domain check, the diffusion length, and d_dr and d_dt as
-    fields of eval.  The source sits at r = 0; r_min records that for
-    callers, and nothing in the package reads it."""
+    fields of eval.  The source sits at r = 0."""
 
-    r_min = 0.0
     diverges_at_origin = False
 
     def _check(self, r: float, t: float) -> float:
@@ -150,10 +153,13 @@ class GaussianField(_RadialField):
 
 
 class BesselField(_RadialField):
-    """Line source with cylindrical symmetry: tau = (A/t) K0(r / (2 sqrt(nu t))).
+    """Cylindrical profile tau = (A/t) K0(r / (2 sqrt(nu t))).
 
-    The amplitude A is a free parameter, not tied to q.  eval takes K0 and K1
-    (K0' = -K1) as floats from one call of the specfun kernel.
+    It solves no diffusion equation: with nu = 0.8 the 2-D residual
+    tau_t - nu lap tau is 1.39 and 1.53 times tau_t at (r, t) = (0.7, 1.3)
+    and (2, 3) (ROADMAP item 1).  The amplitude A is a free parameter, not
+    tied to q.  eval takes K0 and K1 (K0' = -K1) as floats from one call of
+    the specfun kernel.
     """
 
     diverges_at_origin = True  # open: any r > 0 is valid
@@ -193,6 +199,10 @@ class BesselField(_RadialField):
 class KummerField(_RadialField):
     """Truncated confluent-hypergeometric profile for cylindrical symmetry,
     tau(r, t) = t^-1 sum_n C_n M(n + 1/2, 2n + 1, r^2 / (4 nu t)), C_n finite, n >= 0.
+
+    It grows with r and solves no diffusion equation: the one-term
+    profile's 2-D residual tau_t - nu lap tau is 1.53 and 1.59 times tau_t
+    at nu = 0.8, (r, t) = (0.7, 1.3) and (2, 3) (ROADMAP item 1).
 
     eval differentiates within the profile family: with M_n = M(n + 1/2, 2n + 1, z),
     dM_n/dz = (M_n + z M_(n+1) / (4 (n + 1))) / 2, from Kummer's second formula

@@ -368,6 +368,29 @@ class TestConfigFile:
         assert code == 0
         assert out == "3.330218445\n"
 
+    @pytest.mark.parametrize("argv, config", [
+        (["boundary", "--epsilon", "0.1", "--t", "4"], {"profile": "exotic"}),
+        (["boundary", "--epsilon", "0.1", "--t", "4", "--nu", "abc"], {}),
+        (["boundary"], {"f": 0.1, "t": "4"}),  # --f could be --fraction or --format
+    ], ids=["profile-not-a-choice", "flag-not-a-float", "ambiguous-key"])
+    def test_usage_problem_is_one_line_and_exit_one(self, tmp_path, capsys, argv, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_config_keys_read_as_flags(self, tmp_path, capsys):
+        runs = {}
+        for name, config in [("plain", {"epsilon": 0.1, "t": "4"}),
+                             ("null", {"epsilon": 0.1, "t": "4", "nu": None}),
+                             ("abbreviated", {"eps": 0.1, "t": "4"})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            runs[name] = run_cli(["boundary", "--config", str(path)], capsys)[:2]
+        # a null keeps the option's default, and an abbreviation argparse accepts is its flag
+        assert runs["null"] == runs["abbreviated"] == runs["plain"] == (0, "1.298371384\n")
+
     def test_bad_json_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text("{not json")

@@ -82,7 +82,7 @@ class _CountingGaussian(GaussianField):
         self.at_source = self.elsewhere = 0
 
     def eval(self, r, t):
-        if r == self.r_min:
+        if r == 0.0:
             self.at_source += 1
         else:
             self.elsewhere += 1

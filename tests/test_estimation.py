@@ -738,6 +738,16 @@ class TestFieldFitUnits:
         assert fit.q == pytest.approx(base.q * (s ** 3 if field_class == "gaussian" else s * s),
                                       rel=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e60, 1e100])
+    def test_amplitude_standard_error_is_a_float_where_its_variance_is_not(self, s):
+        # se_q is near 1.5e178 and 1.5e298, so cov[1, 1] = se_q^2 overflows to inf
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        base = fit_field_nls(r, t, y)
+        fit = fit_field_nls(r * s, t * s * s, y)
+        assert fit.cov[1, 1] == math.inf
+        assert fit.se_q == pytest.approx(base.se_q * s ** 3, rel=1e-6)
+
 
 class TestKummerSelection:
     @pytest.mark.parametrize("noise, lr_floor", [(1e-4, 4000.0), (1e-3, 3000.0)])

@@ -398,3 +398,13 @@ class TestLatticeCV:
             assert np.isinf(got[-1]) and np.isinf(oracle[-1])
             np.testing.assert_allclose(got, oracle, rtol=1e-12)
             assert cross_validated_bandwidth(d, y) == grid_h[np.argmin(oracle[:-1])]
+
+    @pytest.mark.parametrize("dgp", sorted(STANDARD_DGPS))
+    def test_all_bandwidths_share_one_window_sums_call(self, monkeypatch, dgp):
+        # the lattice takes its sums from the one kernel, all ten bandwidths at once
+        d, y = generate_dgp(STANDARD_DGPS[dgp], 5000, seed=9)
+        calls = []
+        real = estimation._window_sums
+        monkeypatch.setattr(estimation, "_window_sums", lambda *a: calls.append(a) or real(*a))
+        cross_validated_bandwidth(d, y)
+        assert len(calls) == 1
