@@ -8,8 +8,9 @@ confidence interval.
 Nonparametric side: local-linear regression with an Epanechnikov kernel on
 an evenly spaced grid, rule-of-thumb bandwidth optionally refined by
 leave-one-out cross-validation, and threshold-crossing boundary detection
-gated by a paired bootstrap test of total decline so that flat profiles are
-rejected rather than assigned spurious boundaries.
+gated by a paired bootstrap test of total decline at the 5% level (so that
+flat profiles are rejected rather than assigned spurious boundaries) and
+reported with a 95% bootstrap percentile interval.
 
 Every local-linear sum comes from one kernel: the Epanechnikov weight is a
 polynomial inside its window, so the sums at all grid points follow from
@@ -46,6 +47,7 @@ _LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.floa
 CV_GRID_SIZE = 10
 CV_GRID_SPAN = 4.0  # bandwidth grid from rot/span to rot*span
 N_BINS = 400
+ALPHA = 0.05  # the gate's one-sided level; the interval covers 1 - ALPHA
 DEFAULT_CLAMP = 1e-6
 _BLOCK_BANDWIDTHS = 4.0  # widest grid block sharing one prefix-sum centre
 _DIRECT_SUM_COND = 10.0  # windows of worse conditioning take direct sums
@@ -148,6 +150,13 @@ def _as_xy(distances, outcomes) -> list[np.ndarray]:
     return _as_columns("distances and outcomes", distances, outcomes)
 
 
+def _check_varies(d, y):
+    """DataError when the distances or the outcomes are all equal."""
+    for name, col in (("distances", d), ("outcomes", y)):
+        if col.size and col.min() == col.max():
+            raise DataError(f"{name} do not vary (every value is {col[0]:.6g})")
+
+
 # ---------------------------------------------------------------------------
 # parametric: log-linear decay
 # ---------------------------------------------------------------------------
@@ -219,6 +228,7 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
         raise DomainError("outcomes must be strictly positive for the log transform")
     if robust_cutoff is not None and not robust_cutoff > 0:
         raise DomainError(f"robust_cutoff must be > 0, got {robust_cutoff}")
+    _check_varies(d, y)
 
     ly = np.log(y)
     d_mean = d.mean()
@@ -373,15 +383,15 @@ def rule_of_thumb_bandwidth(distances) -> float:
     return 1.06 * float(d.std()) * d.size ** (-0.2)
 
 
-def _bin_data(d: np.ndarray, y: np.ndarray, n_bins: int = N_BINS):
-    """Centres, observation counts and outcome sums of n_bins equal bins over
+def _bin_data(d: np.ndarray, y: np.ndarray):
+    """Centres, observation counts and outcome sums of N_BINS equal bins over
     the range of d, the bin width and each observation's bin."""
     lo, hi = float(d.min()), float(d.max())
-    width = (hi - lo) / n_bins or 1.0
-    ids = np.clip(((d - lo) / width).astype(int), 0, n_bins - 1)
-    counts = np.bincount(ids, minlength=n_bins).astype(float)
-    ysum = np.bincount(ids, weights=y, minlength=n_bins)
-    centers = lo + (np.arange(n_bins) + 0.5) * width
+    width = (hi - lo) / N_BINS or 1.0
+    ids = np.clip(((d - lo) / width).astype(int), 0, N_BINS - 1)
+    counts = np.bincount(ids, minlength=N_BINS).astype(float)
+    ysum = np.bincount(ids, weights=y, minlength=N_BINS)
+    centers = lo + (np.arange(N_BINS) + 0.5) * width
     return centers, counts, ysum, width, ids
 
 
@@ -414,18 +424,18 @@ def _cv_scores(width, counts, ysum, yssq, grid_h) -> np.ndarray:
     return np.where(ok, scores, math.inf)
 
 
-def cross_validated_bandwidth(distances, outcomes, h0: float | None = None) -> float:
+def cross_validated_bandwidth(distances, outcomes) -> float:
     """LOO cross-validation over a 10-point log grid around the rule of thumb.
 
     The score is that of the 400-bin sample (`_cv_scores`), taken at all ten
-    bandwidths at once.  DataError when no bandwidth of the grid gives every
-    occupied bin a local-linear fit.
+    bandwidths at once.  DomainError when the rule of thumb is not finite
+    and > 0 (constant distances); DataError when no bandwidth of the grid
+    gives every occupied bin a local-linear fit.
     """
     d, y = _as_xy(distances, outcomes)
-    if h0 is None:
-        h0 = rule_of_thumb_bandwidth(d)
+    h0 = rule_of_thumb_bandwidth(d)
     if not 0 < h0 < math.inf:
-        raise DomainError(f"h0 must be finite and > 0, got {h0}")
+        raise DomainError(f"the rule-of-thumb bandwidth must be finite and > 0, got {h0}")
     _, counts, ysum, width, ids = _bin_data(d, y)
     yssq = np.bincount(ids, weights=y * y, minlength=counts.size)
     grid_h = np.geomspace(h0 / CV_GRID_SPAN, h0 * CV_GRID_SPAN, CV_GRID_SIZE)
@@ -501,18 +511,18 @@ def _boundaries_from_curves(grid, curves, p):
 def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
     """Bin counts and outcome sums of n_boot pair-bootstrap resamples.
 
-    Rows are drawn about _DRAW_CHUNK at a time and binned by one flat
-    bincount per chunk.  Without a mask, or with every bin in `used`, the
-    PCG64 stream, and so every count and sum, is that of one
-    `rng.integers(0, n, size=n)` call per resample.  With a mask `used` of
-    bins, only the m observations in those bins are drawn: of a resample's n
-    uniform draws, Binomial(n, m/n) land on them, uniformly and independently,
-    so each resample takes its Binomial(n, m/n) count first (one call for all
-    resamples) and then that many draws from the m.  The used bins get
-    exactly the distribution of binning every draw; the others read 0.
+    Only the m observations in the bins of the mask `used` are drawn (all n
+    without one): of a resample's n uniform draws, Binomial(n, m/n) land on
+    them, uniformly and independently, so when the mask drops a bin each
+    resample draws its Binomial(n, m/n) count first (one call for all), and
+    otherwise n.  The used bins get exactly the distribution of binning
+    every draw; the others read 0.  Rows are drawn about _DRAW_CHUNK at a
+    time, one `rng.integers` call and one flat bincount per chunk, so
+    without a dropped bin the PCG64 stream, and every count and sum, is that
+    of one `rng.integers(0, n, size=n)` call per resample.
     """
     n = ids.size
-    per_row = None
+    per_row = np.full(n_boot, n)
     if used is not None and not used.all():
         keep = used[ids]
         ids, y = ids[keep], y[keep]
@@ -521,21 +531,17 @@ def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
     rows = max(1, _DRAW_CHUNK // max(m, 1))
     counts, ysum = np.empty((2, n_boot, n_bins))
     for start in range(0, n_boot, rows):
-        r = min(rows, n_boot - start)
-        if per_row is None:
-            take = rng.integers(0, m, size=(r, m))
-            offset = n_bins * np.arange(r)[:, None]
-        else:
-            k = per_row[start : start + r]
-            take = rng.integers(0, m, size=int(k.sum()))
-            offset = n_bins * np.repeat(np.arange(r), k)
-        flat = (ids[take] + offset).ravel()
+        k = per_row[start : start + rows]
+        take = rng.integers(0, m, size=int(k.sum()))
+        flat, ends, r = ids[take], np.cumsum(k).tolist(), k.size
+        for i in range(1, r):  # each resample's rows to its own n_bins bins
+            flat[ends[i - 1] : ends[i]] += i * n_bins
         counts[start : start + r] = np.bincount(flat, minlength=r * n_bins).reshape(r, -1)
-        ysum[start : start + r] = np.bincount(flat, y[take].ravel(), r * n_bins).reshape(r, -1)
+        ysum[start : start + r] = np.bincount(flat, y[take], r * n_bins).reshape(r, -1)
     return counts, ysum
 
 
-def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
+def _bootstrap_curves(d, y, h, grid, n_boot, rng):
     """Pair-bootstrap local-linear curves on the grid, one row per resample.
 
     Observations are resampled exactly; `_loclin_sums` then runs on the 400
@@ -545,46 +551,43 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng, n_bins=N_BINS):
     gate) draws about as many rows as those bins hold, not all n per
     resample.  An empty window gives NaN, not a neighbour fill.
     """
-    centers, _, _, _, ids = _bin_data(d, y, n_bins)
+    centers, _, _, _, ids = _bin_data(d, y)
     lo, hi, starts, ends = _loclin_blocks(centers, grid, h)
-    used = np.zeros(n_bins, dtype=bool)
+    used = np.zeros(N_BINS, dtype=bool)
     for g0, g1 in zip(starts, ends):
         used[lo[g0] : hi[g1 - 1]] = True
-    counts, ysum = _resample_bins(ids, y, n_bins, n_boot, rng, used)
+    counts, ysum = _resample_bins(ids, y, N_BINS, n_boot, rng, used)
     return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
-def _check_bootstrap_args(fraction, n_boot, alpha_level):
+def _check_bootstrap_args(fraction, n_boot):
     if not 0 < fraction < 1:
         raise DomainError(f"fraction must be in (0,1), got {fraction}")
     if n_boot < 1:
         raise DomainError(f"n_boot must be >= 1, got {n_boot}")
-    if not 0 < alpha_level < 1:
-        raise DomainError(f"alpha_level must be in (0,1), got {alpha_level}")
 
 
 def detect_boundary(
     fit: NonparFit,
     fraction: float,
     n_boot: int = 200,
-    alpha_level: float = 0.05,
     seed: int | np.random.Generator | None = None,
 ) -> tuple[float | None, bool]:
     """Boundary from the fitted curve, declared only past a decline gate.
 
     The candidate is the threshold crossing of the fitted curve.  It is
     reported only when the paired bootstrap (resampling observations,
-    refitting the range endpoints) rejects H0: m(0) - m(d_max) <= 0 at
-    alpha_level, i.e. the alpha quantile of the bootstrapped total decline
-    is positive.  Absence of a boundary is a value, not an error.  seed may
-    be a Generator, which the draws then advance.  Returns (boundary or
-    None, rejected).
+    refitting the range endpoints) rejects H0: m(0) - m(d_max) <= 0 at the
+    5% level (ALPHA), i.e. the 5% quantile of the bootstrapped total
+    decline is positive.  Absence of a boundary is a value, not an error.
+    seed may be a Generator, which the draws then advance.  Returns
+    (boundary or None, rejected).
     """
-    _check_bootstrap_args(fraction, n_boot, alpha_level)
+    _check_bootstrap_args(fraction, n_boot)
     cand = _boundaries_from_curves(fit.grid, fit.m_hat[None, :], fraction)[0]
     curves = _bootstrap_curves(fit.distances, fit.outcomes, fit.bandwidth, fit.grid[[0, -1]],
                                n_boot, np.random.default_rng(seed))
-    reject = bool(np.nanquantile(curves[:, 0] - curves[:, 1], alpha_level) > 0.0)
+    reject = bool(np.nanquantile(curves[:, 0] - curves[:, 1], ALPHA) > 0.0)
     if reject and not math.isnan(cand):
         return float(cand), True
     return None, reject
@@ -594,22 +597,21 @@ def bootstrap_boundary_interval(
     fit: NonparFit,
     fraction: float,
     n_boot: int = 200,
-    alpha_level: float = 0.05,
     seed: int | np.random.Generator | None = None,
 ) -> tuple[float, float] | None:
-    """Percentile interval of the bootstrapped boundary estimates.
+    """95% percentile interval (1 - ALPHA) of the bootstrapped boundary estimates.
 
     The curves are refitted at the undersmoothed bandwidth; None when fewer
     than max(10, n_boot/2) of them cross.  seed may be a Generator.
     """
-    _check_bootstrap_args(fraction, n_boot, alpha_level)
+    _check_bootstrap_args(fraction, n_boot)
     curves = _bootstrap_curves(fit.distances, fit.outcomes, CI_UNDERSMOOTH * fit.bandwidth,
                                fit.grid, n_boot, np.random.default_rng(seed))
     samples = _boundaries_from_curves(fit.grid, curves, fraction)
     ok = samples[~np.isnan(samples)]
     if ok.size < max(10, n_boot // 2):
         return None
-    lo, hi = np.quantile(ok, [alpha_level / 2.0, 1.0 - alpha_level / 2.0])
+    lo, hi = np.quantile(ok, [ALPHA / 2.0, 1.0 - ALPHA / 2.0])
     return float(lo), float(hi)
 
 
@@ -636,6 +638,7 @@ def _norm_sf(z: float) -> float:
 def spearman_correlation(x, y) -> tuple[float, float]:
     """Spearman rank correlation with a large-sample normal p-value."""
     x, y = _as_xy(x, y)
+    _check_varies(x, y)
     rx, ry = _rank(x), _rank(y)
     rho = float(np.corrcoef(rx, ry)[0, 1])
     z = rho * math.sqrt(max(x.size - 1, 1))
@@ -703,9 +706,7 @@ def diagnostics(distances, outcomes, n_bins: int = 8) -> DiagnosticsReport:
     )
 
 
-def regional_heterogeneity(
-    distances, outcomes, split_distance: float, robust_cutoff: float | None = None
-) -> RegionalResult:
+def regional_heterogeneity(distances, outcomes, split_distance: float) -> RegionalResult:
     """Independent decay fits on either side of a distance split.
 
     sign_reversal is True only when the near side decays (kappa > 0,
@@ -719,8 +720,8 @@ def regional_heterogeneity(
         raise InsufficientDataError(f"near side has {n_near} observations, need >= 30")
     if n_far < 30:
         raise InsufficientDataError(f"far side has {n_far} observations, need >= 30")
-    near = fit_loglinear(d[near_sel], y[near_sel], robust_cutoff)
-    far = fit_loglinear(d[~near_sel], y[~near_sel], robust_cutoff)
+    near = fit_loglinear(d[near_sel], y[near_sel])
+    far = fit_loglinear(d[~near_sel], y[~near_sel])
 
     t_near = near.kappa_s / near.se
     t_far = far.kappa_s / far.se
@@ -975,18 +976,18 @@ def select_profile_model(
 
 
 def simulate_gaussian_field_sample(
-    nu: float, q: float, n: int, times, noise_sd: float, seed: int | None = None, r_max=None
+    nu: float, q: float, n: int, times, noise_sd: float, seed: int | None = None
 ):
-    """Draw (r, t, y) from the 3D Gaussian field plus iid normal noise."""
+    """Draw (r, t, y) from the 3D Gaussian field plus iid normal noise, r
+    uniform on [0, 4 sqrt(nu max t))."""
     FieldParams(nu=nu, q=q)  # checks nu and q
     rng = np.random.default_rng(seed)
     times = np.asarray(times, dtype=float)
     if not np.all((times > 0) & (times < math.inf)):
         raise DomainError(f"times must be finite and > 0, got {times}")
     t = rng.choice(times, size=n)
-    if r_max is None:
-        r_max = 4.0 * math.sqrt(nu * float(times.max()))
-    if not 0 <= r_max < math.inf:
-        raise DomainError(f"r_max must be finite and >= 0, got {r_max}")
+    r_max = 4.0 * math.sqrt(nu * float(times.max()))
+    if r_max == math.inf:
+        raise DomainError(f"4 sqrt(nu max t) overflows: nu = {nu}, max t = {times.max()}")
     r = rng.uniform(0.0, r_max, size=n)
     return r, t, q * _gaussian_model(r, t, nu) + noise_sd * rng.standard_normal(n)

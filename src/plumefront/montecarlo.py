@@ -6,6 +6,8 @@ a flat null with no boundary at all.  The harness runs a parametric
 (log-linear, naive always-report) detector and the nonparametric
 (local-linear + bootstrap gate) detector over seeded replications and
 aggregates bias, RMSE, interval coverage, and false-positive behaviour.
+The gate tests at the 5% level and the interval is the 95% percentile
+interval (`estimation.ALPHA`).
 
 All randomness flows through numpy's seeded default generator (PCG64);
 replication r uses base_seed + r, so results are independent of execution
@@ -152,7 +154,7 @@ def _parametric_detect(d, y):
     return fit.d_star, fit.d_star_ci
 
 
-def _nonparametric_detect(d, y, fraction, n_boot, alpha_level, n_grid, seed):
+def _nonparametric_detect(d, y, fraction, n_boot, n_grid, seed):
     """Local-linear crossing with the bootstrap decline gate and percentile CI.
 
     The gate and the interval draw from one generator seeded with `seed`,
@@ -160,10 +162,10 @@ def _nonparametric_detect(d, y, fraction, n_boot, alpha_level, n_grid, seed):
     """
     fit = nonparametric_fit(d, y, bandwidth="auto-cv", n_grid=n_grid)
     rng = np.random.default_rng(seed)
-    boundary, _ = detect_boundary(fit, fraction, n_boot, alpha_level, seed=rng)
+    boundary, _ = detect_boundary(fit, fraction, n_boot, seed=rng)
     if boundary is None:
         return None, None
-    return boundary, bootstrap_boundary_interval(fit, fraction, n_boot, alpha_level, seed=rng)
+    return boundary, bootstrap_boundary_interval(fit, fraction, n_boot, seed=rng)
 
 
 def _summarize(spec, method, records, n_obs):
@@ -208,13 +210,13 @@ def run_campaign(
     base_seed: int = 0,
     fraction: float = 0.1,
     n_boot: int = 200,
-    alpha_level: float = 0.05,
     n_grid: int = 512,
     keep_replications: bool = False,
 ):
     """Run every method on every DGP over seeded replications and aggregate.
 
-    The detector arguments are checked before the first replication.
+    The methods (at least one, none repeated) and the detector arguments
+    are checked before the first replication.
     Per-replication failures are recorded, not fatal; the summary carries the
     failure count, and the flat DGP's rates count only the replications that
     did not fail (None if all did).  Returns the summaries, plus the
@@ -222,10 +224,11 @@ def run_campaign(
     """
     if n_reps < 10:
         raise DomainError(f"n_reps must be >= 10, got {n_reps}")
-    unknown = set(methods) - {"parametric", "nonparametric"}
-    if unknown:
-        raise DomainError(f"unknown methods: {sorted(unknown)}")
-    _check_bootstrap_args(fraction, n_boot, alpha_level)
+    if (not methods or len(set(methods)) < len(methods)
+            or set(methods) - {"parametric", "nonparametric"}):
+        raise DomainError("methods must be one or more of parametric and nonparametric, none "
+                          f"repeated: got {list(methods)}")
+    _check_bootstrap_args(fraction, n_boot)
     _check_grid_size(n_grid)
 
     summaries = []
@@ -242,9 +245,7 @@ def run_campaign(
                     if method == "parametric":
                         estimate, ci = _parametric_detect(d, y)
                     else:
-                        estimate, ci = _nonparametric_detect(
-                            d, y, fraction, n_boot, alpha_level, n_grid, seed
-                        )
+                        estimate, ci = _nonparametric_detect(d, y, fraction, n_boot, n_grid, seed)
                 except PlumefrontError:
                     failed = True
                 per_method[method].append(
@@ -300,27 +301,22 @@ def _qq_corr(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def parameter_recovery_campaign(
-    n_reps: int,
-    n_obs: int = 600,
-    noise_sd: float = 0.00025,
-    true_params: tuple[float, float] = (1.0, 1.0),
-    seed: int = 0,
-    times=(0.5, 1.0, 2.0),
+    n_reps: int, n_obs: int = 600, noise_sd: float = 0.00025, seed: int = 0
 ) -> RecoverySummary:
     """Repeatedly simulate Gaussian-field samples, refit, and summarize.
 
-    Default noise keeps the estimates in the regime where the recovery RMSE
-    targets are testable; noise_sd = 0 reproduces the exact-recovery check.
+    The samples are drawn at nu = q = 1 and times 0.5, 1 and 2.  Default
+    noise keeps the estimates in the regime where the recovery RMSE targets
+    are testable; noise_sd = 0 reproduces the exact-recovery check.
     """
     if n_reps < 10:
         raise DomainError(f"n_reps must be >= 10, got {n_reps}")
-    nu0, q0 = true_params
+    nu0 = q0 = 1.0
     nus, qs, ses_nu, ses_q = [], [], [], []
     n_failed = 0
     for rep in range(n_reps):
-        r, t, y = simulate_gaussian_field_sample(
-            nu0, q0, n_obs, times, noise_sd, seed=seed + rep
-        )
+        r, t, y = simulate_gaussian_field_sample(nu0, q0, n_obs, (0.5, 1.0, 2.0), noise_sd,
+                                                 seed=seed + rep)
         try:
             fit = fit_field_nls(r, t, y, field_class="gaussian")
         except PlumefrontError:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they are produced.  Criterion 9 runs the full 500-replication
-simulation campaign once (about 6-8 minutes on two cores) and shares it
+simulation campaign once (about 51 s on two cores) and shares it
 across its clauses.
 
 Two clauses are asserted at their stated tolerance but marked xfail because

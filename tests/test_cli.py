@@ -185,6 +185,17 @@ class TestEstimateCommand:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [["diagnose"], ["estimate", "--method", "both"]],
+                             ids=["diagnose", "estimate"])
+    def test_constant_outcomes_are_data_error(self, tmp_path, capsys, argv):
+        d = np.random.default_rng(0).uniform(0, 100, 200)
+        data = tmp_path / "flat.csv"
+        data.write_text("distance_km,outcome\n" + "".join(f"{a},0.5\n" for a in d))
+        code, out, err = run_cli([*argv, "--input", str(data)], capsys)
+        assert code == 2 and out == ""
+        # after the resolved-config echo, one error line and no numpy warnings
+        assert err.splitlines()[1:] == ["error: outcomes do not vary (every value is 0.5)"]
+
 
 class TestOtherProfilesAndReports:
     def test_decaying_profile_field_and_boundary(self, capsys):
@@ -478,7 +489,8 @@ class TestFieldEdges:
         code, out, err = run_cli(["exposure", "--r", "1e103"], capsys)
         assert code == 2 and out == "" and "underflows" in err
 
-    @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"]])
+    @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"], ["--methods", ","],
+                                      ["--methods", "parametric,parametric"]])
     def test_bad_montecarlo_argument_is_exit_two(self, capsys, argv):
         code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",
                                 *argv], capsys)

@@ -125,11 +125,23 @@ class TestInputValidation:
         with pytest.raises(DataError):
             call(d, y)
 
-    @pytest.mark.parametrize("h0", [-1.0, 0.0, np.nan, np.inf])
-    def test_bad_cv_start_is_domain_error(self, h0):
-        d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
-        with pytest.raises(DomainError):
-            cross_validated_bandwidth(d, np.exp(-0.05 * d), h0=h0)
+    def test_constant_distances_cv_is_domain_error(self):
+        d = np.full(200, 5.0)
+        with pytest.raises(DomainError, match="rule-of-thumb bandwidth"):
+            cross_validated_bandwidth(d, np.random.default_rng(0).uniform(size=200))
+
+    @pytest.mark.parametrize("call", [fit_loglinear, spearman_correlation],
+                             ids=["fit_loglinear", "spearman_correlation"])
+    @pytest.mark.parametrize("column", ["distances", "outcomes"])
+    def test_constant_column_is_data_error(self, call, column):
+        d = np.random.default_rng(0).uniform(0.0, 100.0, 200)
+        y = np.exp(-0.05 * d)
+        if column == "distances":
+            d = np.full(200, 0.1)
+        else:
+            y = np.full(200, 0.5)
+        with pytest.raises(DataError, match=f"{column} do not vary"):
+            call(d, y)
 
     @pytest.mark.parametrize("d", [[1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [[1.0, 2.0]]],
                              ids=["nan", "inf", "2-D"])
@@ -299,8 +311,7 @@ class TestDetectBoundary:
         with pytest.raises(DomainError):
             detect_boundary(fit, 0.1, n_boot=0)
 
-    @pytest.mark.parametrize("bad", [{"fraction": 1.5}, {"alpha_level": 2.0}, {"n_boot": 0}],
-                             ids=["fraction", "alpha_level", "n_boot"])
+    @pytest.mark.parametrize("bad", [{"fraction": 1.5}, {"n_boot": 0}], ids=["fraction", "n_boot"])
     def test_interval_contracts(self, bad):
         from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
 

@@ -183,7 +183,8 @@ class TestFailedReplications:
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(montecarlo, "generate_dgp", unreachable)
-        for kwargs in ({"n_boot": 0}, {"fraction": 1.5}, {"alpha_level": 0.0}, {"n_grid": 100}):
+        for kwargs in ({"n_boot": 0}, {"fraction": 1.5}, {"n_grid": 100}, {"methods": ()},
+                       {"methods": ("parametric", "parametric")}):
             with pytest.raises(DomainError):
                 run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, **kwargs)
 
