@@ -4,8 +4,12 @@ Subcommands: field, boundary, moments, exposure, montecarlo, estimate,
 diagnose, ingest.  Output is a tidy delimited table (or structured JSON)
 written to --out or stdout; numbers print with 10 significant digits and
 distances are kilometres throughout.  Every run echoes its resolved
-configuration (and seed, where one applies) on stderr so results can be
-reproduced byte for byte.
+configuration, as parsed values (and seed, where one applies), on stderr so
+results can be reproduced byte for byte.
+
+The parser holds the usage rules: required options, boundary's one threshold,
+list and number types.  --config keys parse as flags ahead of the command
+line's, in one parse, so every usage error carries argparse's text.
 
 The closed-form subcommands need no numpy; estimate, diagnose, ingest and
 montecarlo import the modules that do when they run.
@@ -18,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import functionals
@@ -77,16 +80,20 @@ def _echo_config(args):
 
 
 def _parse_floats(text) -> list[float]:
+    """The argparse type of a comma-separated list of one or more numbers."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _Usage(f"expected a comma-separated list of numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _parse_orders(text) -> list[int]:
     orders = _parse_floats(text)
     if not all(k >= 0 and k.is_integer() for k in orders):
-        raise _Usage(f"--k takes non-negative integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected non-negative integers, got {text!r}")
     return [int(k) for k in orders]
 
 
@@ -104,20 +111,16 @@ def _make_field(args):
             raise _Usage("--lam > 0 is required for the decaying profile")
         return DecayingSourceField(FieldParams(nu=args.nu, q=args.q, lam=args.lam))
     if args.profile == "kummer":
-        coeffs = [(c, n) for n, c in enumerate(_parse_floats(args.coeffs))]
+        coeffs = [(c, n) for n, c in enumerate(args.coeffs)]
         return KummerField(coeffs, FieldParams(nu=args.nu, q=args.q))
     return GaussianField(FieldParams(nu=args.nu, q=args.q))
 
 
 def _boundary_spec(args) -> functionals.BoundarySpec:
-    given = [args.epsilon is not None, args.fraction is not None, args.tau_min is not None]
-    if sum(given) != 1:
-        raise _Usage("set exactly one of --epsilon, --fraction, --tau-min")
-    if args.epsilon is not None:
-        return functionals.BoundarySpec(mode="decay_by_epsilon", epsilon=args.epsilon)
-    if args.fraction is not None:
-        return functionals.BoundarySpec(mode="decay_to_fraction", fraction=args.fraction)
-    return functionals.BoundarySpec(mode="absolute", tau_min=args.tau_min)
+    """The threshold of the one flag of --epsilon, --fraction, --tau-min that argparse admits."""
+    mode = ("absolute" if args.tau_min is not None
+            else "decay_by_epsilon" if args.epsilon is not None else "decay_to_fraction")
+    return functionals.BoundarySpec(mode, args.tau_min, args.epsilon, args.fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +129,15 @@ def _boundary_spec(args) -> functionals.BoundarySpec:
 
 
 def _run_field(args):
-    _require(args, "r", "t")
     fld = _make_field(args)
-    rows = [(r, t, *fld.eval(r, t)) for t in _parse_floats(args.t) for r in _parse_floats(args.r)]
+    rows = [(r, t, *fld.eval(r, t)) for t in args.t for r in args.r]
     _write_table(_table(("r_km", "t", "value", "d_dr", "d_dt"), rows), args.out, args.format)
     return 0
 
 
 def _run_boundary(args):
-    _require(args, "t")
-    fld = _make_field(args)
-    spec = _boundary_spec(args)
-    rows = [(t, functionals.boundary_radius(fld, spec, t)) for t in _parse_floats(args.t)]
+    fld, spec = _make_field(args), _boundary_spec(args)
+    rows = [(t, functionals.boundary_radius(fld, spec, t)) for t in args.t]
     if len(rows) == 1 and args.out is None and args.format == "csv":
         sys.stdout.write(_fmt(rows[0][1]) + "\n")
     else:
@@ -146,29 +146,17 @@ def _run_boundary(args):
 
 
 def _run_moments(args):
-    _require(args, "t")
     fld = _make_field(args)
-    orders = _parse_orders(args.k)
-    results = [(t, functionals.spatial_moment(fld, k, t))
-               for t in _parse_floats(args.t) for k in orders]
+    results = [(t, functionals.spatial_moment(fld, k, t)) for t in args.t for k in args.k]
     rows = [(res.k, t, res.value, res.quadrature_error) for t, res in results]
     _write_table(_table(("k", "t", "value", "quadrature_error"), rows), args.out, args.format)
     return 0
 
 
 def _run_exposure(args):
-    _require(args, "r")
     fld = _make_field(args)
-    if args.horizon in (None, "inf"):
-        horizon = math.inf
-    else:
-        try:
-            horizon = float(args.horizon)
-        except ValueError:
-            raise _Usage(f"--horizon must be a number or 'inf', got {args.horizon!r}") from None
-    rows = [(r, args.t_min, args.horizon or "inf",
-             functionals.cumulative_exposure(fld, r, args.t_min, horizon))
-            for r in _parse_floats(args.r)]
+    rows = [(r, args.t_min, _fmt(args.horizon),
+             functionals.cumulative_exposure(fld, r, args.t_min, args.horizon)) for r in args.r]
     _write_table(_table(("r_km", "t_min", "horizon", "exposure"), rows), args.out, args.format)
     return 0
 
@@ -201,7 +189,6 @@ def _read_table(args):
     """The distance and outcome columns of the --input table."""
     from . import ingest
 
-    _require(args, "input")
     return ingest.read_numeric_columns(args.input, [args.distance_col, args.outcome_col])
 
 
@@ -258,7 +245,6 @@ def _run_diagnose(args):
 def _run_ingest(args):
     from . import ingest
 
-    _require(args, "sources", "observations")
     sources = ingest.load_sources(args.sources, min_capacity=args.min_capacity)
     obs, delimiter = ingest.read_observation_columns(args.observations)
     rows, idx, dist = ingest.sample_rows(obs, sources, args.max_distance, args.min_months)
@@ -285,22 +271,17 @@ def _add_field_options(p, need_r=True, need_t=True):
     p.add_argument("--q", type=float, default=1.0, help="source strength")
     p.add_argument("--amplitude", type=float, default=1.0, help="Bessel profile amplitude")
     p.add_argument("--lam", type=float, default=None, help="source decay rate (1/time)")
-    p.add_argument("--coeffs", default="1", help="Kummer coefficients C0,C1,...")
-    # Presence is validated at run time so the values may come from --config.
+    p.add_argument("--coeffs", type=_parse_floats, default="1",
+                   help="Kummer coefficients C0,C1,...")
     if need_r:
-        p.add_argument("--r", default=None, help="radii in km, comma separated (required)")
+        p.add_argument("--r", type=_parse_floats, required=True,
+                       help="radii in km, comma separated")
     if need_t:
-        p.add_argument("--t", default=None, help="times, comma separated (required)")
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) in (None, ""):
-            raise _Usage(f"--{name.replace('_', '-')} is required (flag or config)")
+        p.add_argument("--t", type=_parse_floats, required=True, help="times, comma separated")
 
 
 def _add_table_options(p):
-    p.add_argument("--input", default=None, help="input table (required)")
+    p.add_argument("--input", required=True, help="input table")
     p.add_argument("--distance-col", dest="distance_col", default="distance_km")
     p.add_argument("--outcome-col", dest="outcome_col", default="outcome")
 
@@ -338,25 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary", help="threshold boundary radius at given times")
     _add_field_options(p, need_r=False)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="relative decay threshold (1-eps) of the source value")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="decay-to-fraction threshold of the source value")
-    p.add_argument("--tau-min", dest="tau_min", type=float, default=None,
-                   help="absolute intensity threshold")
+    threshold = p.add_mutually_exclusive_group(required=True)
+    threshold.add_argument("--epsilon", type=float,
+                           help="relative decay threshold (1-eps) of the source value")
+    threshold.add_argument("--fraction", type=float,
+                           help="decay-to-fraction threshold of the source value")
+    threshold.add_argument("--tau-min", dest="tau_min", type=float,
+                           help="absolute intensity threshold")
     _add_output_options(p)
     p.set_defaults(func=_run_boundary)
 
     p = sub.add_parser("moments", help="radial spatial moments M_k(t)")
     _add_field_options(p, need_r=False)
-    p.add_argument("--k", default="0,2,4", help="moment orders, comma separated")
+    p.add_argument("--k", type=_parse_orders, default="0,2,4",
+                   help="moment orders, comma separated")
     _add_output_options(p)
     p.set_defaults(func=_run_moments)
 
     p = sub.add_parser("exposure", help="cumulative exposure at fixed radii")
     _add_field_options(p, need_t=False)
     p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
-    p.add_argument("--horizon", default="inf", help="upper time limit or 'inf'")
+    p.add_argument("--horizon", type=float, default="inf", help="upper time limit or 'inf'")
     _add_output_options(p)
     p.set_defaults(func=_run_exposure)
 
@@ -396,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_diagnose)
 
     p = sub.add_parser("ingest", help="match grid observations to nearest sources")
-    p.add_argument("--sources", default=None, help="sources table (required)")
-    p.add_argument("--observations", default=None, help="observations table (required)")
+    p.add_argument("--sources", required=True, help="sources table")
+    p.add_argument("--observations", required=True, help="observations table")
     p.add_argument("--min-capacity", dest="min_capacity", type=float, default=100.0)
     p.add_argument("--max-distance", dest="max_distance", type=float, default=200.0)
     p.add_argument("--min-months", dest="min_months", type=int, default=10)
@@ -407,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> dict:
+def _config_flags(path) -> list[str]:
+    """The keys of the JSON config file at path as flags (none without one); a null is skipped."""
+    if path is None:
+        return []
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -417,7 +403,8 @@ def _load_config(path) -> dict:
         raise PlumefrontError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise PlumefrontError("config file must contain a JSON object")
-    return config
+    return [f"--{key.replace('_', '-')}={_flag_text(value)}"
+            for key, value in config.items() if value is not None]
 
 
 def _flag_text(value) -> str:
@@ -432,13 +419,11 @@ def _flag_text(value) -> str:
 def dispatch(argv) -> int:
     """Parse tokens, run the named pipeline, return the exit code."""
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            # config values parse as flags; the flags after them, abbreviated or not, override
-            config = [f"--{key.replace('_', '-')}={_flag_text(value)}"
-                      for key, value in _load_config(args.config).items() if value is not None]
-            args = parser.parse_args([*argv[:1], *config, *argv[1:]])
+        find_config = _Parser(add_help=False)
+        find_config.add_argument("--config")
+        config = _config_flags(find_config.parse_known_args(argv[1:])[0].config)
+        # the flags after the config's, abbreviated or not, override them
+        args = build_parser().parse_args([*argv[:1], *config, *argv[1:]])
         _echo_config(args)
         return args.func(args)
     except SystemExit as exc:  # --help

@@ -76,10 +76,6 @@ class DecayFit:
     d_star: float | None
     d_star_ci: tuple[float, float] | None
 
-    @property
-    def se(self) -> float:
-        return self.se_spatial if self.se_spatial is not None else self.se_classical
-
 
 @dataclass(frozen=True)
 class NonparFit:
@@ -508,7 +504,7 @@ def _boundaries_from_curves(grid, curves, p):
     return np.where(found, grid[first], np.nan)
 
 
-def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
+def _resample_bins(ids, y, n_boot, rng, used=None):
     """Bin counts and outcome sums of n_boot pair-bootstrap resamples.
 
     Only the m observations in the bins of the mask `used` are drawn (all n
@@ -529,15 +525,15 @@ def _resample_bins(ids, y, n_bins, n_boot, rng, used=None):
         per_row = rng.binomial(n, ids.size / n, n_boot)
     m = ids.size
     rows = max(1, _DRAW_CHUNK // max(m, 1))
-    counts, ysum = np.empty((2, n_boot, n_bins))
+    counts, ysum = np.empty((2, n_boot, N_BINS))
     for start in range(0, n_boot, rows):
         k = per_row[start : start + rows]
         take = rng.integers(0, m, size=int(k.sum()))
         flat, ends, r = ids[take], np.cumsum(k).tolist(), k.size
-        for i in range(1, r):  # each resample's rows to its own n_bins bins
-            flat[ends[i - 1] : ends[i]] += i * n_bins
-        counts[start : start + r] = np.bincount(flat, minlength=r * n_bins).reshape(r, -1)
-        ysum[start : start + r] = np.bincount(flat, y[take], r * n_bins).reshape(r, -1)
+        for i in range(1, r):  # each resample's rows to its own N_BINS bins
+            flat[ends[i - 1] : ends[i]] += i * N_BINS
+        counts[start : start + r] = np.bincount(flat, minlength=r * N_BINS).reshape(r, -1)
+        ysum[start : start + r] = np.bincount(flat, y[take], r * N_BINS).reshape(r, -1)
     return counts, ysum
 
 
@@ -556,7 +552,7 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng):
     used = np.zeros(N_BINS, dtype=bool)
     for g0, g1 in zip(starts, ends):
         used[lo[g0] : hi[g1 - 1]] = True
-    counts, ysum = _resample_bins(ids, y, N_BINS, n_boot, rng, used)
+    counts, ysum = _resample_bins(ids, y, n_boot, rng, used)
     return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
@@ -579,7 +575,10 @@ def detect_boundary(
     reported only when the paired bootstrap (resampling observations,
     refitting the range endpoints) rejects H0: m(0) - m(d_max) <= 0 at the
     5% level (ALPHA), i.e. the 5% quantile of the bootstrapped total
-    decline is positive.  Absence of a boundary is a value, not an error.
+    decline is positive.  Absence of a boundary is a value, not an error,
+    but a gate that cannot run is: DataError when every bootstrapped decline
+    is NaN (no resample holds a binned observation within the bandwidth of
+    both range endpoints).
     seed may be a Generator, which the draws then advance.  Returns
     (boundary or None, rejected).
     """
@@ -587,7 +586,13 @@ def detect_boundary(
     cand = _boundaries_from_curves(fit.grid, fit.m_hat[None, :], fraction)[0]
     curves = _bootstrap_curves(fit.distances, fit.outcomes, fit.bandwidth, fit.grid[[0, -1]],
                                n_boot, np.random.default_rng(seed))
-    reject = bool(np.nanquantile(curves[:, 0] - curves[:, 1], ALPHA) > 0.0)
+    declines = curves[:, 0] - curves[:, 1]
+    if np.isnan(declines).all():
+        width = _bin_data(fit.distances, fit.outcomes)[3]
+        raise DataError(f"decline gate: no resample has a binned observation within the "
+                        f"bandwidth {fit.bandwidth:.4g} km of both range endpoints "
+                        f"(bin width {width:.4g} km)")
+    reject = bool(np.nanquantile(declines, ALPHA) > 0.0)
     if reject and not math.isnan(cand):
         return float(cand), True
     return None, reject
@@ -723,8 +728,8 @@ def regional_heterogeneity(distances, outcomes, split_distance: float) -> Region
     near = fit_loglinear(d[near_sel], y[near_sel])
     far = fit_loglinear(d[~near_sel], y[~near_sel])
 
-    t_near = near.kappa_s / near.se
-    t_far = far.kappa_s / far.se
+    t_near = near.kappa_s / near.se_classical
+    t_far = far.kappa_s / far.se_classical
     reversal = t_near > Z05_ONESIDED and t_far < -Z05_ONESIDED
     return RegionalResult(near=near, far=far, split_distance=split_distance, sign_reversal=reversal)
 

@@ -89,15 +89,11 @@ def haversine_km(a, b) -> float:
     lat2, lon2 = b
     _check_coords(lat1, lon1)
     _check_coords(lat2, lon2)
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    s = math.sin(0.5 * dphi) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(0.5 * dlam) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
+    return float(_haversine(lat1, lon1, lat2, lon2))
 
 
 def _haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """haversine_km, elementwise over numpy arrays that broadcast together."""
+    """Great-circle distance in km, elementwise over arrays that broadcast together."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(lon2) - np.radians(lon1)

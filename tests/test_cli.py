@@ -495,3 +495,149 @@ class TestFieldEdges:
         code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",
                                 *argv], capsys)
         assert code == 2 and out == ""
+
+
+class TestParserRules:
+    """Presence, exclusivity and list types are the parser's: a usage error is
+    one line, before any config echo."""
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["field", "--t", "1"], "--r"),
+        (["field", "--r", "1"], "--t"),
+        (["boundary", "--epsilon", "0.1"], "--t"),
+        (["moments"], "--t"),
+        (["exposure"], "--r"),
+        (["estimate"], "--input"),
+        (["diagnose", "--bins", "4"], "--input"),
+        (["ingest", "--observations", "obs.csv"], "--sources"),
+        (["ingest", "--sources", "src.csv"], "--observations"),
+        (["boundary", "--t", "1"], "--epsilon --fraction --tau-min"),
+    ], ids=["field-r", "field-t", "boundary-t", "moments-t", "exposure-r", "estimate-input",
+            "diagnose-input", "ingest-sources", "ingest-observations", "boundary-threshold"])
+    def test_missing_required_option_is_one_usage_line(self, capsys, argv, missing):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert missing in err and "resolved config" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--r", ",", "--t", "1"],
+        ["field", "--r", "1", "--t", ""],
+        ["field", "--profile", "kummer", "--coeffs", "", "--r", "1", "--t", "1"],
+        ["moments", "--t", "1", "--k", ","],
+        ["field", "--r", "1,a", "--t", "1"],
+        ["moments", "--t", "1", "--k", "two"],
+    ], ids=["empty-r", "empty-t", "empty-coeffs", "empty-k", "text-r", "text-k"])
+    def test_empty_or_non_numeric_list_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --") and err.count("\n") == 1
+
+    def test_config_threshold_and_flag_threshold_conflict(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"epsilon": 0.1, "t": "4"}))
+        code, out, err = run_cli(["boundary", "--config", str(path), "--tau-min", "0.01"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == "usage error: argument --tau-min: not allowed with argument --epsilon\n"
+
+    def test_echo_shows_parsed_values(self, capsys):
+        code, _, err = run_cli(["exposure", "--r", "1,2", "--horizon", "10"], capsys)
+        assert code == 0
+        config = json.loads(err.removeprefix("# resolved config: "))
+        assert config["r"] == [1.0, 2.0] and config["horizon"] == 10.0
+        assert config["coeffs"] == [1.0]
+        code, _, err = run_cli(["moments", "--t", "4"], capsys)
+        assert code == 0
+        assert '"k": [0, 2, 4]' in err and '"t": [4.0]' in err
+
+    def test_one_full_parse_with_a_config(self, tmp_path, capsys, monkeypatch):
+        from plumefront import cli
+
+        parses = []
+        build = cli.build_parser
+
+        def counting_parser():
+            parser = build()
+            parse = parser.parse_args
+            parser.parse_args = lambda argv: parses.append(argv) or parse(argv)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counting_parser)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"epsilon": 0.1, "t": "4"}))
+        code, out, _ = run_cli(["boundary", "--config", str(path), "--nu", "1"], capsys)
+        assert (code, out) == (0, "1.298371384\n")
+        assert parses == [["boundary", "--epsilon=0.1", "--t=4", "--config", str(path),
+                           "--nu", "1"]]
+
+    def test_help_shows_required_options(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "300")
+        code, out, err = run_cli(["boundary", "--help"], capsys)
+        assert code == 0 and err == ""
+        usage = out.splitlines()[0]
+        assert " --t T " in usage and "[--t T]" not in usage
+        assert "(--epsilon EPSILON | --fraction FRACTION | --tau-min TAU_MIN)" in usage
+
+    def test_decaying_profile_without_lam_is_usage_error(self, capsys):
+        for lam in ([], ["--lam", "0"]):
+            code, out, err = run_cli(["field", "--profile", "decaying", "--r", "1", "--t", "1",
+                                      *lam], capsys)
+            assert code == 1 and out == ""
+            assert err.splitlines()[1:] == ["usage error: --lam > 0 is required for the "
+                                            "decaying profile"]
+
+
+class TestConfigFileErrors:
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys):
+        code, out, err = run_cli(["boundary", "--config", str(tmp_path / "missing.json")],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+
+    def test_config_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(["boundary", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: config file must contain a JSON object\n"
+
+
+class TestMontecarloPerRep:
+    def test_per_replication_table(self, tmp_path, capsys):
+        per_rep = tmp_path / "reps.csv"
+        code, out, _ = run_cli(["montecarlo", "--dgp", "flat", "--reps", "10", "--n", "300",
+                                "--n-boot", "20", "--per-rep", str(per_rep)], capsys)
+        assert code == 0
+        summary = out.splitlines()
+        assert len(summary) == 3  # header + one row per method
+        assert "bias_km" in summary[0].split(",") and "rmse_km" in summary[0].split(",")
+        lines = per_rep.read_text().splitlines()
+        assert lines[0] == "dgp_id,method,rep,seed,estimate_km,ci_lo_km,ci_hi_km,failed"
+        assert len(lines) == 1 + 2 * 10  # 10 replications of each method
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[1] for r in rows] == ["parametric"] * 10 + ["nonparametric"] * 10
+        assert [int(r[2]) for r in rows[:10]] == list(range(10))
+
+    def test_all_dgps(self, capsys):
+        code, out, _ = run_cli(["montecarlo", "--dgp", "all", "--reps", "10", "--n", "300",
+                                "--methods", "parametric"], capsys)
+        assert code == 0
+        dgps = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert dgps == ["strong_decay", "weak_decay", "hump", "flat"]
+
+
+class TestDeclineGateWithoutBins:
+    def test_gate_that_cannot_run_is_exit_two(self, tmp_path, capsys):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        # 400 bins of about 0.25 km: no bin centre lies within 0.05 km of either endpoint
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 2000, 3)
+        data = tmp_path / "d.csv"
+        data.write_text("distance_km,outcome\n"
+                        + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(d, y)))
+        code, out, err = run_cli(["estimate", "--input", str(data), "--method",
+                                  "nonparametric", "--bandwidth", "0.05"], capsys)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()[1:]
+        assert line.startswith("error: decline gate: ") and "0.05 km" in line

@@ -311,6 +311,17 @@ class TestDetectBoundary:
         with pytest.raises(DomainError):
             detect_boundary(fit, 0.1, n_boot=0)
 
+    def test_gate_without_a_bin_near_an_endpoint_is_data_error(self):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        # 400 bins of about 0.25 km: no bin centre lies within 0.05 km of either endpoint
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 2000, 3)
+        fit = nonparametric_fit(d, y, bandwidth=0.05)
+        with pytest.raises(DataError, match=r"bandwidth 0\.05 km .*\(bin width 0\.2499 km\)"):
+            detect_boundary(fit, 0.1, seed=0)
+        boundary, reject = detect_boundary(nonparametric_fit(d, y, bandwidth=0.2), 0.1, seed=0)
+        assert reject and boundary == pytest.approx(37.5, abs=0.01)
+
     @pytest.mark.parametrize("bad", [{"fraction": 1.5}, {"n_boot": 0}], ids=["fraction", "n_boot"])
     def test_interval_contracts(self, bad):
         from plumefront.montecarlo import STANDARD_DGPS, generate_dgp

@@ -243,7 +243,7 @@ class TestChunkedDraws:
         d, y = generate_dgp(STANDARD_DGPS["strong_decay"], n, seed=2)
         _, _, _, _, ids = _bin_data(d, y)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        counts, ysum = _resample_bins(ids, y, 400, n_boot, rng_a)
+        counts, ysum = _resample_bins(ids, y, n_boot, rng_a)
         ref_counts, ref_ysum = self._per_resample(ids, y, 400, n_boot, rng_b)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(ysum, ref_ysum)
@@ -306,7 +306,7 @@ class TestGateDraws:
         d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 5000, seed=4)
         h = estimation.cross_validated_bandwidth(d, y)
         used, p, ids = _endpoint_bins(d, h)
-        counts, _ = _resample_bins(ids, y, N_BINS, n_boot, rng, used)
+        counts, _ = _resample_bins(ids, y, n_boot, rng, used)
         assert not counts[:, ~used].any()
         # each used bin, each endpoint's bins together, and all of them
         left = used & (np.arange(N_BINS) < N_BINS // 2)
@@ -332,7 +332,7 @@ class TestGateDraws:
             ends = np.array([d.min(), d.max()])
             gate = _bootstrap_curves(d, y, h, ends, 2000, np.random.default_rng(6))
             centers, _, _, _, ids = _bin_data(d, y)
-            counts, ysum = _resample_bins(ids, y, N_BINS, 2000, np.random.default_rng(7))
+            counts, ysum = _resample_bins(ids, y, 2000, np.random.default_rng(7))
             full = _loclin_solve(_loclin_sums(centers, counts, ysum, ends, h))[0]
             assert ks_2samp(gate[:, 0] - gate[:, 1], full[:, 0] - full[:, 1]).pvalue > 1e-3
 
@@ -350,8 +350,8 @@ class TestGateDraws:
         d, y = generate_dgp(STANDARD_DGPS["hump"], 3000, seed=2)
         _, _, _, _, ids = _bin_data(d, y)
         every = np.ones(N_BINS, dtype=bool)
-        a = _resample_bins(ids, y, N_BINS, 30, np.random.default_rng(3), every)
-        b = _resample_bins(ids, y, N_BINS, 30, np.random.default_rng(3))
+        a = _resample_bins(ids, y, 30, np.random.default_rng(3), every)
+        b = _resample_bins(ids, y, 30, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
 

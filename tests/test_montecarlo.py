@@ -121,6 +121,22 @@ class TestRunCampaign:
                                   methods=("nonparametric",))
         assert summary.n_failed == 10 and summary.n_detected == 0
 
+    def test_interval_follows_the_gate_on_one_generator(self):
+        from plumefront.estimation import bootstrap_boundary_interval, detect_boundary
+        from plumefront.estimation import nonparametric_fit
+
+        spec = STANDARD_DGPS["strong_decay"]
+        _, records = run_campaign([spec], n_reps=10, n_obs=1000, methods=("nonparametric",),
+                                  n_boot=40, keep_replications=True)
+        with_ci = [r for r in records if r.ci_lo is not None]
+        assert with_ci and all(r.estimate is not None for r in with_ci)
+        for r in with_ci[:3]:
+            d, y = generate_dgp(spec, 1000, r.seed)
+            fit = nonparametric_fit(d, y, bandwidth="auto-cv", n_grid=512)
+            rng = np.random.default_rng(r.seed)
+            assert detect_boundary(fit, 0.1, 40, seed=rng) == (r.estimate, True)
+            assert bootstrap_boundary_interval(fit, 0.1, 40, seed=rng) == (r.ci_lo, r.ci_hi)
+
     def test_method_validation(self):
         with pytest.raises(DomainError):
             run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=100, methods=("magic",))
