@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams
-from .specfun import bessel_k0_array, kummer_m
+from .specfun import bessel_k0_array, kummer_m, kummer_m_half_array
 
 LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -748,20 +748,18 @@ def _bessel_model(r, t, nu):
 
 
 def _kummer_model(r, t, nu):
-    """M(1/2, 1, z) / t, z = r^2 / 4 nu t, by scalar kummer_m; all inf when
-    the value at the largest z squares to inf.  M grows with z, so then g.g
-    overflows whatever the other points give, and the row's rss is inf."""
+    """M(1/2, 1, z) / t, z = r^2 / 4 nu t; all inf when the value at the
+    largest z squares to inf.  M grows with z, so then g.g overflows whatever
+    the other points give, and the row's rss is inf.  The largest z goes
+    through scalar kummer_m, the row through its array kernel, which gives
+    the same values bitwise."""
     z = r * r / (4.0 * nu * t)
     top = int(np.argmax(z))
     m_top = kummer_m(0.5, 1.0, float(z[top])).value
     g_top = m_top / float(t[top])
     if g_top * g_top == math.inf:
         return np.full(z.shape, math.inf)
-    zs = z.tolist()
-    m = [kummer_m(0.5, 1.0, x).value for x in zs[:top]]
-    m.append(m_top)
-    m += [kummer_m(0.5, 1.0, x).value for x in zs[top + 1:]]
-    return np.array(m) / t
+    return kummer_m_half_array(z) / t
 
 
 _MODELS = {"gaussian": _gaussian_model, "bessel": _bessel_model, "kummer": _kummer_model}
@@ -830,12 +828,12 @@ def fit_field_nls(
     two and cov unscaled after, so nu, se_nu and se_q do not depend on the
     units; se_q comes from the scaled cov, so only an amplitude's variance,
     cov[1, 1], past the floats is inf.  FitError when the minimum is on the
-    scan edge, the rss is not finite or the amplitude is not a positive
-    float: the single-term Kummer profile grows with r, so on decaying data
-    its least squares lie at nu -> infinity.  A Kummer row whose value at
-    the largest r^2 / 4 nu t squares to inf has rss inf without its other
-    points being evaluated; n_iter still counts it.  The fit is
-    deterministic; seed is unused.
+    scan edge, the rss is not finite, the amplitude is not a positive float
+    or J'J is singular at the minimum: the single-term Kummer profile grows
+    with r, so on decaying data its least squares lie at nu -> infinity.  A
+    Kummer row whose value at the largest r^2 / 4 nu t squares to inf has
+    rss inf without its other points being evaluated; n_iter still counts
+    it.  The fit is deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
     nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of
@@ -898,8 +896,8 @@ def fit_field_nls(
     jac = np.column_stack([amp * dg, g])  # the columns of nu and of 2^-scale amplitude
     try:
         cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = np.full((2, 2), np.nan)
+    except np.linalg.LinAlgError as err:
+        raise FitError(f"{field_class} field fit: J'J is singular at nu={nu:.6e} ({err})") from None
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))  # of nu and of the scaled amplitude
     if scale:
         with np.errstate(over="ignore"):

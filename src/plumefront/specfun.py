@@ -36,11 +36,18 @@ bessel_k01   K0 and K1 together from the float kernel _k01, which the
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
              the representations and branch point of bessel_k0, one mask
-             per regime, terms along a second axis.  The fields and
-             functionals call the scalar functions, which are faster point
-             by point and carry est_abs_error.  It and its two helpers are
-             the only numpy code here and import it when called, so
-             importing specfun loads no numpy.
+             per regime, terms along a second axis.
+kummer_m_half_array
+             M(1/2, 1, z) of a numpy array, values only, for the Kummer
+             profile fit: _kummer_profile(0, z/2) term for term, with one
+             mask per regime, the terms and their running sums along a
+             second axis, each element stopped at the scalar loop's stop
+             and e^x from math.exp, so that it equals kummer_m bitwise.
+             The fields and functionals call the scalar functions, which
+             are faster point by point and carry est_abs_error.  The two
+             array kernels and their helpers are the only numpy code here
+             and import it when called, so importing specfun loads no
+             numpy.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -74,6 +81,12 @@ _FLOAT_MAX = sys.float_info.max
 _EXP_MAX = math.log(_FLOAT_MAX)
 _EPS = sys.float_info.epsilon
 _SQRT_PI = math.sqrt(math.pi)
+
+# Terms the array M(1/2, 1, 2x) forms in each regime: the most the scalar
+# loop takes, 29 in the series at x just below 15 and 36 in the large-argument
+# series near x = 17.
+_KUMMER_SERIES_TERMS = 29
+_KUMMER_LARGE_TERMS = 36
 
 # Terms the array K0 series forms below z = 2: (z^2/4)^k / (k!)^2 times H_k
 # is below TERM_STOP from k = 12.
@@ -405,6 +418,86 @@ def _k0_integral_array(z: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         terms = np.exp(-z[:, None] * (2.0 * half * half))
         return h * (0.5 + terms.sum(axis=1)) * np.exp(-z)
+
+
+def kummer_m_half_array(z) -> np.ndarray:
+    """M(1/2, 1, z) of every element of z, finite and >= 0, shaped like z;
+    values only.
+
+    `_kummer_profile(0, z/2)` term for term: the same regimes, the terms in
+    the same rounding order, each element's sum stopped where the scalar
+    loop stops, and e^x from math.exp, so every value is bitwise
+    kummer_m(0.5, 1.0, z).value, inf where that is inf.
+    """
+    import numpy as np
+
+    z = np.asarray(z, dtype=float)
+    ok = (z >= 0) & (z < math.inf)
+    if not ok.all():
+        raise DomainError(f"kummer_m_half_array requires finite z >= 0, got {z[~ok].flat[0]}")
+    with np.errstate(under="ignore"):  # tiny z, and the series terms past each stop
+        x = 0.5 * z.ravel()
+        out = np.full_like(x, math.inf)
+        series = x < 0.5 * KUMMER_SERIES_MAX
+        large = ~series & (x < _EXP_MAX)
+        if series.any():
+            out[series] = _kummer_half_series(x[series])
+        if large.any():
+            out[large] = _kummer_half_large(x[large])
+    return out.reshape(z.shape)
+
+
+def _kummer_half_series(x: np.ndarray) -> np.ndarray:
+    """The series regime of `_kummer_profile(0, x)`, x < 15: the terms as one
+    running product along the term axis, their running sums, and each
+    element's sum at its first term below TERM_STOP of the sum."""
+    import numpy as np
+
+    k_sq = np.arange(1, _KUMMER_SERIES_TERMS + 1) ** 2
+    terms = np.cumprod(np.divide.outer(0.25 * x * x, k_sq), axis=1)
+    sums = terms.copy()
+    sums[:, 0] += 1.0
+    np.cumsum(sums, axis=1, out=sums)
+    last = np.argmax(terms < TERM_STOP * sums, axis=1)
+    return _exp_array(x) * sums[np.arange(x.size), last]
+
+
+def _kummer_half_large(x: np.ndarray) -> np.ndarray:
+    """The large-argument regime of `_kummer_profile(0, x)`, 15 <= x < _EXP_MAX.
+
+    Term k is term k-1 times (2k - 1)^2, then divided by 8 k x, as the scalar
+    rounds it, so the product runs one term at a time.  Each element's sum
+    ends before its first term that does not shrink, or at its first term
+    below TERM_STOP of the sum.
+    """
+    import numpy as np
+
+    ks = np.arange(1, _KUMMER_LARGE_TERMS + 1)
+    odd_sq = (2.0 * ks - 1.0) ** 2
+    denom = np.multiply.outer(8.0 * ks, x)
+    terms = np.empty((_KUMMER_LARGE_TERMS + 1, x.size))  # row 0: the leading 1
+    terms[0] = 1.0
+    for k in range(1, _KUMMER_LARGE_TERMS + 1):
+        np.multiply(terms[k - 1], odd_sq[k - 1], out=terms[k])
+        np.divide(terms[k], denom[k - 1], out=terms[k])
+    sums = np.cumsum(terms, axis=0)
+    grows = terms[1:] >= terms[:-1]
+    stop = grows | (terms[1:] < TERM_STOP * sums[1:])
+    first = np.argmax(stop, axis=0)
+    cols = np.arange(x.size)
+    total = sums[first + 1 - grows[first, cols], cols]
+    scale = _exp_array(x)
+    inner = scale * (1.0 / np.sqrt(2.0 * math.pi * x)) * total
+    with np.errstate(over="ignore"):  # as the float product: inf past the float range
+        return np.where(inner > _FLOAT_MAX / scale, math.inf, scale * inner)
+
+
+def _exp_array(x: np.ndarray) -> np.ndarray:
+    """e^x by math.exp for each element, x < _EXP_MAX: numpy's exp can differ
+    from it by an ulp, and kummer_m_half_array must equal kummer_m."""
+    import numpy as np
+
+    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=x.size)
 
 
 def _exp_erfc(a: float, z: float) -> float:

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_oracle
 
+from plumefront import specfun
 from plumefront.errors import DomainError, NumericalError
 from plumefront.specfun import (
+    _EXP_MAX,
     SpecFunResult,
     _k01,
     bessel_i,
@@ -26,6 +28,7 @@ from plumefront.specfun import (
     bessel_k1,
     gamma_fn,
     kummer_m,
+    kummer_m_half_array,
     pochhammer,
     unit_sphere_area,
 )
@@ -162,6 +165,87 @@ class TestKummerProfile:
     def test_finite_up_to_overflow(self, n, z):
         expected = float(sp_oracle.hyp1f1(n + 0.5, 2.0 * n + 1.0, z))
         assert _profile(n, z).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _ulps_around(z, n):
+    """z and the n floats on either side of it."""
+    below, above = [z], [z]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestKummerHalfArray:
+    """The array M(1/2, 1, z) against a loop of scalar kummer_m calls, which
+    it must equal bitwise: the same terms, rounded in the same order, summed
+    in the same order and stopped at the same term."""
+
+    @staticmethod
+    def _check(z):
+        z = np.asarray(z, dtype=float)
+        got = kummer_m_half_array(z)
+        loop = np.array([kummer_m(0.5, 1.0, x).value for x in z.ravel().tolist()])
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got.ravel(), loop)
+        return got
+
+    def test_seeded_uniform_to_1500(self):
+        rng = np.random.default_rng(25)
+        self._check(np.concatenate([rng.uniform(0.0, 1500.0, 20_000),
+                                    rng.uniform(28.0, 40.0, 20_000)]))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=40))
+    def test_against_the_scalar_loop(self, zs):
+        self._check(zs)
+
+    def test_seam_at_30_and_the_large_regime(self):
+        # x = z/2 = 15 switches to the large-argument series; at z = 37.64 a
+        # pairwise sum of its terms, or e^x (lead sum) e^x in place of
+        # e^x (e^x lead sum), is an ulp off the scalar
+        self._check(_ulps_around(30.0, 4) + _ulps_around(37.64, 4)
+                    + [37.64 + 1e-12 * k for k in range(100)])
+
+    def test_overflow_edges(self):
+        # M(1/2, 1, z) passes the largest float at z = 713.64, and from
+        # z = 2 _EXP_MAX the scalar returns inf without forming e^(z/2)
+        edge = 713.6399162853547  # the least z where the scalar gives inf
+        got = self._check(_ulps_around(edge, 3) + _ulps_around(2.0 * _EXP_MAX, 3) + [1e300])
+        assert np.isfinite(got[:3]).all() and np.isinf(got[3:]).all()
+
+    def test_zero_and_subnormal(self):
+        got = self._check([0.0, 5e-324, 1e-310, sys.float_info.min, 1e-200])
+        assert got[0] == 1.0
+
+    def test_shapes(self):
+        assert kummer_m_half_array(np.empty(0)).shape == (0,)
+        assert kummer_m_half_array(np.empty((0, 3))).shape == (0, 3)
+        self._check(np.array([[0.5, 29.0, 31.0], [37.64, 700.0, 1500.0]]))
+        zero_d = self._check(np.float64(31.0))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+
+    def test_no_floating_point_warning(self):
+        z = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1500.0, 3000)])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            values = kummer_m_half_array(z)
+        assert values[0] == 1.0 and values[-1] == math.inf
+
+    @pytest.mark.parametrize("name, z", [
+        ("_KUMMER_SERIES_TERMS", math.nextafter(30.0, 0.0)),  # the series' most: x just below 15
+        ("_KUMMER_LARGE_TERMS", 34.1),  # the large-argument series' most, near x = 17
+    ])
+    def test_term_counts_reach_the_stop(self, name, z, monkeypatch):
+        # each count is the least with which every element reaches its stop
+        self._check([z])
+        monkeypatch.setattr(specfun, name, getattr(specfun, name) - 1)
+        assert kummer_m_half_array(np.array([z]))[0] != kummer_m(0.5, 1.0, z).value
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            kummer_m_half_array(np.array([1.0, bad, 3.0]))
 
 
 class TestBesselI:
