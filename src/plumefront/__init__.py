@@ -14,14 +14,12 @@ _LAZY = {
     "errors": ("DataError", "DomainError", "FitError", "InsufficientDataError",
                "NonMonotoneFieldWarning", "NumericalError", "PlumefrontError"),
     "fields": ("BesselField", "DecayingSourceField", "FieldEval", "FieldParams", "GaussianField",
-               "KummerField", "SourceEvent", "greens_eval", "superpose"),
+               "KummerField", "SourceEvent", "superpose"),
     "functionals": ("BoundarySpec", "MomentResult", "boundary_radius", "boundary_sensitivity",
-                    "boundary_velocity", "cumulative_exposure", "energy",
-                    "functional_derivative", "optimal_centroid", "spatial_moment"),
-    "specfun": ("SpecFunResult", "bessel_i", "bessel_k0", "bessel_k01", "bessel_k1", "gamma_fn",
-                "kummer_m", "pochhammer"),
+                    "boundary_velocity", "cumulative_exposure", "energy", "spatial_moment"),
+    "specfun": ("SpecFunResult", "bessel_i", "bessel_k0", "bessel_k1", "gamma_fn", "kummer_m"),
     "dynamics": ("AdiabaticBoundary", "BoundaryTrajectory", "adiabatic_boundary",
-                 "boundary_ode_integrate", "perturbed_boundary", "steady_state_boundary"),
+                 "boundary_ode_integrate", "steady_state_boundary"),
     "estimation": ("DecayFit", "DiagnosticsReport", "FieldFitResult", "NonparFit",
                    "ProfileSelection", "RegionalResult", "boundary_from_kappa",
                    "bootstrap_boundary_interval", "detect_boundary", "diagnostics",

@@ -150,18 +150,6 @@ def steady_state_boundary(nu: float, lam: float, q0: float, tau_min: float) -> f
     return length * math.log(arg)
 
 
-def perturbed_boundary(
-    d0_star: float,
-    tau1_at_boundary: float,
-    grad_tau0_at_boundary: float,
-    eps: float,
-) -> float:
-    """First-order boundary shift d0 + eps * tau1 / |grad tau0|; no iteration."""
-    if not grad_tau0_at_boundary > 0:
-        raise DomainError("perturbed_boundary requires a nondegenerate profile (grad > 0)")
-    return d0_star + eps * tau1_at_boundary / grad_tau0_at_boundary
-
-
 def adiabatic_boundary(
     nu0: float, alpha: float, eps_threshold: float, t: float
 ) -> AdiabaticBoundary:

@@ -305,25 +305,29 @@ class DecayingSourceField(_RadialField):
         return p.q * math.exp(-r * math.sqrt(p.lam / p.nu)) / (4.0 * math.pi * p.nu * r)
 
 
-def greens_eval(x, t: float, y, s: float, nu: float) -> float:
-    """Free-space diffusion Green's function, the heat kernel at |x - y| and age
-    t - s; 0 for t <= s by causality.  x and y have equal lengths; all finite."""
+def superpose(events, nu: float, x, t: float) -> float:
+    """Sum over the events of strength times the free-space Green's function,
+    the 3-D heat kernel at |x - pos| and age t - time, which is 0 for t <= time
+    by causality; 0.0 for no events.  x and every pos have 3 coordinates, all
+    finite."""
     if not nu > 0:
         raise DomainError(f"nu must be > 0, got {nu}")
-    xs, ys = [float(v) for v in x], [float(v) for v in y]
-    if len(xs) != len(ys):
-        raise DomainError(f"x has {len(xs)} coordinates, the event position {len(ys)}")
-    if not all(map(math.isfinite, xs + ys + [t, s])):
-        raise DomainError(f"coordinates and times must be finite, got x={x}, t={t}, y={y}, s={s}")
-    dt = t - s
-    if dt <= 0.0:
-        return 0.0
-    if not 0.0 < 4.0 * nu * dt < math.inf:
-        raise DomainError(f"4 nu (t - s) must be a finite float > 0, got nu={nu}, t - s={dt}")
-    rr = sum((a - b) * (a - b) for a, b in zip(xs, ys))  # ** 2 would raise OverflowError
-    return _heat_kernel(1.0, rr, nu, dt)
-
-
-def superpose(events, nu: float, x, t: float) -> float:
-    """Sum of Green's-function responses, linear in the event strengths."""
-    return sum(ev.strength * greens_eval(x, t, ev.pos, ev.time, nu) for ev in events)
+    xs = [float(v) for v in x]
+    if len(xs) != 3:
+        raise DomainError(f"x has {len(xs)} coordinates, the heat kernel needs 3")
+    terms = []
+    for ev in events:
+        ys, s = [float(v) for v in ev.pos], ev.time
+        if len(ys) != 3:
+            raise DomainError(f"x has 3 coordinates, the event position {len(ys)}")
+        if not all(map(math.isfinite, xs + ys + [t, s])):
+            raise DomainError(f"coordinates and times must be finite, got x={x}, t={t}, "
+                              f"y={ev.pos}, s={s}")
+        dt = t - s
+        if dt <= 0.0:
+            continue
+        if not 0.0 < 4.0 * nu * dt < math.inf:
+            raise DomainError(f"4 nu (t - s) must be a finite float > 0, got nu={nu}, t - s={dt}")
+        rr = sum((a - b) * (a - b) for a, b in zip(xs, ys))  # ** 2 would raise OverflowError
+        terms.append(ev.strength * _heat_kernel(1.0, rr, nu, dt))
+    return sum(terms, 0.0)

@@ -1,9 +1,8 @@
 """Derived functionals of an intensity field.
 
-Boundary radius and velocity, cumulative exposure, spatial moments, energy,
-parameter sensitivity, optimal placement, and pointwise functional
-derivatives.  All operations accept any object with a ``value(r, t)`` method;
-derivative-free fields are fine except where noted.  Radial symmetry is
+Boundary radius and velocity, cumulative exposure, spatial moments, energy
+and parameter sensitivity.  All operations accept any object with a
+``value(r, t)`` method; derivative-free fields are fine.  Radial symmetry is
 assumed throughout, which keeps every integral one-dimensional.  The
 boundary radius refines its scan bracket by Brent's method to rounding.
 
@@ -13,9 +12,7 @@ s = r / (L sqrt(t)) for t up to a horizon T, possibly inf, all through
 or does not converge raises NumericalError instead of returning a truncated
 number.
 
-Scalars throughout are floats in math, so importing this module loads no
-numpy: only `optimal_centroid` and `functional_derivative`, which take
-arrays, import it, and only `quadrature` imports scipy.
+Scalars throughout are floats in math, and only `quadrature` imports scipy.
 """
 
 from __future__ import annotations
@@ -336,75 +333,3 @@ def boundary_sensitivity(field_factory, nu: float, spec: BoundarySpec, t: float)
     """
     return _central_difference(lambda v: boundary_radius(field_factory(v), spec, t), nu,
                                f"boundary absent near nu={nu}, t={t}")
-
-
-def optimal_centroid(population) -> tuple[float, ...]:
-    """Weight-averaged location Sum w_i x_i / Sum w_i of a discrete population."""
-    import numpy as np
-
-    population = list(population)
-    if not population:
-        raise DomainError("population must be non-empty")
-    points = np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in population])
-    weights = np.array([float(w) for _, w in population])
-    if np.any(weights <= 0):
-        raise DomainError("all weights must be > 0")
-    centroid = weights @ points / weights.sum()
-    return tuple(float(c) for c in centroid)
-
-
-_DERIVATIVE_KINDS = ("total_intensity", "energy", "gradient_energy", "weighted_exposure")
-
-
-def functional_derivative(
-    kind: str,
-    r_grid,
-    tau_grid,
-    index: int,
-    dim: int = 3,
-    weight=None,
-) -> float:
-    """Pointwise first variation of a standard functional on a radial snapshot.
-
-    total_intensity -> 1, energy -> 2 tau(x), gradient_energy -> -2 lap(tau),
-    weighted_exposure -> weight(x).  The Laplacian uses second-order central
-    differences in the radial form f'' + (d-1)/r f', so gradient_energy is
-    unavailable at the grid endpoints.
-    """
-    import numpy as np
-
-    if kind not in _DERIVATIVE_KINDS:
-        raise DomainError(f"unknown functional kind {kind!r}")
-    r = np.asarray(r_grid, dtype=float)
-    tau = np.asarray(tau_grid, dtype=float)
-    if r.shape != tau.shape or r.ndim != 1:
-        raise DomainError("r_grid and tau_grid must be 1-D arrays of equal length")
-    if r.size < 200:
-        raise DomainError(f"grid must resolve the field: need >= 200 nodes, got {r.size}")
-    if not 0 <= index < r.size:
-        raise DomainError(f"location index {index} outside grid")
-
-    if kind == "total_intensity":
-        return 1.0
-    if kind == "energy":
-        return 2.0 * float(tau[index])
-    if kind == "weighted_exposure":
-        if weight is None:
-            raise DomainError("weighted_exposure requires a weight function or array")
-        if callable(weight):
-            return float(weight(r[index]))
-        return float(np.asarray(weight, dtype=float)[index])
-
-    # gradient_energy
-    if index == 0 or index == r.size - 1:
-        raise DomainError("gradient_energy stencil incomplete at the grid boundary")
-    h_f = r[index + 1] - r[index]
-    h_b = r[index] - r[index - 1]
-    if not math.isclose(h_f, h_b, rel_tol=1e-6):
-        raise DomainError("gradient_energy requires a uniform radial grid")
-    second = (tau[index + 1] - 2.0 * tau[index] + tau[index - 1]) / (h_f * h_f)
-    first = (tau[index + 1] - tau[index - 1]) / (2.0 * h_f)
-    if r[index] == 0.0:
-        raise DomainError("radial Laplacian undefined at r = 0")
-    lap = second + (dim - 1) / r[index] * first
-    return -2.0 * lap

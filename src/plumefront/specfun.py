@@ -28,11 +28,11 @@ bessel_k0/k1 ascending log series below z = 2; from there the trapezoid
              rule on e^-z int_0^inf exp(-z (cosh t - 1)) cosh(nt) dt (DLMF
              10.32.9) with step min(0.2, 0.7/sqrt(z)), at most 19 nodes;
              within 1e-15 relative of mpmath wherever K is normal.
-bessel_k01   K0 and K1 together from the float kernel _k01, which the
-             Bessel field's eval calls directly: one series loop for I0, I1
-             and both harmonic sums below z = 2 (DLMF 10.31.2), one
-             trapezoid loop from there that shares each exponential between
-             the orders.
+_k01         the float kernel shared by bessel_k0, bessel_k1 and
+             BesselField.eval, which gives K0 and K1 together: one series
+             loop for I0, I1 and both harmonic sums below z = 2 (DLMF
+             10.31.2), one trapezoid loop from there that shares each
+             exponential between the orders.
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
              the representations and branch point of bessel_k0, one mask
@@ -118,16 +118,6 @@ def gamma_fn(z: float) -> float:
         return math.gamma(z)
     except OverflowError:
         return math.inf
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a (a+1) ... (a+n-1); equals 1 for n = 0."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"pochhammer requires a non-negative integer n, got {n}")
-    result = 1.0
-    for k in range(int(n)):
-        result *= a + k
-    return result
 
 
 def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
@@ -361,15 +351,6 @@ def bessel_k1(z: float) -> SpecFunResult:
         raise DomainError(f"bessel_k1 requires finite z > 0, got {z}")
     _, _, k1, err1 = _k01(z)
     return SpecFunResult(k1, err1)
-
-
-def bessel_k01(z: float) -> tuple[SpecFunResult, SpecFunResult]:
-    """(K0(z), K1(z)) for finite z > 0: the values of `bessel_k0` and `bessel_k1`
-    from one kernel call."""
-    if not 0 < z < math.inf:
-        raise DomainError(f"bessel_k01 requires finite z > 0, got {z}")
-    k0, err0, k1, err1 = _k01(z)
-    return SpecFunResult(k0, err0), SpecFunResult(k1, err1)
 
 
 def bessel_k0_array(z) -> np.ndarray:

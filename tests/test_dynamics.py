@@ -1,4 +1,4 @@
-"""Boundary evolution: the threshold ODE, steady states, perturbations."""
+"""Boundary evolution: the threshold ODE, steady states, slow diffusion growth."""
 
 import math
 
@@ -11,7 +11,6 @@ from scipy.special import k0 as scipy_k0
 from plumefront.dynamics import (
     adiabatic_boundary,
     boundary_ode_integrate,
-    perturbed_boundary,
     steady_state_boundary,
 )
 from plumefront.errors import DomainError, NumericalError
@@ -248,36 +247,6 @@ class TestSteadyStateBoundary:
                 steady_state_boundary(nu, lam, 1.0, 1e-3)
                 - brentq(lambda r: math.exp(-r) / (4 * math.pi * r) - 1e-3, 1e-3, 200.0)
             ) / brentq(lambda r: math.exp(-r) / (4 * math.pi * r) - 1e-3, 1e-3, 200.0)
-
-
-class TestPerturbedBoundary:
-    def test_zero_perturbation(self):
-        assert perturbed_boundary(1.3, 0.5, 2.0, 0.0) == 1.3
-
-    def test_zero_correction(self):
-        assert perturbed_boundary(1.3, 0.0, 2.0, 0.1) == 1.3
-
-    def test_matches_adiabatic_to_second_order(self):
-        # slow diffusion growth: the first-order shift from the perturbation
-        # formula equals the adiabatic first-order expansion
-        nu0, alpha, eps, t = 1.0, 0.02, 0.1, 2.0
-        d0 = boundary_radius(GAUSS, EPS01, t)
-        # tau1 = d tau/d nu at the boundary (nu perturbation nu1 = nu0 t alpha/eps ...)
-        h = 1e-6
-        g_hi = GaussianField(FieldParams(nu=nu0 + h, q=1.0))
-        g_lo = GaussianField(FieldParams(nu=nu0 - h, q=1.0))
-        dtau_dnu = (g_hi.value(d0, t) - g_lo.value(d0, t)) / (2 * h)
-        # relative-threshold correction: subtract the source-value shift
-        dtau0_dnu = (g_hi.value(0.0, t) - g_lo.value(0.0, t)) / (2 * h)
-        tau1 = dtau_dnu - 0.9 * dtau0_dnu
-        grad = abs(GAUSS.d_dr(d0, t))
-        shifted = perturbed_boundary(d0, tau1, grad, eps=alpha * t * nu0)
-        exact = adiabatic_boundary(nu0, alpha, eps, t).exact
-        assert abs(shifted - exact) / exact < 0.2 * (alpha * t) ** 2
-
-    def test_degenerate_gradient_rejected(self):
-        with pytest.raises(DomainError):
-            perturbed_boundary(1.0, 0.5, 0.0, 0.1)
 
 
 class TestAdiabaticBoundary:

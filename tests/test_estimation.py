@@ -304,6 +304,16 @@ class TestDetectBoundary:
         ci = bootstrap_boundary_interval(fit, 0.1, n_boot=200, seed=8)
         assert ci is not None and ci[0] < LN10 / 0.05 < ci[1]
 
+    @pytest.mark.parametrize("data_seed", [0, 5])
+    def test_bootstrap_interval_none_when_too_few_curves_cross(self, data_seed):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        # on flat data the half-level crossing is rare: at data seed 5 fewer
+        # than 20 of the 40 curves cross, at data seed 0 enough of them do
+        fit = nonparametric_fit(*generate_dgp(STANDARD_DGPS["flat"], 500, data_seed))
+        ci = bootstrap_boundary_interval(fit, 0.5, n_boot=40, seed=5)
+        assert (ci is None) == (data_seed == 5)
+
     def test_contracts(self):
         fit = self._noiseless_fit(n=200)
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from plumefront.fields import (
     GaussianField,
     KummerField,
     SourceEvent,
-    greens_eval,
     superpose,
 )
 from plumefront.specfun import bessel_k0, kummer_m
@@ -316,36 +315,43 @@ def test_non_finite_arguments_rejected(field, r, t):
         field.eval(r, t)
 
 
+def _unit_event(x, t, y, s, nu):
+    """The Green's function at (x, t) of a source at (y, s): `superpose` of one
+    unit-strength event."""
+    return superpose([SourceEvent(pos=y, time=s, strength=1.0)], nu, x, t)
+
+
 class TestGreensFunction:
     def test_causality(self):
-        assert greens_eval((1.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 2.0, nu=1.0) == 0.0
-        assert greens_eval((1.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 1.0, nu=1.0) == 0.0
+        assert _unit_event((1.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 2.0, nu=1.0) == 0.0
+        assert _unit_event((1.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 1.0, nu=1.0) == 0.0
 
     def test_coincident_points(self):
-        val = greens_eval((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 0.0, nu=1.0)
+        val = _unit_event((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 0.0, nu=1.0)
         assert val == pytest.approx((4.0 * math.pi) ** -1.5, rel=1e-14)
 
     def test_unit_mass(self):
         total, _ = quad(
             lambda r: 4.0 * math.pi * r * r
-            * greens_eval((r, 0.0, 0.0), 1.5, (0.0, 0.0, 0.0), 0.5, nu=0.7),
+            * _unit_event((r, 0.0, 0.0), 1.5, (0.0, 0.0, 0.0), 0.5, nu=0.7),
             0.0, 50.0,
         )
         assert total == pytest.approx(1.0, rel=1e-6)
 
     def test_reduces_to_gaussian_field(self):
         g = GaussianField(UNIT)
-        val = greens_eval((2.0, 0.0, 0.0), 3.0, (0.0, 0.0, 0.0), 0.0, nu=1.0)
+        val = _unit_event((2.0, 0.0, 0.0), 3.0, (0.0, 0.0, 0.0), 0.0, nu=1.0)
         assert val == pytest.approx(g.value(2.0, 3.0), rel=1e-14)
 
     @pytest.mark.parametrize("x,y", [((1.0, 0.0), (0.0, 0.0, 0.0)),
                                      ((1.0, 0.0, 0.0), (0.0, 0.0)),
-                                     (np.zeros(4), (0.0, 0.0, 0.0))])
+                                     (np.zeros(4), (0.0, 0.0, 0.0)),
+                                     ((1.0, 0.0), (0.0, 0.0)),
+                                     (np.zeros(4), np.zeros(4))])
     def test_dimension_mismatch_rejected(self, x, y):
+        # the heat kernel is 3-D: equal lengths other than 3 are rejected too
         with pytest.raises(DomainError):
-            greens_eval(x, 2.0, y, 0.0, nu=1.0)
-        with pytest.raises(DomainError):
-            superpose([SourceEvent(pos=y, time=0.0, strength=1.0)], 1.0, x, 2.0)
+            _unit_event(x, 2.0, y, 0.0, nu=1.0)
 
     @pytest.mark.parametrize("x,t,s", [((math.nan, 0.0, 0.0), 2.0, 0.0),
                                        ((0.0, math.inf, 0.0), 2.0, 0.0),
@@ -355,14 +361,15 @@ class TestGreensFunction:
                                        ((math.nan, 0.0, 0.0), 0.0, 1.0)])  # before s, too
     def test_non_finite_arguments_rejected(self, x, t, s):
         with pytest.raises(DomainError):
-            greens_eval(x, t, (0.0, 0.0, 0.0), s, nu=1.0)
+            _unit_event(x, t, (0.0, 0.0, 0.0), s, nu=1.0)
         with pytest.raises(DomainError):
-            greens_eval((0.0, 0.0, 0.0), t, x, s, nu=1.0)
+            _unit_event((0.0, 0.0, 0.0), t, x, s, nu=1.0)
 
 
 class TestSuperposition:
     def test_empty(self):
-        assert superpose([], 1.0, (0.0, 0.0, 0.0), 1.0) == 0.0
+        total = superpose([], 1.0, (0.0, 0.0, 0.0), 1.0)
+        assert total == 0.0 and type(total) is float
 
     def test_single_event_is_gaussian(self):
         events = [SourceEvent(pos=(0.0, 0.0, 0.0), time=0.0, strength=2.5)]
@@ -380,8 +387,8 @@ class TestSuperposition:
             SourceEvent(pos=(0.0, 0.0, 0.0), time=t0, strength=q0 * dq),
         ]
         x, t = (1.5, 0.0, 0.0), 2.0 * t0
-        old = greens_eval(x, t, (0.0, 0.0, 0.0), 0.0, 1.0) * q0
-        new = greens_eval(x, t, (0.0, 0.0, 0.0), t0, 1.0) * q0 * dq
+        old = _unit_event(x, t, (0.0, 0.0, 0.0), 0.0, 1.0) * q0
+        new = _unit_event(x, t, (0.0, 0.0, 0.0), t0, 1.0) * q0 * dq
         assert superpose(events, 1.0, x, t) == pytest.approx(old + new, rel=1e-14)
 
     def test_linear_in_strengths(self):
@@ -417,7 +424,7 @@ class TestDomainEdges:
         decaying = DecayingSourceField(FieldParams(nu=nu, lam=0.5))
         return [gauss.value, gauss.eval, bessel.value, bessel.eval, kummer.value, kummer.eval,
                 decaying.value, decaying.eval,
-                lambda r, t: greens_eval((r, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, nu)]
+                lambda r, t: _unit_event((r, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, nu)]
 
     def test_no_nan_and_no_raw_exception(self):
         bad = []
@@ -441,7 +448,7 @@ class TestDomainEdges:
     def test_gaussian_and_greens_underflow_to_zero(self, t):
         assert GaussianField(UNIT).value(1.0, t) == 0.0
         assert GaussianField(UNIT).eval(1.0, t) == (0.0, -0.0, 0.0)
-        assert greens_eval((1.0, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, 1.0) == 0.0
+        assert _unit_event((1.0, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("make", [
         lambda: FieldParams(nu=1.0, lam=math.nan),

@@ -31,8 +31,6 @@ from plumefront.functionals import (
     boundary_velocity,
     cumulative_exposure,
     energy,
-    functional_derivative,
-    optimal_centroid,
     spatial_moment,
 )
 
@@ -110,6 +108,15 @@ class TestBoundaryRadius:
     def test_absolute_threshold_above_peak(self):
         spec = BoundarySpec(mode="absolute", tau_min=1.0)
         assert boundary_radius(GAUSS, spec, 1.0) is None
+
+    def test_diverging_field_below_threshold_after_all_halvings(self):
+        # K0(r / 2) at r = 2^-200 is about 139, so 200 halvings inward from
+        # r = 1 never lift the unit Bessel field above 1e3; 100 is reached.
+        field = BesselField(FieldParams(nu=1.0, dim=2, source_pos=(0.0, 0.0)), amplitude=1.0)
+        assert boundary_radius(field, BoundarySpec("absolute", tau_min=1e3), 1.0) is None
+        radius = boundary_radius(field, BoundarySpec("absolute", tau_min=100.0), 1.0)
+        assert 0.0 < radius < 1.0
+        assert field.value(radius, 1.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_scaling_with_sqrt_t(self):
         vals = {t: boundary_radius(GAUSS, EPS01, t) for t in (0.25, 1.0, 4.0, 16.0)}
@@ -309,95 +316,6 @@ class TestBoundarySensitivity:
         d1 = boundary_radius(self.FACTORY(1.0), EPS01, 4.0)
         d4 = boundary_radius(self.FACTORY(4.0), EPS01, 4.0)
         assert d4 == pytest.approx(2.0 * d1, rel=1e-10)
-
-
-class TestOptimalCentroid:
-    def test_symmetric_pair(self):
-        assert optimal_centroid([((0.0,), 1.0), ((2.0,), 1.0)]) == (1.0,)
-
-    def test_weighted_mean(self):
-        c = optimal_centroid([((0.0, 0.0), 3.0), ((4.0, 0.0), 1.0)])
-        assert c == pytest.approx((1.0, 0.0))
-
-    def test_single_point(self):
-        assert optimal_centroid([((2.5, -1.0), 7.0)]) == pytest.approx((2.5, -1.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            optimal_centroid([])
-
-
-class TestFunctionalDerivative:
-    R = np.linspace(0.01, 5.0, 400)
-
-    def tau(self, t=1.0):
-        return np.array([GAUSS.value(float(r), t) for r in self.R])
-
-    def test_total_intensity(self):
-        assert functional_derivative("total_intensity", self.R, self.tau(), 100) == 1.0
-
-    def test_energy_kind(self):
-        tau = self.tau()
-        idx = 0
-        got = functional_derivative("energy", self.R, tau, idx)
-        assert got == pytest.approx(2.0 * tau[idx], rel=1e-12)
-
-    def test_energy_at_source_value(self):
-        # 2 tau(0, 1) = 2 (4 pi)^{-3/2}; use the first grid node near zero
-        r = np.linspace(0.0, 5.0, 500)
-        tau = np.array([GAUSS.value(float(x), 1.0) for x in r])
-        got = functional_derivative("energy", r, tau, 0)
-        assert got == pytest.approx(2.0 * (4.0 * math.pi) ** -1.5, rel=1e-9)
-
-    def test_weighted_exposure(self):
-        got = functional_derivative(
-            "weighted_exposure", self.R, self.tau(), 42, weight=lambda r: 3.25
-        )
-        assert got == 3.25
-
-    def test_gradient_energy_matches_analytic_laplacian(self):
-        # -2 lap tau with lap tau = tau (r^2/(4 nu^2 t^2) - 3/(2 nu t)) at nu=q=t=1
-        r_fine = np.linspace(0.01, 5.0, 4000)
-        tau_fine = np.array([GAUSS.value(float(x), 1.0) for x in r_fine])
-        idx = 2000
-        r = float(r_fine[idx])
-        lap = GAUSS.value(r, 1.0) * (r * r / 4.0 - 1.5)
-        got = functional_derivative("gradient_energy", r_fine, tau_fine, idx)
-        assert got == pytest.approx(-2.0 * lap, rel=1e-4)
-
-    def test_gradient_energy_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            functional_derivative("gradient_energy", self.R, self.tau(), 0)
-        with pytest.raises(DomainError):
-            functional_derivative("gradient_energy", self.R, self.tau(), len(self.R) - 1)
-
-    def test_coarse_grid_rejected(self):
-        r = np.linspace(0.01, 5.0, 100)
-        tau = np.ones(100)
-        with pytest.raises(DomainError):
-            functional_derivative("energy", r, tau, 10)
-
-    def test_energy_first_variation_converges(self):
-        # (E[tau + eta*bump] - E[tau]) / eta -> int (2 tau) bump dx, first order in eta
-        r = self.R
-        tau = self.tau()
-        bump = np.exp(-((r - 1.0) ** 2) / 0.01)
-        w = 4.0 * math.pi * r * r
-
-        def integral(values):  # plain trapezoid; works on any numpy version
-            return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(r)))
-
-        target = integral(2.0 * tau * bump * w)
-
-        def e_of(f):
-            return integral(f * f * w)
-
-        errors = []
-        for eta in (1e-2, 1e-3, 1e-4):
-            fd = (e_of(tau + eta * bump) - e_of(tau)) / eta
-            errors.append(abs(fd - target))
-        assert errors[1] == pytest.approx(errors[0] / 10.0, rel=0.2)
-        assert errors[2] == pytest.approx(errors[1] / 10.0, rel=0.2)
 
 
 class TestQuadratureToInfinity:

@@ -29,14 +29,12 @@ EXPORTS = [
     "DataError", "DomainError", "FitError", "InsufficientDataError", "NonMonotoneFieldWarning",
     "NumericalError", "PlumefrontError",
     "BesselField", "DecayingSourceField", "FieldEval", "FieldParams", "GaussianField",
-    "KummerField", "SourceEvent", "greens_eval", "superpose",
+    "KummerField", "SourceEvent", "superpose",
     "BoundarySpec", "MomentResult", "boundary_radius", "boundary_sensitivity",
-    "boundary_velocity", "cumulative_exposure", "energy", "functional_derivative",
-    "optimal_centroid", "spatial_moment",
-    "SpecFunResult", "bessel_i", "bessel_k0", "bessel_k01", "bessel_k1", "gamma_fn", "kummer_m",
-    "pochhammer",
+    "boundary_velocity", "cumulative_exposure", "energy", "spatial_moment",
+    "SpecFunResult", "bessel_i", "bessel_k0", "bessel_k1", "gamma_fn", "kummer_m",
     "AdiabaticBoundary", "BoundaryTrajectory", "adiabatic_boundary", "boundary_ode_integrate",
-    "perturbed_boundary", "steady_state_boundary",
+    "steady_state_boundary",
     "DecayFit", "DiagnosticsReport", "FieldFitResult", "NonparFit", "ProfileSelection",
     "RegionalResult", "boundary_from_kappa", "bootstrap_boundary_interval", "detect_boundary",
     "diagnostics", "fit_field_nls", "fit_loglinear", "nonparametric_fit",
