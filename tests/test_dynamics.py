@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import k0 as scipy_k0
 
 from plumefront.dynamics import (
+    BoundaryTrajectory,
     adiabatic_boundary,
     boundary_ode_integrate,
     steady_state_boundary,
@@ -195,7 +196,25 @@ class TestBoundaryOde:
         assert field.at_source == (2 * steps + 1 if spec is EPS01 else 0)
 
 
+class TestBoundaryTrajectory:
+    @pytest.mark.parametrize("times,radii,message", [
+        ([0.0, 1.0], [1.0], "equal length"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+        ([1.0, 0.5], [1.0, 2.0], "strictly increasing"),
+    ], ids=["length", "repeated_time", "decreasing_time"])
+    def test_malformed_trajectory_rejected(self, times, radii, message):
+        with pytest.raises(DomainError, match=message):
+            BoundaryTrajectory(np.array(times), np.array(radii), "horizon_reached")
+
+
 class TestSteadyStateBoundary:
+    @pytest.mark.parametrize("position", [0, 1, 2, 3], ids=["nu", "lam", "q0", "tau_min"])
+    def test_non_positive_argument_rejected(self, position):
+        args = [1.0, 1.0, math.e, 1.0]
+        args[position] = 0.0
+        with pytest.raises(DomainError, match="nu, lam, q0, tau_min > 0"):
+            steady_state_boundary(*args)
+
     def test_constructed_identity(self):
         # nu = lam = tau_min = 1, q0 = e makes the log argument e
         assert steady_state_boundary(1.0, 1.0, math.e, 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -250,6 +269,17 @@ class TestSteadyStateBoundary:
 
 
 class TestAdiabaticBoundary:
+    @pytest.mark.parametrize("nu0,alpha,eps,t,message", [
+        (0.0, 0.05, 0.1, 2.0, "nu0 must be > 0"),
+        (1.0, -0.01, 0.1, 2.0, "alpha must be >= 0"),
+        (1.0, 0.05, 0.0, 2.0, r"eps_threshold must be in \(0,1\)"),
+        (1.0, 0.05, 1.0, 2.0, r"eps_threshold must be in \(0,1\)"),
+        (1.0, 0.05, 0.1, -1.0, "t must be >= 0"),
+    ], ids=["nu0", "alpha", "eps_zero", "eps_one", "t"])
+    def test_bad_argument_rejected(self, nu0, alpha, eps, t, message):
+        with pytest.raises(DomainError, match=message):
+            adiabatic_boundary(nu0, alpha, eps, t)
+
     def test_reduces_to_static_case(self):
         res = adiabatic_boundary(1.0, 0.0, 0.1, 4.0)
         assert res.exact == pytest.approx(1.29837138389800, rel=1e-12)

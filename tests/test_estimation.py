@@ -125,6 +125,12 @@ class TestInputValidation:
         with pytest.raises(DataError):
             call(d, y)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan])
+    def test_non_positive_robust_cutoff_is_domain_error(self, cutoff):
+        d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
+        with pytest.raises(DomainError, match="robust_cutoff must be > 0"):
+            fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=cutoff)
+
     def test_constant_distances_cv_is_domain_error(self):
         d = np.full(200, 5.0)
         with pytest.raises(DomainError, match="rule-of-thumb bandwidth"):
@@ -390,6 +396,11 @@ class TestDiagnostics:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             diagnostics(np.arange(10.0), np.arange(10.0), n_bins=8)
+
+    def test_no_bins_is_domain_error(self):
+        d = np.linspace(1, 100, 200)
+        with pytest.raises(DomainError, match="n_bins must be >= 1, got 0"):
+            diagnostics(d, np.exp(-0.05 * d), n_bins=0)
 
     def test_significant_decay_with_small_r_squared_is_framework_weak(self):
         # log y = -0.0099 d + N(0, 1): R^2 = kappa^2 var(d) / (kappa^2 var(d) + 1) ~ 0.075
@@ -704,6 +715,21 @@ class TestFieldFitDomain:
         # the rows whose profile overflows get rss inf without a warning
         with pytest.raises(FitError, match="scan edge: True"):
             fit_field_nls(r, t * scale, y, field_class="kummer")
+
+    def test_unknown_geometry_hint_is_domain_error(self):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        with pytest.raises(DomainError, match="geometry_hint must be 'cylindrical' or 'none'"):
+            select_profile_model(r, y, t, geometry_hint="spherical")
+
+    @pytest.mark.parametrize("times", [(0.5, 0.0), (-1.0,), (1.0, math.inf), (math.nan,)],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_simulated_times_must_be_finite_and_positive(self, times):
+        with pytest.raises(DomainError, match="times must be finite and > 0"):
+            simulate_gaussian_field_sample(1.0, 1.0, 50, times, 0.0, seed=0)
+
+    def test_simulated_distance_range_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"4 sqrt\(nu max t\) overflows"):
+            simulate_gaussian_field_sample(1e300, 1.0, 50, (1e300,), 0.0, seed=0)
 
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_negative_distances_are_domain_error(self, call):

@@ -37,6 +37,26 @@ def test_field_params_validation():
         FieldParams(nu=1.0, dim=4)
 
 
+@pytest.mark.parametrize("params", [dict(source_pos=(0.0, 0.0)),
+                                    dict(dim=2, source_pos=(0.0, 0.0, 0.0))],
+                         ids=["dim3", "dim2"])
+def test_source_pos_must_match_dim(params):
+    with pytest.raises(DomainError, match="source_pos has"):
+        FieldParams(nu=1.0, **params)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GaussianField(FieldParams(nu=1.0, dim=2, source_pos=(0.0, 0.0))),
+     "GaussianField requires dim = 3"),
+    (lambda: BesselField(UNIT, amplitude=1.0), "BesselField requires dim = 2"),
+    (lambda: DecayingSourceField(FieldParams(nu=1.0, lam=1.0, dim=2, source_pos=(0.0, 0.0))),
+     "DecayingSourceField requires dim = 3"),
+], ids=["gaussian", "bessel", "decaying"])
+def test_field_requires_its_dimension(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 class TestGaussianField:
     def test_peak_value(self):
         ev = GaussianField(UNIT).eval(r=0.0, t=1.0)
@@ -250,6 +270,11 @@ def _decaying_closed_form(nu, q, lam, r, t):
 class TestDecayingSourceField:
     PARAMS = FieldParams(nu=1.0, q=1.0, lam=0.5)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_steady_state_radius_domain(self, r):
+        with pytest.raises(DomainError, match="radius must be > 0"):
+            DecayingSourceField(self.PARAMS).steady_state_value(r)
+
     def test_quadrature_matches_closed_form(self):
         f = DecayingSourceField(self.PARAMS)
         for r, t in [(0.3, 0.5), (1.0, 1.0), (2.0, 5.0), (4.0, 40.0)]:
@@ -370,6 +395,14 @@ class TestSuperposition:
     def test_empty(self):
         total = superpose([], 1.0, (0.0, 0.0, 0.0), 1.0)
         assert total == 0.0 and type(total) is float
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("n_events", [0, 1])
+    def test_non_positive_nu_rejected(self, nu, n_events):
+        # checked before the events are read, so an empty list is no exception
+        events = [SourceEvent(pos=(0.0, 0.0, 0.0), time=0.0, strength=1.0)] * n_events
+        with pytest.raises(DomainError, match="nu must be > 0"):
+            superpose(events, nu, (1.0, 0.0, 0.0), 2.0)
 
     def test_single_event_is_gaussian(self):
         events = [SourceEvent(pos=(0.0, 0.0, 0.0), time=0.0, strength=2.5)]

@@ -83,6 +83,15 @@ class TestBoundarySpec:
         with pytest.raises(DomainError):
             BoundarySpec(mode="decay_to_fraction", fraction=0.0)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(DomainError, match="unknown boundary mode 'relative'"):
+            BoundarySpec(mode="relative", epsilon=0.1)
+
+    @pytest.mark.parametrize("tau_min", [0.0, -1.0])
+    def test_non_positive_tau_min_rejected(self, tau_min):
+        with pytest.raises(DomainError, match="absolute mode requires tau_min > 0"):
+            BoundarySpec(mode="absolute", tau_min=tau_min)
+
     def test_threshold_levels(self):
         assert BoundarySpec(mode="absolute", tau_min=0.25).threshold(GAUSS, 1.0) == 0.25
         peak = GAUSS.value(0.0, 1.0)
@@ -101,6 +110,11 @@ class TestBoundaryRadius:
         field = _ExponentialProfile(kappa=0.05)
         spec = BoundarySpec(mode="decay_to_fraction", fraction=0.1)
         assert boundary_radius(field, spec, 1.0) == pytest.approx(math.log(10.0) / 0.05, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_non_positive_time_rejected(self, t):
+        with pytest.raises(DomainError, match="time must be > 0"):
+            boundary_radius(GAUSS, EPS01, t)
 
     def test_constant_field_has_no_boundary(self):
         assert boundary_radius(_ConstantField(), EPS01, 1.0) is None
@@ -272,6 +286,13 @@ class TestSpatialMoments:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             spatial_moment(GAUSS, -2, 1.0)
+
+    @pytest.mark.parametrize("integral", [lambda t: spatial_moment(GAUSS, 0, t),
+                                          lambda t: energy(GAUSS, t)],
+                             ids=["moment", "energy"])
+    def test_non_positive_time_rejected(self, integral):
+        with pytest.raises(DomainError, match="time must be > 0"):
+            integral(0.0)
 
 
 class TestEnergy:

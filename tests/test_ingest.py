@@ -20,6 +20,7 @@ from plumefront.ingest import (
     load_observations,
     load_sources,
     match_nearest_source,
+    read_numeric_columns,
 )
 
 lat_st = st.floats(-89.0, 89.0)
@@ -108,6 +109,27 @@ class TestLoadSources:
             load_sources(path)
 
 
+class TestFileWithNoHeader:
+    """A 0-byte file has no header row: the source and observation readers
+    read it as no rows, the numeric-table reader rejects it."""
+
+    def test_sources_are_empty(self, tmp_path):
+        path = tmp_path / "sources.csv"
+        path.write_text("")
+        assert load_sources(path) == []
+
+    def test_observations_are_empty(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("")
+        assert load_observations(path) == []
+
+    def test_numeric_table_is_data_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty input file"):
+            read_numeric_columns(path, ["distance_km", "outcome"])
+
+
 class TestLoadObservations:
     def test_missing_outcome_becomes_none(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -172,6 +194,18 @@ def _metre_fixture(seed):
 
 
 class TestNearestSourceMatching:
+    @pytest.mark.parametrize("source_id,distance", [("a", None), (None, 3.0)],
+                             ids=["id_only", "distance_only"])
+    def test_match_fields_come_together(self, source_id, distance):
+        with pytest.raises(DomainError, match="distance_km must be present exactly when"):
+            GridObservation(lat=10.0, lon=10.0, period="2019-01", outcome=1.0,
+                            nearest_source_id=source_id, distance_km=distance)
+
+    def test_no_sources_is_data_error(self):
+        observations = [GridObservation(lat=10.0, lon=10.0, period="2019-01", outcome=1.0)]
+        with pytest.raises(DataError, match="no sources to match against"):
+            match_nearest_source(observations, [])
+
     @staticmethod
     def _brute(observations, sources):
         """haversine_km to every source; the lowest index among equals."""

@@ -68,6 +68,11 @@ class TestGenerateDgp:
         _, y = generate_dgp(spec, 50000, seed=3)
         assert y.std() == pytest.approx(spec.noise_sd, rel=0.05)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_size_rejected(self, n):
+        with pytest.raises(DomainError, match="n must be positive"):
+            generate_dgp(STANDARD_DGPS["flat"], n, seed=0)
+
 
 class TestRunCampaign:
     def test_deterministic_summaries(self):
@@ -186,6 +191,10 @@ class TestParameterRecovery:
         levels = (np.arange(30) + 0.5) / 30
         normal = [row[0] for row in rs.qq_table]
         np.testing.assert_allclose(normal, ndtri(levels), rtol=1e-12, atol=0)
+
+    def test_too_few_replications_rejected(self):
+        with pytest.raises(DomainError, match="n_reps must be >= 10, got 9"):
+            parameter_recovery_campaign(n_reps=9)
 
     def test_estimates_approximately_normal(self):
         rs = parameter_recovery_campaign(n_reps=60, seed=2)

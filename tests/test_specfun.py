@@ -580,3 +580,9 @@ def test_k1_exceeds_k0(z):
 def test_unit_sphere_area():
     assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-12)
     assert unit_sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_unit_sphere_area_domain(dim):
+    with pytest.raises(DomainError, match="dimension must be positive"):
+        unit_sphere_area(dim)
