@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams
-from .specfun import bessel_k0_array, kummer_m, kummer_m_half_array
+from .specfun import bessel_k0_array, kummer_m
 
 LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -271,9 +271,10 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
 def _loclin_blocks(xs, grid, h):
     """Window bounds lo, hi of each grid point in xs (points strictly inside
     (a - h, a + h)) and the grid blocks [starts, ends) of `_loclin_sums`;
-    block [g0, g1) reads xs[lo[g0]:hi[g1 - 1]]."""
+    block [g0, g1) reads xs[lo[g0]:hi[g1 - 1]].  Where a +- h rounds to a
+    data point a, the window is empty: hi = lo, not hi < lo."""
     lo = np.searchsorted(xs, grid - h, side="right")
-    hi = np.searchsorted(xs, grid + h, side="left")
+    hi = np.maximum(np.searchsorted(xs, grid + h, side="left"), lo)
     block = np.floor((grid - grid[0]) / (_BLOCK_BANDWIDTHS * h))
     starts = np.flatnonzero(np.diff(block, prepend=-1.0))
     return lo, hi, starts, np.append(starts[1:], grid.size)
@@ -748,18 +749,20 @@ def _bessel_model(r, t, nu):
 
 
 def _kummer_model(r, t, nu):
-    """M(1/2, 1, z) / t, z = r^2 / 4 nu t; all inf when the value at the
-    largest z squares to inf.  M grows with z, so then g.g overflows whatever
-    the other points give, and the row's rss is inf.  The largest z goes
-    through scalar kummer_m, the row through its array kernel, which gives
-    the same values bitwise."""
+    """M(1/2, 1, z) / t, z = r^2 / 4 nu t, as e^x I0(x) / t, x = z/2 (DLMF
+    13.6.9), with numpy's I0; all inf when the value at the largest z squares
+    to inf.  M grows with z, so then g.g overflows whatever the other points
+    give, and the row's rss is inf.  The largest z goes through scalar
+    kummer_m, which gives inf past the floats without a floating-point
+    overflow."""
     z = r * r / (4.0 * nu * t)
     top = int(np.argmax(z))
     m_top = kummer_m(0.5, 1.0, float(z[top])).value
     g_top = m_top / float(t[top])
     if g_top * g_top == math.inf:
         return np.full(z.shape, math.inf)
-    return kummer_m_half_array(z) / t
+    x = 0.5 * z
+    return np.exp(x) * np.i0(x) / t
 
 
 _MODELS = {"gaussian": _gaussian_model, "bessel": _bessel_model, "kummer": _kummer_model}
@@ -831,9 +834,10 @@ def fit_field_nls(
     scan edge, the rss is not finite, the amplitude is not a positive float
     or J'J is singular at the minimum: the single-term Kummer profile grows
     with r, so on decaying data its least squares lie at nu -> infinity.  A
-    Kummer row whose value at the largest r^2 / 4 nu t squares to inf has
-    rss inf without its other points being evaluated; n_iter still counts
-    it.  The fit is deterministic; seed is unused.
+    Kummer row is M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z =
+    r^2 / 4 nu t, with numpy's I0; one whose value at the largest z squares
+    to inf has rss inf without its other points being evaluated; n_iter
+    still counts it.  The fit is deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
     nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of

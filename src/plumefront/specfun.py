@@ -21,9 +21,11 @@ kummer_m     the profile family a = n + 1/2, b = 2n + 1 (n = 0, 1, ...),
              relative of mpmath for n <= 3 (the worst case is the
              truncation at x = 15).  Every other (a, b): the defining
              series (DLMF 13.2.2) at every finite z.
-bessel_i     the defining series (DLMF 10.25.2).  Both series bound their
-             error by their truncation plus 4 (k + 2) eps times the sum of
-             the |terms| for rounding, as the profile family does.
+bessel_i     the defining series (DLMF 10.25.2), summed by _i_series, the
+             loop that also sums the profile family's series regime.  Both
+             series bound their error by their truncation plus 4 (k + 2) eps
+             times the sum of the |terms| for rounding, as the profile
+             family does.
 bessel_k0/k1 ascending log series below z = 2; from there the trapezoid
              rule on e^-z int_0^inf exp(-z (cosh t - 1)) cosh(nt) dt (DLMF
              10.32.9) with step min(0.2, 0.7/sqrt(z)), at most 19 nodes;
@@ -36,18 +38,13 @@ _k01         the float kernel shared by bessel_k0, bessel_k1 and
 bessel_k0_array
              K0 of a numpy array, values only, for the Bessel profile fit:
              the representations and branch point of bessel_k0, one mask
-             per regime, terms along a second axis.
-kummer_m_half_array
-             M(1/2, 1, z) of a numpy array, values only, for the Kummer
-             profile fit: _kummer_profile(0, z/2) term for term, with one
-             mask per regime, the terms and their running sums along a
-             second axis, each element stopped at the scalar loop's stop
-             and e^x from math.exp, so that it equals kummer_m bitwise.
-             The fields and functionals call the scalar functions, which
-             are faster point by point and carry est_abs_error.  The two
-             array kernels and their helpers are the only numpy code here
-             and import it when called, so importing specfun loads no
-             numpy.
+             per regime, terms along a second axis.  The fields and
+             functionals call the scalar functions, which are faster point
+             by point and carry est_abs_error.  bessel_k0_array and its two
+             helpers are the only numpy code here and import it when
+             called, so importing specfun loads no numpy.  The Kummer
+             profile fit needs no array kernel here: its M(1/2, 1, 2x) is
+             e^x I0(x), and numpy has I0.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -81,12 +78,6 @@ _FLOAT_MAX = sys.float_info.max
 _EXP_MAX = math.log(_FLOAT_MAX)
 _EPS = sys.float_info.epsilon
 _SQRT_PI = math.sqrt(math.pi)
-
-# Terms the array M(1/2, 1, 2x) forms in each regime: the most the scalar
-# loop takes, 29 in the series at x just below 15 and 36 in the large-argument
-# series near x = 17.
-_KUMMER_SERIES_TERMS = 29
-_KUMMER_LARGE_TERMS = 36
 
 # Terms the array K0 series forms below z = 2: (z^2/4)^k / (k!)^2 times H_k
 # is below TERM_STOP from k = 12.
@@ -176,13 +167,7 @@ def _kummer_profile(n: float, x: float) -> SpecFunResult:
     if x >= _EXP_MAX:  # M > e^x
         return SpecFunResult(math.inf, math.inf)
     if x < 0.5 * KUMMER_SERIES_MAX or x < n * n:
-        quarter_sq = 0.25 * x * x
-        total = term = 1.0
-        for k in range(1, MAX_TERMS + 1):
-            term *= quarter_sq / (k * (n + k))
-            total += term
-            if term < TERM_STOP * total:
-                break
+        total, term, k = _i_series(n, 0.25 * x * x, MAX_TERMS)
         scale = math.exp(x)
         if total > _FLOAT_MAX / scale:
             return SpecFunResult(math.inf, math.inf)
@@ -207,6 +192,21 @@ def _kummer_profile(n: float, x: float) -> SpecFunResult:
     return SpecFunResult(value, value * (2.0 * abs(nxt) / total + 4.0 * (k + 2) * _EPS))
 
 
+def _i_series(nu: float, quarter_sq: float, limit: int) -> tuple[float, float, int]:
+    """(sum, last term, k) of sum_k (z^2/4)^k / (k! (nu + 1)_k), the series
+    of I_nu(z) (z/2)^-nu Gamma(nu + 1), quarter_sq = z^2/4: the terms up to
+    the first below TERM_STOP of the sum, the first sum that is inf, or term
+    `limit`.  For nu = n it is also the series of Kummer's second formula,
+    as n! / (k! (n + k)!) = 1 / (k! (n + 1)_k)."""
+    total = term = 1.0
+    for k in range(1, limit + 1):
+        term *= quarter_sq / (k * (nu + k))
+        total += term
+        if term < TERM_STOP * total or total == math.inf:
+            break
+    return total, term, k
+
+
 def bessel_i(nu: float, z: float) -> SpecFunResult:
     """Modified Bessel function of the first kind, (z/2)^nu / Gamma(nu + 1)
     sum_k (z^2/4)^k / (k! (nu + 1)_k) (DLMF 10.25.2), for finite nu, z >= 0.
@@ -225,17 +225,12 @@ def bessel_i(nu: float, z: float) -> SpecFunResult:
     half = 0.5 * z
     power, log_gamma = nu * math.log(half), math.lgamma(nu + 1.0)
     quarter_sq = half * half
-    total = term = 1.0
-    for k in range(1, MAX_TERMS + int(z) + 1):
-        term *= quarter_sq / (k * (nu + k))
-        total += term
-        if total == math.inf:
-            if power < log_gamma:  # a prefactor < 1 may bring I_nu back into range
-                raise NumericalError(f"bessel_i({nu}, {z}): the series overflows")
-            return SpecFunResult(math.inf, math.inf)
-        if term < TERM_STOP * total:
-            break
-    else:
+    total, term, k = _i_series(nu, quarter_sq, MAX_TERMS + int(z))
+    if total == math.inf:
+        if power < log_gamma:  # a prefactor < 1 may bring I_nu back into range
+            raise NumericalError(f"bessel_i({nu}, {z}): the series overflows")
+        return SpecFunResult(math.inf, math.inf)
+    if not term < TERM_STOP * total:
         raise NumericalError(f"bessel_i({nu}, {z}): the series did not converge in {k} terms")
     rho = quarter_sq / ((k + 1) * (nu + k + 1))
     rel_err = term / total * rho / (1.0 - rho) + 4.0 * (k + 2) * _EPS
@@ -399,86 +394,6 @@ def _k0_integral_array(z: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         terms = np.exp(-z[:, None] * (2.0 * half * half))
         return h * (0.5 + terms.sum(axis=1)) * np.exp(-z)
-
-
-def kummer_m_half_array(z) -> np.ndarray:
-    """M(1/2, 1, z) of every element of z, finite and >= 0, shaped like z;
-    values only.
-
-    `_kummer_profile(0, z/2)` term for term: the same regimes, the terms in
-    the same rounding order, each element's sum stopped where the scalar
-    loop stops, and e^x from math.exp, so every value is bitwise
-    kummer_m(0.5, 1.0, z).value, inf where that is inf.
-    """
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    ok = (z >= 0) & (z < math.inf)
-    if not ok.all():
-        raise DomainError(f"kummer_m_half_array requires finite z >= 0, got {z[~ok].flat[0]}")
-    with np.errstate(under="ignore"):  # tiny z, and the series terms past each stop
-        x = 0.5 * z.ravel()
-        out = np.full_like(x, math.inf)
-        series = x < 0.5 * KUMMER_SERIES_MAX
-        large = ~series & (x < _EXP_MAX)
-        if series.any():
-            out[series] = _kummer_half_series(x[series])
-        if large.any():
-            out[large] = _kummer_half_large(x[large])
-    return out.reshape(z.shape)
-
-
-def _kummer_half_series(x: np.ndarray) -> np.ndarray:
-    """The series regime of `_kummer_profile(0, x)`, x < 15: the terms as one
-    running product along the term axis, their running sums, and each
-    element's sum at its first term below TERM_STOP of the sum."""
-    import numpy as np
-
-    k_sq = np.arange(1, _KUMMER_SERIES_TERMS + 1) ** 2
-    terms = np.cumprod(np.divide.outer(0.25 * x * x, k_sq), axis=1)
-    sums = terms.copy()
-    sums[:, 0] += 1.0
-    np.cumsum(sums, axis=1, out=sums)
-    last = np.argmax(terms < TERM_STOP * sums, axis=1)
-    return _exp_array(x) * sums[np.arange(x.size), last]
-
-
-def _kummer_half_large(x: np.ndarray) -> np.ndarray:
-    """The large-argument regime of `_kummer_profile(0, x)`, 15 <= x < _EXP_MAX.
-
-    Term k is term k-1 times (2k - 1)^2, then divided by 8 k x, as the scalar
-    rounds it, so the product runs one term at a time.  Each element's sum
-    ends before its first term that does not shrink, or at its first term
-    below TERM_STOP of the sum.
-    """
-    import numpy as np
-
-    ks = np.arange(1, _KUMMER_LARGE_TERMS + 1)
-    odd_sq = (2.0 * ks - 1.0) ** 2
-    denom = np.multiply.outer(8.0 * ks, x)
-    terms = np.empty((_KUMMER_LARGE_TERMS + 1, x.size))  # row 0: the leading 1
-    terms[0] = 1.0
-    for k in range(1, _KUMMER_LARGE_TERMS + 1):
-        np.multiply(terms[k - 1], odd_sq[k - 1], out=terms[k])
-        np.divide(terms[k], denom[k - 1], out=terms[k])
-    sums = np.cumsum(terms, axis=0)
-    grows = terms[1:] >= terms[:-1]
-    stop = grows | (terms[1:] < TERM_STOP * sums[1:])
-    first = np.argmax(stop, axis=0)
-    cols = np.arange(x.size)
-    total = sums[first + 1 - grows[first, cols], cols]
-    scale = _exp_array(x)
-    inner = scale * (1.0 / np.sqrt(2.0 * math.pi * x)) * total
-    with np.errstate(over="ignore"):  # as the float product: inf past the float range
-        return np.where(inner > _FLOAT_MAX / scale, math.inf, scale * inner)
-
-
-def _exp_array(x: np.ndarray) -> np.ndarray:
-    """e^x by math.exp for each element, x < _EXP_MAX: numpy's exp can differ
-    from it by an ulp, and kummer_m_half_array must equal kummer_m."""
-    import numpy as np
-
-    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=x.size)
 
 
 def _exp_erfc(a: float, z: float) -> float:

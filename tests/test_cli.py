@@ -170,6 +170,21 @@ class TestEstimateCommand:
         assert code == 2 and out == ""
         assert "cross-validation" in err
 
+    @pytest.mark.parametrize("bandwidth", ["1e-20", "1e-300"])
+    def test_bandwidth_below_the_float_spacing_exits_2(self, tmp_path, capsys, bandwidth):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        data = tmp_path / "d.csv"
+        data.write_text("distance_km,outcome\n"
+                        + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(d, y)))
+        code, out, err = run_cli(
+            ["estimate", "--input", str(data), "--method", "nonparametric",
+             "--bandwidth", bandwidth], capsys
+        )
+        assert code == 2 and out == ""
+        assert "bandwidth too small: every window is empty" in err
+
     def test_non_finite_outcome_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         d = 100.0 * (1.0 - rng.random(300))

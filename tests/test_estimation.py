@@ -94,6 +94,11 @@ class TestFitLoglinear:
         with pytest.raises(DataError):
             fit_loglinear([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_underflowing_distance_variance_is_data_error(self):
+        # the distances vary, but their squared deviations underflow to 0
+        with pytest.raises(DataError, match="zero distance variance"):
+            fit_loglinear([0.0, 1e-170, 2e-170], [1.0, 2.0, 3.0])
+
 
 class TestInputValidation:
     @pytest.mark.parametrize(
@@ -271,6 +276,15 @@ class TestNonparametricFit:
         d = np.linspace(0.0, 10.0, 60)
         with pytest.raises(DomainError):
             nonparametric_fit(d, np.exp(-0.1 * d), bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e-20, 1e-300])
+    def test_bandwidth_below_the_float_spacing_is_data_error(self, bandwidth):
+        # a +- h rounds to a at every grid point a, so no window holds a point
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        with pytest.raises(DataError, match="bandwidth too small: every window is empty"):
+            nonparametric_fit(d, y, bandwidth=bandwidth)
 
 
 class TestDetectBoundary:
@@ -621,7 +635,14 @@ class TestFieldNls:
 
     @staticmethod
     def _full_row_kummer(r, t, nu):
-        """The Kummer profile at every point of the row, overflowing or not."""
+        """The Kummer profile e^x I0(x) / t, x = z/2, z = r^2 / 4 nu t, at
+        every point of the row, overflowing or not."""
+        x = 0.5 * (r * r / (4.0 * nu * t))
+        return np.exp(x) * np.i0(x) / t
+
+    @staticmethod
+    def _scalar_row_kummer(r, t, nu):
+        """The Kummer profile from scalar kummer_m at every point of the row."""
         return np.array([kummer_m(0.5, 1.0, z).value for z in r * r / (4.0 * nu * t)]) / t
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -631,9 +652,18 @@ class TestFieldNls:
         fit = fit_field_nls(r, t, y, field_class="kummer")
         monkeypatch.setitem(estimation._MODELS, "kummer", self._full_row_kummer)
         full = fit_field_nls(r, t, y, field_class="kummer")
+        # skipping the rows whose top overflows changes nothing
         assert (fit.nu, fit.q, fit.rss, fit.n_iter) == (full.nu, full.q, full.rss, full.n_iter)
         assert fit.cov.tobytes() == full.cov.tobytes()
         assert abs(fit.nu - nu) < 0.01 * nu
+        # numpy's I0 rounds unlike the scalar series, so the scalar row moves
+        # the fit by rounding only
+        monkeypatch.setitem(estimation._MODELS, "kummer", self._scalar_row_kummer)
+        scalar = fit_field_nls(r, t, y, field_class="kummer")
+        assert fit.nu == pytest.approx(scalar.nu, rel=1e-8, abs=0.0)
+        assert fit.q == pytest.approx(scalar.q, rel=1e-8, abs=0.0)
+        assert fit.rss == pytest.approx(scalar.rss, rel=1e-12, abs=0.0)
+        assert fit.n_iter == scalar.n_iter
 
     def test_kummer_failure_on_decaying_data_is_unchanged(self, monkeypatch):
         r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)

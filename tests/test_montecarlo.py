@@ -4,6 +4,7 @@ Campaign-scale performance claims live in the acceptance suite; this module
 keeps replication counts small and checks the machinery itself.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.special import ndtri
 
 from plumefront import montecarlo
-from plumefront.errors import DomainError
+from plumefront.errors import DomainError, FitError
 from plumefront.estimation import fit_loglinear
 from plumefront.montecarlo import (
     STANDARD_DGPS,
@@ -223,3 +224,34 @@ class TestFailedReplications:
             assert summary.n_failed == 10
             assert summary.false_positive_rate is None
             assert summary.correct_rejection_rate is None
+
+    @staticmethod
+    def _failing_fits(monkeypatch, failing):
+        """Make the recovery campaign's fit raise FitError in the replications
+        numbered in `failing` (0 is the one at the first seed) and fit the
+        others."""
+        fit = montecarlo.fit_field_nls
+        calls = itertools.count()
+
+        def flaky(*args, **kwargs):
+            if next(calls) in failing:
+                raise FitError("gaussian field fit failed")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "fit_field_nls", flaky)
+
+    def test_recovery_summary_skips_failed_fits(self, monkeypatch):
+        full = parameter_recovery_campaign(n_reps=12, n_obs=100, seed=5)
+        self._failing_fits(monkeypatch, {0, 4, 11})
+        rs = parameter_recovery_campaign(n_reps=12, n_obs=100, seed=5)
+        assert (rs.n_reps, rs.n_failed, len(rs.qq_table)) == (12, 3, 9)
+        kept = [rep for rep in range(12) if rep not in {0, 4, 11}]
+        np.testing.assert_array_equal(rs.estimates_nu, full.estimates_nu[kept])
+        np.testing.assert_array_equal(rs.estimates_q, full.estimates_q[kept])
+        assert rs.bias_nu == float(full.estimates_nu[kept].mean() - 1.0)
+
+    @pytest.mark.parametrize("n_fitted", [0, 1])
+    def test_recovery_with_fewer_than_two_fits_is_domain_error(self, monkeypatch, n_fitted):
+        self._failing_fits(monkeypatch, set(range(10 - n_fitted)))
+        with pytest.raises(DomainError, match="too few successful replications"):
+            parameter_recovery_campaign(n_reps=10, n_obs=100, seed=5)

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_oracle
 
-from plumefront import specfun
+from plumefront import estimation
 from plumefront.errors import DomainError, NumericalError
 from plumefront.specfun import (
-    _EXP_MAX,
     SpecFunResult,
     _k01,
     bessel_i,
@@ -27,7 +26,6 @@ from plumefront.specfun import (
     bessel_k1,
     gamma_fn,
     kummer_m,
-    kummer_m_half_array,
     unit_sphere_area,
 )
 
@@ -154,76 +152,48 @@ def _ulps_around(z, n):
     return below[::-1] + above[1:]
 
 
-class TestKummerHalfArray:
-    """The array M(1/2, 1, z) against a loop of scalar kummer_m calls, which
-    it must equal bitwise: the same terms, rounded in the same order, summed
-    in the same order and stopped at the same term."""
+class TestKummerFitRow:
+    """The Kummer fit's row, M(1/2, 1, z) = e^(z/2) I0(z/2) (DLMF 13.6.9) from
+    numpy's I0, against mpmath and the scalar kummer_m.  t = 2^600 and nu =
+    2^-602 make 4 nu t = 1, so z = r^2, and keep M(1/2, 1, 700) / t from
+    squaring to inf, which would make the row-top test skip the row; the
+    values are compared at the z the model forms."""
 
-    @staticmethod
-    def _check(z):
-        z = np.asarray(z, dtype=float)
-        got = kummer_m_half_array(z)
-        loop = np.array([kummer_m(0.5, 1.0, x).value for x in z.ravel().tolist()])
-        assert got.shape == z.shape
-        np.testing.assert_array_equal(got.ravel(), loop)
-        return got
+    T, NU = 2.0 ** 600, 2.0 ** -602
 
-    def test_seeded_uniform_to_1500(self):
-        rng = np.random.default_rng(25)
-        self._check(np.concatenate([rng.uniform(0.0, 1500.0, 20_000),
-                                    rng.uniform(28.0, 40.0, 20_000)]))
+    def _row(self, r):
+        r = np.asarray(r, dtype=float)
+        t = np.full_like(r, self.T)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            m = estimation._kummer_model(r, t, self.NU) * t  # * 2^600 is exact
+        return r * r / (4.0 * self.NU * t), m
 
-    @settings(max_examples=200)
-    @given(st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=40))
-    def test_against_the_scalar_loop(self, zs):
-        self._check(zs)
+    def _seeded_and_seams(self):
+        rng = np.random.default_rng(27)
+        z = np.concatenate([[0.0, 5e-324, 1e-300], rng.uniform(0.0, 700.0, 300),
+                            rng.uniform(10.0, 40.0, 100)])
+        # np.i0 switches series at z = 16; the scalar switches regime at z = 30
+        seams = _ulps_around(4.0, 6) + _ulps_around(math.sqrt(30.0), 6)
+        z, m = self._row(np.concatenate([np.sqrt(z), seams]))
+        assert {16.0, 30.0} <= set(z.tolist()) and z.max() < 700.0
+        return z, m
 
-    def test_seam_at_30_and_the_large_regime(self):
-        # x = z/2 = 15 switches to the large-argument series; at z = 37.64 a
-        # pairwise sum of its terms, or e^x (lead sum) e^x in place of
-        # e^x (e^x lead sum), is an ulp off the scalar
-        self._check(_ulps_around(30.0, 4) + _ulps_around(37.64, 4)
-                    + [37.64 + 1e-12 * k for k in range(100)])
+    def test_within_2e_15_of_mpmath(self):
+        z, m = self._seeded_and_seams()
+        with mp.workdps(40):
+            for x, got in zip(z.tolist(), m.tolist()):
+                assert abs(got / mp.hyp1f1(0.5, 1, x) - 1) <= 2e-15, x
 
-    def test_overflow_edges(self):
-        # M(1/2, 1, z) passes the largest float at z = 713.64, and from
-        # z = 2 _EXP_MAX the scalar returns inf without forming e^(z/2)
-        edge = 713.6399162853547  # the least z where the scalar gives inf
-        got = self._check(_ulps_around(edge, 3) + _ulps_around(2.0 * _EXP_MAX, 3) + [1e300])
-        assert np.isfinite(got[:3]).all() and np.isinf(got[3:]).all()
-
-    def test_zero_and_subnormal(self):
-        got = self._check([0.0, 5e-324, 1e-310, sys.float_info.min, 1e-200])
-        assert got[0] == 1.0
-
-    def test_shapes(self):
-        assert kummer_m_half_array(np.empty(0)).shape == (0,)
-        assert kummer_m_half_array(np.empty((0, 3))).shape == (0, 3)
-        self._check(np.array([[0.5, 29.0, 31.0], [37.64, 700.0, 1500.0]]))
-        zero_d = self._check(np.float64(31.0))
-        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    def test_within_3e_14_of_kummer_m(self):
+        z, m = self._seeded_and_seams()
+        scalar = np.array([kummer_m(0.5, 1.0, x).value for x in z.tolist()])
+        np.testing.assert_allclose(m, scalar, rtol=3e-14, atol=0.0)
+        assert m[0] == 1.0
 
     def test_no_floating_point_warning(self):
-        z = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1500.0, 3000)])
-        with warnings.catch_warnings(), np.errstate(all="warn"):
-            warnings.simplefilter("error")
-            values = kummer_m_half_array(z)
-        assert values[0] == 1.0 and values[-1] == math.inf
-
-    @pytest.mark.parametrize("name, z", [
-        ("_KUMMER_SERIES_TERMS", math.nextafter(30.0, 0.0)),  # the series' most: x just below 15
-        ("_KUMMER_LARGE_TERMS", 34.1),  # the large-argument series' most, near x = 17
-    ])
-    def test_term_counts_reach_the_stop(self, name, z, monkeypatch):
-        # each count is the least with which every element reaches its stop
-        self._check([z])
-        monkeypatch.setattr(specfun, name, getattr(specfun, name) - 1)
-        assert kummer_m_half_array(np.array([z]))[0] != kummer_m(0.5, 1.0, z).value
-
-    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            kummer_m_half_array(np.array([1.0, bad, 3.0]))
+        # _row raises on any overflow, invalid operation or division by zero
+        z, m = self._row(np.sqrt(np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 700.0, 3000)])))
+        assert np.isfinite(m).all() and m[0] == 1.0
 
 
 class TestBesselI:
@@ -259,6 +229,16 @@ class TestBesselI:
     def test_non_finite_rejected(self, nu, z):
         with pytest.raises(DomainError):
             bessel_i(nu, z)
+
+    def test_inf_past_the_floats(self):
+        # I_1(1500) ~ e^1500 / sqrt(3000 pi)
+        assert bessel_i(1.0, 1500.0) == SpecFunResult(math.inf, math.inf)
+
+    def test_overflowing_series_with_a_small_prefactor(self):
+        # the series of I_10000(7000) overflows, but its prefactor (z/2)^nu /
+        # Gamma(nu + 1) is below 1, and the value is a float (9.2e284)
+        with pytest.raises(NumericalError, match=r"bessel_i\(10000.0, 7000.0\): the series overflows"):
+            bessel_i(1e4, 7000.0)
 
 
 class TestBesselK:
