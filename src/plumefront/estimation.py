@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams
-from .specfun import bessel_k0_array, kummer_m
+from .specfun import kummer_m
 
 LN10 = math.log(10.0)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -211,10 +211,10 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
     """OLS of log(outcome) on distance, reported with the decay sign convention.
 
     The model is log y = intercept - kappa_s * d + e, so positive kappa_s
-    means decay.  With `robust_cutoff` set, a spatially robust standard
-    error accumulates score covariances over observation pairs within the
-    cutoff under a triangular (Bartlett) weight; the implied-boundary
-    interval then uses the robust standard error.
+    means decay.  With `robust_cutoff` set (finite and > 0), a spatially
+    robust standard error accumulates score covariances over observation
+    pairs within the cutoff under a triangular (Bartlett) weight; the
+    implied-boundary interval then uses the robust standard error.
     """
     d, y = _as_xy(distances, outcomes)
     n = d.size
@@ -222,8 +222,8 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
     if np.any(y <= 0):
         raise DomainError("outcomes must be strictly positive for the log transform")
-    if robust_cutoff is not None and not robust_cutoff > 0:
-        raise DomainError(f"robust_cutoff must be > 0, got {robust_cutoff}")
+    if robust_cutoff is not None and not 0 < robust_cutoff < math.inf:
+        raise DomainError(f"robust_cutoff must be > 0 and finite, got {robust_cutoff}")
     _check_varies(d, y)
 
     ly = np.log(y)
@@ -272,10 +272,13 @@ def _loclin_blocks(xs, grid, h):
     """Window bounds lo, hi of each grid point in xs (points strictly inside
     (a - h, a + h)) and the grid blocks [starts, ends) of `_loclin_sums`;
     block [g0, g1) reads xs[lo[g0]:hi[g1 - 1]].  Where a +- h rounds to a
-    data point a, the window is empty: hi = lo, not hi < lo."""
+    data point a, the window is empty: hi = lo, not hi < lo.  Where the grid
+    spans more block widths than a float holds, each point is a block."""
     lo = np.searchsorted(xs, grid - h, side="right")
     hi = np.maximum(np.searchsorted(xs, grid + h, side="left"), lo)
-    block = np.floor((grid - grid[0]) / (_BLOCK_BANDWIDTHS * h))
+    width = _BLOCK_BANDWIDTHS * float(h)
+    span = float(grid[-1] - grid[0]) / width  # Python floats: inf past the floats, no warning
+    block = np.floor((grid - grid[0]) / width) if span < math.inf else np.arange(grid.size)
     starts = np.flatnonzero(np.diff(block, prepend=-1.0))
     return lo, hi, starts, np.append(starts[1:], grid.size)
 
@@ -745,7 +748,10 @@ def _gaussian_model(r, t, nu):
 
 
 def _bessel_model(r, t, nu):
-    return bessel_k0_array(r / (2.0 * np.sqrt(nu * t))) / t
+    """K0(r / 2 sqrt(nu t)) / t with scipy's K0, imported on the first call."""
+    from scipy.special import k0
+
+    return k0(r / (2.0 * np.sqrt(nu * t))) / t
 
 
 def _kummer_model(r, t, nu):
@@ -837,7 +843,9 @@ def fit_field_nls(
     Kummer row is M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z =
     r^2 / 4 nu t, with numpy's I0; one whose value at the largest z squares
     to inf has rss inf without its other points being evaluated; n_iter
-    still counts it.  The fit is deterministic; seed is unused.
+    still counts it.  A Bessel row is K0(r / 2 sqrt(nu t)) / t with
+    scipy.special.k0, imported on the first Bessel fit.  The fit is
+    deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
     nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of

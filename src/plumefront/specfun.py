@@ -6,6 +6,9 @@ audited term by term; Gamma and erfc come from the math module.  Arguments
 are real and limited to the ranges that occur in the field solutions:
 non-negative series arguments, strictly positive arguments for K0/K1.
 
+Every function here is a float kernel, and nothing in specfun uses numpy:
+the profile fits take their rows' I0 from numpy and K0 from scipy.special.
+
 Evaluation strategy
 -------------------
 gamma_fn     math.gamma; inf where Gamma overflows.
@@ -35,16 +38,6 @@ _k01         the float kernel shared by bessel_k0, bessel_k1 and
              loop for I0, I1 and both harmonic sums below z = 2 (DLMF
              10.31.2), one trapezoid loop from there that shares each
              exponential between the orders.
-bessel_k0_array
-             K0 of a numpy array, values only, for the Bessel profile fit:
-             the representations and branch point of bessel_k0, one mask
-             per regime, terms along a second axis.  The fields and
-             functionals call the scalar functions, which are faster point
-             by point and carry est_abs_error.  bessel_k0_array and its two
-             helpers are the only numpy code here and import it when
-             called, so importing specfun loads no numpy.  The Kummer
-             profile fit needs no array kernel here: its M(1/2, 1, 2x) is
-             e^x I0(x), and numpy has I0.
 _exp_erfc    e^a erfc(z) as a float, for the decaying-source field:
              math.erfc below z = 26; from there e^(a - z^2) times the
              asymptotic series of erfcx(z) = e^(z^2) erfc(z) (DLMF 7.12.1)
@@ -78,10 +71,6 @@ _FLOAT_MAX = sys.float_info.max
 _EXP_MAX = math.log(_FLOAT_MAX)
 _EPS = sys.float_info.epsilon
 _SQRT_PI = math.sqrt(math.pi)
-
-# Terms the array K0 series forms below z = 2: (z^2/4)^k / (k!)^2 times H_k
-# is below TERM_STOP from k = 12.
-_K0_SERIES_TERMS = 14
 
 # Trapezoid step of the K integrals up to z = 12.25, where 0.7/sqrt(z) takes
 # over, and the number of nodes t = h, 2h, ...: at the last, z (cosh t - 1) > 42.
@@ -167,7 +156,7 @@ def _kummer_profile(n: float, x: float) -> SpecFunResult:
     if x >= _EXP_MAX:  # M > e^x
         return SpecFunResult(math.inf, math.inf)
     if x < 0.5 * KUMMER_SERIES_MAX or x < n * n:
-        total, term, k = _i_series(n, 0.25 * x * x, MAX_TERMS)
+        total, term, k, _ = _i_series(n, 0.25 * x * x, MAX_TERMS)
         scale = math.exp(x)
         if total > _FLOAT_MAX / scale:
             return SpecFunResult(math.inf, math.inf)
@@ -192,19 +181,24 @@ def _kummer_profile(n: float, x: float) -> SpecFunResult:
     return SpecFunResult(value, value * (2.0 * abs(nxt) / total + 4.0 * (k + 2) * _EPS))
 
 
-def _i_series(nu: float, quarter_sq: float, limit: int) -> tuple[float, float, int]:
-    """(sum, last term, k) of sum_k (z^2/4)^k / (k! (nu + 1)_k), the series
-    of I_nu(z) (z/2)^-nu Gamma(nu + 1), quarter_sq = z^2/4: the terms up to
-    the first below TERM_STOP of the sum, the first sum that is inf, or term
-    `limit`.  For nu = n it is also the series of Kummer's second formula,
-    as n! / (k! (n + k)!) = 1 / (k! (n + 1)_k)."""
+def _i_series(nu: float, quarter_sq: float, limit: int,
+              cap: float = math.inf) -> tuple[float, float, int, int]:
+    """(sum, last term, k, divisions) of sum_k (z^2/4)^k / (k! (nu + 1)_k),
+    the series of I_nu(z) (z/2)^-nu Gamma(nu + 1), quarter_sq = z^2/4, up to
+    the first term below TERM_STOP of the sum, the first sum that is inf, or
+    term `limit`; for nu = n also that of Kummer's second formula, as n! /
+    (k! (n + k)!) = 1 / (k! (n + 1)_k).  Each time the sum passes `cap`, a
+    power of two, sum and term are divided by it, exactly: the term is > 1e-16 cap."""
     total = term = 1.0
+    divisions = 0
     for k in range(1, limit + 1):
         term *= quarter_sq / (k * (nu + k))
         total += term
         if term < TERM_STOP * total or total == math.inf:
             break
-    return total, term, k
+        if total > cap:
+            total, term, divisions = total / cap, term / cap, divisions + 1
+    return total, term, k, divisions
 
 
 def bessel_i(nu: float, z: float) -> SpecFunResult:
@@ -213,7 +207,9 @@ def bessel_i(nu: float, z: float) -> SpecFunResult:
 
     The terms are positive and their ratios fall, so term rho / (1 - rho), rho
     the next ratio, bounds the tail.  The prefactor comes from logarithms
-    where (z/2)^nu or Gamma(nu + 1) leaves the float range.
+    where (z/2)^nu or Gamma(nu + 1) leaves the float range, or where the
+    sum overflows under a prefactor below 1 and is summed again, divided by
+    2^512 as it grows: NumericalError only where a term ratio passes 2^511.
     """
     if not 0 <= nu < math.inf:
         raise DomainError(f"bessel_i requires finite nu >= 0, got {nu}")
@@ -225,21 +221,24 @@ def bessel_i(nu: float, z: float) -> SpecFunResult:
     half = 0.5 * z
     power, log_gamma = nu * math.log(half), math.lgamma(nu + 1.0)
     quarter_sq = half * half
-    total, term, k = _i_series(nu, quarter_sq, MAX_TERMS + int(z))
-    if total == math.inf:
-        if power < log_gamma:  # a prefactor < 1 may bring I_nu back into range
+    total, term, k, divisions = _i_series(nu, quarter_sq, MAX_TERMS + int(z))
+    if total == math.inf and power < log_gamma:  # a prefactor < 1 may bring I_nu back into range
+        total, term, k, divisions = _i_series(nu, quarter_sq, MAX_TERMS + int(z), 2.0 ** 512)
+        if total == math.inf:
             raise NumericalError(f"bessel_i({nu}, {z}): the series overflows")
+    if total == math.inf:
         return SpecFunResult(math.inf, math.inf)
     if not term < TERM_STOP * total:
         raise NumericalError(f"bessel_i({nu}, {z}): the series did not converge in {k} terms")
     rho = quarter_sq / ((k + 1) * (nu + k + 1))
     rel_err = term / total * rho / (1.0 - rho) + 4.0 * (k + 2) * _EPS
-    if nu < 170.0 and abs(power) < _EXP_MAX:
+    if nu < 170.0 and abs(power) < _EXP_MAX:  # not re-summed: that needs nu > 5000
         value = half ** nu / math.gamma(nu + 1.0) * total
     else:  # rounding the exponent costs a multiple of its terms' size
-        exponent = power - log_gamma + math.log(total)
+        log_scale = divisions * 512 * math.log(2.0)
+        exponent = power - log_gamma + math.log(total) + log_scale
         value = math.exp(exponent) if exponent < _EXP_MAX else math.inf
-        rel_err += 2.0 * (abs(power) + log_gamma + abs(exponent)) * _EPS
+        rel_err += 2.0 * (abs(power) + log_gamma + log_scale + abs(exponent)) * _EPS
     return SpecFunResult(value, value * rel_err)
 
 
@@ -346,54 +345,6 @@ def bessel_k1(z: float) -> SpecFunResult:
         raise DomainError(f"bessel_k1 requires finite z > 0, got {z}")
     _, _, k1, err1 = _k01(z)
     return SpecFunResult(k1, err1)
-
-
-def bessel_k0_array(z) -> np.ndarray:
-    """K0 of every element of z, finite and > 0, shaped like z; values only.
-
-    Same representations and branch point as `bessel_k0`, within 1e-15 of
-    it wherever K0 is normal; past z ~ 705 the values are subnormal and
-    reach 0 near z = 742.
-    """
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    ok = (z > 0) & (z < math.inf)
-    if not ok.all():
-        raise DomainError(f"bessel_k0_array requires finite z > 0, got {z[~ok].flat[0]}")
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    small = flat < K_SERIES_MAX
-    if small.any():
-        out[small] = _k0_series_array(flat[small])
-    if not small.all():
-        out[~small] = _k0_integral_array(flat[~small])
-    return out.reshape(z.shape)
-
-
-def _k0_series_array(z: np.ndarray) -> np.ndarray:
-    """The K0 half of `_k01_series` for an array: the terms u_k as one
-    running product over k = 1 .. _K0_SERIES_TERMS."""
-    import numpy as np
-
-    k_sq = np.arange(1, _K0_SERIES_TERMS + 1) ** 2
-    terms = np.cumprod(np.divide.outer(0.25 * z * z, k_sq), axis=1)
-    harmonic = np.cumsum(1.0 / np.arange(1, _K0_SERIES_TERMS + 1))
-    i0 = 1.0 + terms.sum(axis=1)
-    return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + terms @ harmonic
-
-
-def _k0_integral_array(z: np.ndarray) -> np.ndarray:
-    """The K0 half of `_k01_integral` for an array, on all _K_NODE_COUNT
-    nodes of each element's step; the terms past the scalar pass's stop are
-    below 1e-16 of the sum."""
-    import numpy as np
-
-    h = np.minimum(_K_STEP, _K_STEP_SCALE / np.sqrt(z))
-    half = np.sinh(0.5 * np.multiply.outer(h, np.arange(1, _K_NODE_COUNT + 1)))
-    with np.errstate(under="ignore"):
-        terms = np.exp(-z[:, None] * (2.0 * half * half))
-        return h * (0.5 + terms.sum(axis=1)) * np.exp(-z)
 
 
 def _exp_erfc(a: float, z: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,30 @@ class TestEstimateCommand:
         )
         assert code == 2 and out == ""
         assert "bandwidth too small: every window is empty" in err
+
+    def test_subnormal_bandwidth_exits_2_with_no_warning(self, tmp_path, capsys):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        data = tmp_path / "d.csv"
+        data.write_text("distance_km,outcome\n"
+                        + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(d, y)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what a command line would print to stderr
+            code, out, err = run_cli(
+                ["estimate", "--input", str(data), "--method", "nonparametric",
+                 "--bandwidth", "5e-324"], capsys
+            )
+        assert code == 2 and out == ""
+        assert "bandwidth too small: every window is empty" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+    def test_infinite_robust_cutoff_exits_2(self, decay_csv, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(decay_csv), "--robust-cutoff", "inf"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "robust_cutoff must be > 0 and finite" in err
 
     def test_non_finite_outcome_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

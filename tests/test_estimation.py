@@ -136,6 +136,12 @@ class TestInputValidation:
         with pytest.raises(DomainError, match="robust_cutoff must be > 0"):
             fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=cutoff)
 
+    def test_infinite_robust_cutoff_is_domain_error(self):
+        # every Bartlett weight would be 1, and the score sum 0
+        d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
+        with pytest.raises(DomainError, match="robust_cutoff must be > 0 and finite, got inf"):
+            fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=math.inf)
+
     def test_constant_distances_cv_is_domain_error(self):
         d = np.full(200, 5.0)
         with pytest.raises(DomainError, match="rule-of-thumb bandwidth"):
@@ -284,6 +290,16 @@ class TestNonparametricFit:
 
         d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
         with pytest.raises(DataError, match="bandwidth too small: every window is empty"):
+            nonparametric_fit(d, y, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [5e-324, 1e-310, 1e-308])
+    def test_bandwidth_whose_grid_span_overflows_is_data_error(self, bandwidth):
+        # the grid's span over 4 h passes the floats; no floating-point flag
+        # comes before the error
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        with np.errstate(all="raise"), pytest.raises(DataError, match="every window is empty"):
             nonparametric_fit(d, y, bandwidth=bandwidth)
 
 

@@ -4,10 +4,11 @@
 resolves on first use to its home module's attribute, loading that module
 alone, and is not cached in the package.  The closed-form commands (`field`
 and `boundary` for every profile) load no numpy, scipy or statistics.
-Selecting a profile model (Gaussian data, and Bessel data with the
-cylindrical hint) loads neither scipy nor statistics.  `ingest` loads no
-estimation, montecarlo or dynamics, and no scipy at any size, and `estimate`
-and `diagnose` no montecarlo or dynamics."""
+Selecting a profile model on Gaussian data loads neither scipy nor
+statistics; with the cylindrical hint it loads `scipy.special` for K0 and
+no other scipy subpackage.  `ingest` loads no estimation, montecarlo or
+dynamics, and no scipy at any size, and `estimate` and `diagnose` no
+montecarlo or dynamics."""
 
 import os
 import subprocess
@@ -139,7 +140,7 @@ r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, 
 assert select_profile_model(r, y, t).model == "gaussian"
 assert not lazy_modules(), lazy_modules()
 
-# the cylindrical fit evaluates K0 on arrays in specfun
+# the cylindrical fit takes K0 from scipy.special, and nothing else from scipy
 import numpy as np
 from plumefront.fields import BesselField, FieldParams
 
@@ -150,7 +151,11 @@ r = rng.uniform(0.1, 4.0, size=300)
 y = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
 y += 0.002 * rng.standard_normal(300)
 assert select_profile_model(r, y, t, geometry_hint="cylindrical").model == "bessel"
-assert not lazy_modules(), lazy_modules()
+subpackages = {m.split(".")[1] for m in loaded("scipy") if "." in m}
+assert "special" in subpackages and not loaded("statistics"), lazy_modules()
+others = {"optimize", "integrate", "stats", "linalg", "sparse", "spatial", "interpolate", "fft"}
+assert not subpackages & others, subpackages
+assert all(p == "special" or p == "version" or p.startswith("_") for p in subpackages), subpackages
 """
 
 

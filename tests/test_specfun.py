@@ -1,7 +1,8 @@
 """Special-function accuracy against independent high-precision oracles.
 
 scipy.special serves as the oracle, and mpmath at 40 digits where the error
-bounds are checked; the implementation under test calls neither.
+bounds are checked; the specfun kernels under test call neither.  The
+Bessel fit's row is scipy's K0, so it is checked against mpmath only.
 """
 
 import math
@@ -22,7 +23,6 @@ from plumefront.specfun import (
     _k01,
     bessel_i,
     bessel_k0,
-    bessel_k0_array,
     bessel_k1,
     gamma_fn,
     kummer_m,
@@ -196,6 +196,38 @@ class TestKummerFitRow:
         assert np.isfinite(m).all() and m[0] == 1.0
 
 
+class TestBesselFitRow:
+    """The Bessel fit's row, K0(r / 2 sqrt(nu t)) / t from scipy.special.k0,
+    against mpmath.  nu = 1/4 and t = 1 make the argument r exactly."""
+
+    NU = 0.25
+
+    def _row(self, z):
+        z = np.asarray(z, dtype=float)
+        return estimation._bessel_model(z, np.ones_like(z), self.NU)
+
+    def test_within_2e_15_of_mpmath(self):
+        rng = np.random.default_rng(29)
+        z = np.concatenate([np.exp(rng.uniform(math.log(1e-8), math.log(745.0), 400)),
+                            _ulps_around(2.0, 6), _ulps_around(12.0, 6),
+                            _ulps_around(12.25, 6)])
+        values = self._row(z)
+        with mp.workdps(40):
+            for x, got in zip(z.tolist(), values.tolist()):
+                exact = mp.besselk(0, x)
+                if exact >= sys.float_info.min:
+                    assert abs(got / exact - 1) <= 2e-15, x
+
+    def test_zero_and_no_floating_point_warning_up_to_1200(self):
+        # the log-nu scan of the Bessel profile fit reaches z ~ 1200
+        z = np.concatenate([np.geomspace(1e-8, 1200.0, 3000), [745.0, 1200.0]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            values = self._row(z)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.all(values[z >= 745.0] == 0.0)
+
+
 class TestBesselI:
     def test_at_zero(self):
         assert bessel_i(0.0, 0.0).value == 1.0
@@ -236,9 +268,27 @@ class TestBesselI:
 
     def test_overflowing_series_with_a_small_prefactor(self):
         # the series of I_10000(7000) overflows, but its prefactor (z/2)^nu /
-        # Gamma(nu + 1) is below 1, and the value is a float (9.2e284)
-        with pytest.raises(NumericalError, match=r"bessel_i\(10000.0, 7000.0\): the series overflows"):
-            bessel_i(1e4, 7000.0)
+        # Gamma(nu + 1) is e^-504, and the value is a float (9.2e284)
+        res = bessel_i(1e4, 7000.0)
+        with mp.workdps(40):
+            assert abs(res.value - mp.besseli(10000, 7000)) <= res.est_abs_error
+        assert res.est_abs_error <= 1e-9 * res.value
+        # I_1000(3000) ~ 1e1229: the series overflows, and its prefactor is above 1
+        assert bessel_i(1000.0, 3000.0) == SpecFunResult(math.inf, math.inf)
+
+    def test_series_past_2_to_the_2048_with_a_small_prefactor(self):
+        # rescaled by 2^-512 more than once: I_18508(12092) ~ e^-322 is a
+        # float, I_20000(14000) ~ e^1318 is not
+        res = bessel_i(18508.0, 12092.0)
+        with mp.workdps(40):
+            assert abs(res.value - mp.besseli(18508, 12092)) <= res.est_abs_error
+        assert 0.0 < res.est_abs_error <= 1e-9 * res.value
+        assert bessel_i(2e4, 1.4e4) == SpecFunResult(math.inf, math.inf)
+
+    def test_term_ratio_past_2_to_the_511_raises(self):
+        # the rescaled sum overflows in one term
+        with pytest.raises(NumericalError, match=r"bessel_i\(1e\+200, 1e\+199\): the series overflows"):
+            bessel_i(1e200, 1e199)
 
 
 class TestBesselK:
@@ -320,6 +370,23 @@ class TestBesselK01:
     def test_dense_sweep(self):
         self._check(np.concatenate([np.geomspace(1e-8, 2.5, 300), np.linspace(1.5, 12.5, 300)]))
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(2.0, 745.0), min_size=1, max_size=8),
+           st.lists(st.floats(11.0, 12.25, exclude_max=True), min_size=1, max_size=2),
+           st.lists(st.floats(12.25, 14.0), min_size=1, max_size=2))
+    def test_trapezoid_regime_against_mpmath(self, zs, below, above):
+        # within 1e-15 of 40-digit mpmath where K is normal, on both sides of
+        # the step change at z = 12.25; the error bounds hold everywhere,
+        # subnormal values included
+        with mp.workdps(40):
+            for x in zs + below + above:
+                k0, err0, k1, err1 = _k01(x)
+                for value, err, order in ((k0, err0, 0), (k1, err1, 1)):
+                    exact = mp.besselk(order, x)
+                    assert abs(value - exact) <= err
+                    if exact >= sys.float_info.min:
+                        assert abs(value - exact) <= 1e-15 * exact
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
@@ -353,80 +420,6 @@ class TestBesselKKernel:
     def test_both_sides_of_the_branch_points(self):
         self._check(SEAMS)
         self._check(np.concatenate([np.linspace(1.9, 2.1, 201), np.linspace(11.9, 12.4, 501)]))
-
-
-class TestBesselK0Array:
-    """The array K0 against scipy and against the scalar bessel_k0."""
-
-    @staticmethod
-    def _check(z):
-        z = np.asarray(z, dtype=float)
-        got = bessel_k0_array(z)
-        scalar = np.array([bessel_k0(float(x)).value for x in z])
-        oracle = sp_oracle.k0(z)
-        normal = oracle > 1e-300  # subnormal values carry few digits
-        np.testing.assert_allclose(got[normal], oracle[normal], rtol=1e-13, atol=0.0)
-        series = z < 2.0  # where the log term cancels part of the sum
-        np.testing.assert_allclose(got[normal & series], scalar[normal & series], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(got[normal & ~series], scalar[normal & ~series], rtol=1e-15, atol=0.0)
-
-    @settings(max_examples=200)
-    @given(st.lists(st.floats(1e-8, 700.0, exclude_min=True), min_size=1, max_size=40))
-    def test_against_scipy_and_scalar(self, zs):
-        self._check(zs)
-
-    def test_branch_points_and_neighbours(self):
-        self._check(SEAMS)
-        below, at, above = bessel_k0_array(np.reshape(SEAMS, (-1, 3))).T
-        np.testing.assert_allclose(below, at, rtol=5e-12, atol=0.0)
-        np.testing.assert_allclose(above, at, rtol=5e-12, atol=0.0)
-
-    def test_dense_sweep(self):
-        # the step is 0.2 below z = 12.25 and 0.7/sqrt(z) from there
-        self._check(np.concatenate([np.geomspace(1e-8, 2.5, 400), np.linspace(11.5, 40.0, 800)]))
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.lists(st.floats(2.0, 745.0), min_size=1, max_size=8),
-           st.lists(st.floats(11.0, 12.25, exclude_max=True), min_size=1, max_size=2),
-           st.lists(st.floats(12.25, 14.0), min_size=1, max_size=2))
-    def test_trapezoid_regime_against_mpmath(self, zs, below, above):
-        # scalar and array within 1e-15 of 40-digit mpmath and of each other
-        # where K0 is normal, on both sides of the step change at z = 12.25;
-        # the scalar error bounds hold everywhere, subnormal values included
-        z = np.array(zs + below + above)
-        got = bessel_k0_array(z)
-        with mp.workdps(40):
-            for x, array_k0 in zip(map(float, z), got):
-                k0, err0, k1, err1 = _k01(x)
-                for value, err, order in ((k0, err0, 0), (k1, err1, 1)):
-                    exact = mp.besselk(order, x)
-                    assert abs(value - exact) <= err
-                    if exact >= sys.float_info.min:
-                        assert abs(value - exact) <= 1e-15 * exact
-                if k0 >= sys.float_info.min:
-                    assert abs(array_k0 - k0) <= 1e-15 * k0
-
-    def test_shape_follows_input(self):
-        zero_d = bessel_k0_array(np.float64(3.0))
-        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
-        assert float(zero_d) == pytest.approx(bessel_k0(3.0).value, rel=1e-13)
-        grid = np.array([[0.5, 2.0, 5.0], [12.0, 30.0, 100.0]])
-        got = bessel_k0_array(grid)
-        assert got.shape == (2, 3)
-        np.testing.assert_array_equal(got.ravel(), bessel_k0_array(grid.ravel()))
-
-    def test_no_floating_point_warning_up_to_1200(self):
-        # the log-nu scan of the Bessel profile fit reaches z ~ 1200
-        z = np.concatenate([np.geomspace(1e-8, 1200.0, 3000), [745.0, 1200.0]])
-        with warnings.catch_warnings(), np.errstate(all="warn"):
-            warnings.simplefilter("error")
-            values = bessel_k0_array(z)
-        assert np.all(np.isfinite(values)) and np.all(values >= 0.0) and values[-1] == 0.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            bessel_k0_array(np.array([1.0, bad, 3.0]))
 
 
 class TestKummerBesselConnection:
