@@ -85,16 +85,16 @@ def boundary_ode_integrate(
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
 
     frac = spec.relative_fraction(field) if spec is not None else 0.0
+    evaluate = field.eval  # bound once: the stages below are the run's hot loop
 
     def source_rate(t: float) -> float:
-        return frac * field.eval(0.0, t).d_dt if frac != 0.0 else 0.0
+        return frac * evaluate(0.0, t)[2] if frac != 0.0 else 0.0
 
     def rhs(t: float, r: float, source: float) -> float:
         if r <= 0.0:
             raise _Vanished
-        ev = field.eval(r, t)
-        num = ev.d_dt - source
-        den = ev.d_dr
+        _, den, rate = evaluate(r, t)  # FieldEval(value, d_dr, d_dt)
+        num = rate - source
         if abs(den) <= GRADIENT_FLOOR * abs(num):
             raise NumericalError(
                 f"singular gradient at t={t:.6g}, r={r:.6g}: threshold crossed "

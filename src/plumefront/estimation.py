@@ -211,10 +211,13 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
     """OLS of log(outcome) on distance, reported with the decay sign convention.
 
     The model is log y = intercept - kappa_s * d + e, so positive kappa_s
-    means decay.  With `robust_cutoff` set (finite and > 0), a spatially
-    robust standard error accumulates score covariances over observation
-    pairs within the cutoff under a triangular (Bartlett) weight; the
-    implied-boundary interval then uses the robust standard error.
+    means decay.  With `robust_cutoff` set, a spatially robust standard
+    error accumulates score covariances over observation pairs within the
+    cutoff under a triangular (Bartlett) weight; the implied-boundary
+    interval then uses the robust standard error.  The cutoff must be > 0
+    and below the span of the distances, max - min: as it grows past the
+    span every weight tends to 1, and the score sum to 0 by the normal
+    equations, so the robust standard error would vanish.
     """
     d, y = _as_xy(distances, outcomes)
     n = d.size
@@ -225,6 +228,10 @@ def fit_loglinear(distances, outcomes, robust_cutoff: float | None = None) -> De
     if robust_cutoff is not None and not 0 < robust_cutoff < math.inf:
         raise DomainError(f"robust_cutoff must be > 0 and finite, got {robust_cutoff}")
     _check_varies(d, y)
+    span = float(d.max() - d.min())
+    if robust_cutoff is not None and robust_cutoff >= span:
+        raise DomainError(f"robust_cutoff must be below the span of the distances, "
+                          f"max - min = {span:.6g}, got {robust_cutoff:.6g}")
 
     ly = np.log(y)
     d_mean = d.mean()
@@ -299,6 +306,13 @@ def _loclin_sums(xs, w, wy, grid, h):
     conditioning at least _DIRECT_SUM_COND are summed directly.  A batch
     multiplies the block's exact kernel weights instead (BLAS beats batched
     prefix sums there).
+
+    S2 is 0.75 h^2 times a moment of z, and 0.75 h^2 overflows from h =
+    1.55e154: a window whose S2 is then +-inf is summed directly (its
+    conditioning test reads inf >= inf), while one whose moment has
+    underflowed to 0 gets S2 = NaN.  A bandwidth whose sums, after the
+    direct pass, are not all finite raises DomainError; on data spanning
+    about 100 that happens from h = 1e164, and h = 1e155 keeps its curve.
     """
     lo, hi, starts, ends = _loclin_blocks(xs, grid, h)
     if w.ndim > 1:
@@ -323,19 +337,23 @@ def _loclin_sums(xs, w, wy, grid, h):
     p0, p1, p2, p3, p4, q0, q1, q2, q3, count = p
     dl = (grid - centre) / h
     d2 = dl * dl
-    out = np.array([
-        count,
-        0.75 * ((1.0 - d2) * p0 + 2.0 * dl * p1 - p2),
-        0.75 * h * ((d2 - 1.0) * dl * p0 + (1.0 - 3.0 * d2) * p1 + 3.0 * dl * p2 - p3),
-        0.75 * h * h * ((d2 - d2 * d2) * p0 + (4.0 * d2 - 2.0) * dl * p1
-                        + (1.0 - 6.0 * d2) * p2 + 4.0 * dl * p3 - p4),
-        0.75 * ((1.0 - d2) * q0 + 2.0 * dl * q1 - q2),
-        0.75 * h * ((d2 - 1.0) * dl * q0 + (1.0 - 3.0 * d2) * q1 + 3.0 * dl * q2 - q3),
-    ])
-
-    s0s2 = out[1] * out[3]
-    for i in np.flatnonzero((hi > lo) & ((count < 2) | (s0s2 >= _DIRECT_SUM_COND * (s0s2 - out[2] ** 2)))):
+    with np.errstate(invalid="ignore"):  # 0.75 h^2 may be inf, and its moment 0
+        out = np.array([
+            count,
+            0.75 * ((1.0 - d2) * p0 + 2.0 * dl * p1 - p2),
+            0.75 * h * ((d2 - 1.0) * dl * p0 + (1.0 - 3.0 * d2) * p1 + 3.0 * dl * p2 - p3),
+            0.75 * h * h * ((d2 - d2 * d2) * p0 + (4.0 * d2 - 2.0) * dl * p1
+                            + (1.0 - 6.0 * d2) * p2 + 4.0 * dl * p3 - p4),
+            0.75 * ((1.0 - d2) * q0 + 2.0 * dl * q1 - q2),
+            0.75 * h * ((d2 - 1.0) * dl * q0 + (1.0 - 3.0 * d2) * q1 + 3.0 * dl * q2 - q3),
+        ])
+        s0s2 = out[1] * out[3]
+    redo = (hi > lo) & ((count < 2) | (s0s2 >= _DIRECT_SUM_COND * (s0s2 - out[2] ** 2)))
+    for i in np.flatnonzero(redo):
         out[:, i] = _window_sums(w[lo[i]:hi[i]], wy[lo[i]:hi[i]], xs[lo[i]:hi[i]] - grid[i], h)
+    if not np.isfinite(out).all():
+        raise DomainError(f"bandwidth {h:.6g} is too large: the local-linear sums leave the "
+                          "float range")
     return out
 
 
@@ -461,7 +479,9 @@ def nonparametric_fit(
 
     bandwidth: a finite number > 0, "auto" (rule of thumb 1.06 sigma n^-1/5),
     or "auto-cv" (rule of thumb refined by leave-one-out cross-validation
-    over a 10-point logarithmic grid around it).
+    over a 10-point logarithmic grid around it).  A bandwidth whose
+    local-linear sums leave the float range raises DomainError (see
+    `_loclin_sums`); one too small for any window raises DataError.
     """
     d, y = _as_xy(distances, outcomes)
     if d.size < 50:

@@ -12,11 +12,15 @@ signature is (r, t).  Field objects expose
     eval(r, t) -> FieldEval               all three at once (the boundary ODE reads only eval)
     diffusion_scale(t)                    sqrt(nu t), for search and quadrature splits
 
+GaussianField also offers moment(k, t), energy(t) and exposure(r, horizon) in
+closed form, which `functionals` uses in place of quadrature.
+
 The domain, checked once in _RadialField, is t finite and > 0, r finite and
 >= 0 (> 0 where the field diverges at its source), and 4 nu t neither 0 nor inf
 as a float; outside it a field raises DomainError.  Inside it no field returns
 NaN: a value that underflows is 0.0, and so are its derivatives; one that
-overflows is inf, except that GaussianField.eval raises NumericalError.
+overflows is inf, except that GaussianField.eval raises NumericalError.  A
+Gaussian closed form raises NumericalError where it leaves the normal floats.
 
 Every value is a float expression in math and the specfun kernels: nothing
 here imports numpy or scipy.  Drift velocity is zero throughout, as in every
@@ -32,7 +36,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalError
-from .specfun import _exp_erfc, _k01, bessel_k0, kummer_m
+from .specfun import _EPS, _SQRT_PI, _exp_erfc, _k01, bessel_k0, gamma_fn, kummer_m
+
+_FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,11 @@ class FieldEval(NamedTuple):
     d_dt: float
 
 
+def _field_eval(value: float, d_dr: float, d_dt: float) -> FieldEval:
+    """FieldEval(value, d_dr, d_dt) without NamedTuple's Python-level __new__."""
+    return tuple.__new__(FieldEval, (value, d_dr, d_dt))
+
+
 @dataclass(frozen=True)
 class SourceEvent:
     """An instantaneous release: position, emission time, intensity mass."""
@@ -86,11 +97,19 @@ class SourceEvent:
             raise DomainError(f"strength must be finite and > 0, got {self.strength}")
 
 
+def _in_floats(what: str, value: float, *factors: float) -> float:
+    """value, where it and every factor are normal floats; every closed form here
+    is > 0, so anything else has overflowed or underflowed: NumericalError."""
+    if all(sys.float_info.min <= v < math.inf for v in (value, *factors)):
+        return value
+    raise NumericalError(f"{what} leaves the normal floats: the closed form gives {value:.3g}")
+
+
 def _heat_kernel(q: float, rr: float, nu: float, t: float) -> float:
     """q (4 pi nu t)^(-3/2) exp(-rr / 4 nu t), the 3-D heat kernel at squared
     distance rr (Carslaw and Jaeger 1959).  Far from w^1.5 = 1, w = 4 pi nu t,
     it divides by w and sqrt(w) in turn: 0.0 on underflow, inf on overflow."""
-    w = 4.0 * math.pi * nu * t
+    w = _FOUR_PI * nu * t
     g = math.exp(-rr / (4.0 * nu * t))
     value = q / w ** 1.5 * g if 1e-200 < w < 1e200 else math.inf
     return value if value < math.inf else q * g / w / math.sqrt(w)  # NaN is not < inf
@@ -138,18 +157,67 @@ class GaussianField(_RadialField):
         return _heat_kernel(self.params.q, r * r, self.params.nu, t)
 
     def eval(self, r: float, t: float) -> FieldEval:
-        """tau_r = -(2r / 4 nu t) tau and tau_t = (r^2 / 4 nu t^2 - 3 / 2t) tau."""
+        """tau_r = -(2r / 4 nu t) tau and tau_t = (r^2 / 4 nu t^2 - 3 / 2t) tau.
+
+        One pass where 1e-200 < 4 pi nu t < 1e200, 0 <= r < inf, t and 4 nu t^2
+        exceed 1e-300 and tau is a float > 0: (r, t) then lies in the domain,
+        and tau is _heat_kernel's first branch, to the bit.  Elsewhere
+        _eval_edges checks the domain and calls _heat_kernel."""
+        nu = self.params.nu
+        w = _FOUR_PI * nu * t
+        if 1e-200 < w < 1e200 and 0.0 <= r < math.inf and t > 1e-300:
+            four_nu_t = 4.0 * nu * t
+            value = self.params.q / w ** 1.5 * math.exp(-r * r / four_nu_t)
+            if 0.0 < value < math.inf and four_nu_t * t > 1e-300:
+                return _field_eval(value, -2.0 * r / four_nu_t * value,
+                                   value * (-1.5 / t + r * r / (four_nu_t * t)))
+        return self._eval_edges(r, t)
+
+    def _eval_edges(self, r: float, t: float) -> FieldEval:
         four_nu_t = self._check(r, t)
         value = _heat_kernel(self.params.q, r * r, self.params.nu, t)
         if not 0.0 < value < math.inf:
             if value == 0.0:  # underflowed, where the factors may be inf; d_dr <= 0
-                return FieldEval(0.0, -0.0, 0.0)
+                return _field_eval(0.0, -0.0, 0.0)
             raise NumericalError(f"the Gaussian field overflows at r={r}, t={t}")
         d_dr = -2.0 * r / four_nu_t * value
         if four_nu_t * t > 1e-300 and t > 1e-300:
-            return FieldEval(value, d_dr, value * (-1.5 / t + r * r / (four_nu_t * t)))
+            return _field_eval(value, d_dr, value * (-1.5 / t + r * r / (four_nu_t * t)))
         # 4 nu t^2 or 1.5 / t may leave the float range: divide by t last
-        return FieldEval(value, d_dr, value * (r * r / four_nu_t - 1.5) / t)
+        return _field_eval(value, d_dr, value * (r * r / four_nu_t - 1.5) / t)
+
+    def moment(self, k: int, t: float) -> tuple[float, float]:
+        """The radial moment 4 pi int r^(k+2) tau dr = Q 2 Gamma((k + 3)/2) / sqrt(pi)
+        (4 nu t)^(k/2) (the Mellin transform of e^(-eta) is Gamma), and (k + 16) eps
+        of it, a bound on its rounding: math.gamma is within 3 eps, the power adds
+        k/4 eps from the rounding of 4 nu t, and five operations round."""
+        four_nu_t = self._check(0.0, t)
+        gamma = gamma_fn(0.5 * (k + 3))
+        try:
+            scale = four_nu_t ** (0.5 * k)
+        except OverflowError:
+            scale = math.inf
+        value = _in_floats(f"the Gaussian moment k={k} at t={t}",
+                           self.params.q * 2.0 * gamma / _SQRT_PI * scale, gamma, scale)
+        return value, (k + 16) * _EPS * value
+
+    def energy(self, t: float) -> float:
+        """int tau^2 dx = Q^2 (8 pi nu t)^(-3/2), as (Q / (8 pi nu t)^(3/4))^2."""
+        self._check(0.0, t)
+        w = 2.0 * _FOUR_PI * self.params.nu * t
+        root = self.params.q / w ** 0.75
+        return _in_floats(f"the Gaussian energy at t={t}", root * root, w, root)
+
+    def exposure(self, r: float, horizon: float) -> float:
+        """int_0^T tau(r, t) dt = Q / (4 pi nu r) erfc(r / sqrt(4 nu T)), T = inf
+        allowed (Carslaw and Jaeger 1959)."""
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"radius must be finite and > 0, got {r}")
+        x = r / math.sqrt(self._check(r, horizon)) if horizon != math.inf else 0.0
+        den = _FOUR_PI * self.params.nu * r
+        tail = math.erfc(x)
+        return _in_floats(f"the Gaussian exposure at r={r} to T={horizon}",
+                          self.params.q / den * tail, den, tail)
 
 
 class BesselField(_RadialField):
@@ -190,10 +258,10 @@ class BesselField(_RadialField):
         k0, _, k1, _ = _k01(w)
         a_t = self.amplitude / t
         if a_t / t < math.inf:
-            return FieldEval(a_t * k0, -a_t * k1 / root, -a_t / t * (k0 - 0.5 * w * k1))
+            return _field_eval(a_t * k0, -a_t * k1 / root, -a_t / t * (k0 - 0.5 * w * k1))
         # A/t^2 overflows: divide A K by t last, so that no inf meets an underflowed K
         a = self.amplitude
-        return FieldEval(a * k0 / t, -a * k1 / root / t, -a * (k0 - 0.5 * w * k1) / t / t)
+        return _field_eval(a * k0 / t, -a * k1 / root / t, -a * (k0 - 0.5 * w * k1) / t / t)
 
 
 class KummerField(_RadialField):
@@ -240,7 +308,8 @@ class KummerField(_RadialField):
             if derivatives:
                 # halve each part before adding: (z/4) M_1 ~ M_0, so the sum overflows first
                 slope += c * (0.5 * m[n] + z / (8.0 * (n + 1)) * m[n + 1])
-        out = (FieldEval(total / t, 2.0 * r / four_nu_t * slope / t, -(total + z * slope) / t / t)
+        out = (_field_eval(total / t, 2.0 * r / four_nu_t * slope / t,
+                           -(total + z * slope) / t / t)
                if derivatives else (total / t,))
         if any(map(math.isnan, out)):
             raise NumericalError(f"the Kummer series overflows at r={r}, t={t}")
@@ -286,7 +355,7 @@ class DecayingSourceField(_RadialField):
         screening = math.sqrt(p.lam / p.nu)
         s = r * screening
         if s == math.inf:  # then (x + y)^2 >= 2s overflows too, and tau = 0
-            return FieldEval(0.0, 0.0, 0.0)
+            return _field_eval(0.0, 0.0, 0.0)
         w = 4.0 * math.pi * p.nu * t
         x, y = r / math.sqrt(four_nu_t), math.sqrt(p.lam * t)
         inner, outer = _exp_erfc(-s, x - y), _exp_erfc(s, x + y)
@@ -294,8 +363,8 @@ class DecayingSourceField(_RadialField):
         bracket = inner + outer
         slope = screening * (outer - inner) - 4.0 * gauss / math.sqrt(w)
         c = p.q / (8.0 * math.pi * p.nu)
-        return FieldEval(c * bracket / r, c * (slope - bracket / r) / r,
-                         p.q * gauss / w / math.sqrt(w))
+        return _field_eval(c * bracket / r, c * (slope - bracket / r) / r,
+                           p.q * gauss / w / math.sqrt(w))
 
     def steady_state_value(self, r: float) -> float:
         """Long-time (Yukawa) limit Q e^{-r sqrt(lam/nu)} / (4 pi nu r)."""

@@ -6,11 +6,13 @@ and parameter sensitivity.  All operations accept any object with a
 assumed throughout, which keeps every integral one-dimensional.  The
 boundary radius refines its scan bracket by Brent's method to rounding.
 
-Moments and energy integrate over r in [0, inf), exposure over
-s = r / (L sqrt(t)) for t up to a horizon T, possibly inf, all through
-`quadrature`, the package's one QUADPACK call, so an integral that diverges
-or does not converge raises NumericalError instead of returning a truncated
-number.
+A field that offers moment(k, t), energy(t) or exposure(r, horizon) (the
+Gaussian) gives that functional in closed form; exposure from t_min > 0 is
+never taken so, since there the erfc difference cancels.  Otherwise moments
+and energy integrate over r in [0, inf), exposure over s = r / (L sqrt(t))
+for t up to a horizon T, possibly inf, all through `quadrature`, the
+package's one QUADPACK call, so an integral that diverges or does not
+converge raises NumericalError instead of returning a truncated number.
 
 Scalars throughout are floats in math, and only `quadrature` imports scipy.
 """
@@ -114,11 +116,17 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A spatial moment value with its quadrature error estimate."""
+    """A spatial moment value with its quadrature error estimate, or the
+    rounding bound of a closed form."""
 
     k: int
     value: float
     quadrature_error: float
+
+
+def _check_time(t: float) -> None:
+    if not t > 0:
+        raise DomainError(f"time must be > 0, got {t}")
 
 
 def _field_scale(field, t: float) -> float:
@@ -179,8 +187,7 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
     error.  A non-monotone field triggers a NonMonotoneFieldWarning and the
     first crossing is reported.
     """
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
+    _check_time(t)
     thr = spec.threshold(field, t)
     scale = _field_scale(field, t)
     if getattr(field, "diverges_at_origin", False):
@@ -241,17 +248,14 @@ def boundary_velocity(field, spec: BoundarySpec, t: float) -> float:
 
 
 def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = math.inf) -> float:
-    """Time-integrated intensity at fixed radius, int_{t_min}^{T} tau(r, t) dt.
-
-    Taken over s = r / (L sqrt(t)), L the diffusion length at t = 1, as
-    int 2 (t / s) tau(r, t) ds with t = (r / (L s))^2, over [r / (L sqrt(T)),
-    r / (L sqrt(t_min))], split at s = 1; T = inf is allowed.  The Gaussian's
-    integrand is a multiple of exp(-s^2 / 4) at every r, so QUADPACK sees all
-    of its mass even where r is far inside a diffusion length.  Raises
-    NumericalError if it diverges or the (dropped) error estimate exceeds
-    1e-6 or the field at s = 1 is subnormal or 0 where the profile there is
-    not (the unit Gaussian from r = 1e102, where the integrand's tail
-    underflows), and DomainError where r / L is so small that t underflows.
+    """Time-integrated intensity at fixed radius, int_{t_min}^{T} tau(r, t) dt,
+    T = inf allowed: field.exposure where the field has it and t_min = 0.
+    Otherwise over s = r / (L sqrt(t)), L the diffusion length at t = 1, as
+    int 2 (t / s) tau(r, t) ds, t = (r / (L s))^2, split at s = 1, where a
+    Gaussian integrand is a multiple of exp(-s^2 / 4) at every r.  Raises
+    NumericalError if it diverges, the (dropped) error estimate exceeds 1e-6
+    or the field at s = 1 is subnormal or 0 where the profile there is not
+    (the unit Gaussian from r = 1e102), and DomainError where t underflows.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
@@ -261,6 +265,8 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
         raise DomainError(f"horizon must be >= t_min, got horizon={horizon}, t_min={t_min}")
     if horizon == t_min:
         return 0.0
+    if t_min == 0.0 and hasattr(field, "exposure"):
+        return field.exposure(r, horizon)
     length = _field_scale(field, 1.0)
     scale = r / length
 
@@ -298,8 +304,6 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
 def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:
     """omega_d int_0^inf r^(d-1) f(r) dr and its error estimate, split
     RADIAL_SPLIT_SCALES diffusion lengths out."""
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
     dim = getattr(field, "dim", 3)
     omega = unit_sphere_area(dim)
     val, err = quadrature(lambda r: r ** (dim - 1) * f(r), 0.0, math.inf,
@@ -310,18 +314,25 @@ def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:
 
 def spatial_moment(field, k: int, t: float) -> MomentResult:
     """k-th radial moment M_k(t) = omega_d int_0^inf r^(k+d-1) tau(r, t) dr,
-    over [0, inf) with no cutoff.  Raises NumericalError if it diverges or
-    quadrature_error, QUADPACK's estimate, exceeds 1e-7 of the value."""
+    over [0, inf) with no cutoff, from field.moment where the field has it.
+    Raises NumericalError if it diverges or quadrature_error, QUADPACK's
+    estimate, exceeds 1e-7 of the value."""
     if not (k >= 0 and float(k).is_integer()):
         raise DomainError(f"moment order must be a non-negative integer, got {k}")
-    val, err = _radial_integral(field, lambda r: r**k * field.value(r, t), t, f"moment k={k}")
+    _check_time(t)
+    val, err = (field.moment(int(k), t) if hasattr(field, "moment") else
+                _radial_integral(field, lambda r: r**k * field.value(r, t), t, f"moment k={k}"))
     return MomentResult(k=int(k), value=val, quadrature_error=err)
 
 
 def energy(field, t: float) -> float:
     """Squared-intensity integral E(t) = int tau^2 dx over R^d, radially over
-    [0, inf) with no cutoff.  Raises NumericalError if it diverges or the
-    (dropped) error estimate exceeds 1e-7 of the value."""
+    [0, inf) with no cutoff, from field.energy where the field has it.  Raises
+    NumericalError if it diverges or the (dropped) error estimate exceeds 1e-7
+    of the value."""
+    _check_time(t)
+    if hasattr(field, "energy"):
+        return field.energy(t)
     # v * v overflows to inf, where v ** 2 would raise OverflowError
     return _radial_integral(field, lambda r: (v := field.value(r, t)) * v, t, "energy")[0]
 

@@ -171,6 +171,37 @@ class TestEstimateCommand:
         assert code == 2 and out == ""
         assert "cross-validation" in err
 
+    @staticmethod
+    def _strong_decay_csv(tmp_path):
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        data = tmp_path / "d.csv"
+        data.write_text("distance_km,outcome\n"
+                        + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(d, y)))
+        return str(data)
+
+    def test_bandwidth_whose_sums_leave_the_float_range_exits_2(self, tmp_path, capsys):
+        # it printed a flat curve's boundary_km (none) with exit 0
+        argv = ["estimate", "--input", self._strong_decay_csv(tmp_path), "--method",
+                "nonparametric", "--bandwidth"]
+        code, out, err = run_cli([*argv, "1e300"], capsys)
+        assert code == 2 and out == ""
+        assert "bandwidth 1e+300 is too large: the local-linear sums leave the float range" in err
+        code, wide, _ = run_cli([*argv, "1e100"], capsys)
+        code_155, out_155, _ = run_cli([*argv, "1e155"], capsys)
+        assert code == code_155 == 0
+        assert out_155.replace("1e+155", "1e+100") == wide
+
+    @pytest.mark.parametrize("cutoff", ["99.7", "1e300"])
+    def test_robust_cutoff_beyond_the_span_exits_2(self, decay_csv, capsys, cutoff):
+        # at 1e300 it printed a zero-width interval with exit 0
+        code, out, err = run_cli(
+            ["estimate", "--input", str(decay_csv), "--robust-cutoff", cutoff], capsys
+        )
+        assert code == 2 and out == ""
+        assert "robust_cutoff must be below the span of the distances" in err
+
     @pytest.mark.parametrize("bandwidth", ["1e-20", "1e-300"])
     def test_bandwidth_below_the_float_spacing_exits_2(self, tmp_path, capsys, bandwidth):
         from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
@@ -516,18 +547,28 @@ class TestFieldEdges:
         assert code == 2
         assert out == "" and "finite" in err
 
+    # the decaying source's exposure goes through quadrature, the Gaussian's is closed
+    DECAYING = ["--profile", "decaying", "--lam", "1"]
+
     def test_exposure_whose_time_underflows_is_exit_two(self, capsys):
-        code, out, _ = run_cli(["exposure", "--r", "1e-300"], capsys)
+        code, out, _ = run_cli(["exposure", "--r", "1e-300", *self.DECAYING], capsys)
         assert code == 2 and out == ""
 
     def test_exposure_whose_integrand_underflows_is_exit_two(self, capsys):
-        code, out, err = run_cli(["exposure", "--r", "1e110"], capsys)
+        code, out, err = run_cli(["exposure", "--r", "1e110", *self.DECAYING], capsys)
         assert code == 2 and out == "" and "underflows" in err
 
     def test_exposure_whose_field_is_subnormal_is_exit_two(self, capsys):
-        # the field at s = 1 is subnormal: QUADPACK would give 1 - 1.6e-9 of Q / (4 pi nu r)
-        code, out, err = run_cli(["exposure", "--r", "1e103"], capsys)
+        # the field at s = 1 underflows, where QUADPACK would integrate rounding noise
+        code, out, err = run_cli(["exposure", "--r", "1e103", *self.DECAYING], capsys)
         assert code == 2 and out == "" and "underflows" in err
+
+    @pytest.mark.parametrize("r", ["1e-300", "1e103", "1e110"])
+    def test_gaussian_exposure_at_extreme_radii_is_the_closed_form(self, capsys, r):
+        code, out, _ = run_cli(["exposure", "--r", r], capsys)
+        assert code == 0
+        exposure = float(out.splitlines()[1].split(",")[3])
+        assert exposure == pytest.approx(1.0 / (4.0 * math.pi * float(r)), rel=1e-9)
 
     @pytest.mark.parametrize("argv", [["--n-boot", "0"], ["--fraction", "1.5"], ["--methods", ","],
                                       ["--methods", "parametric,parametric"]])

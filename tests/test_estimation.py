@@ -2,6 +2,7 @@
 boundary detection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestInputValidation:
         d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
         with pytest.raises(DomainError, match="robust_cutoff must be > 0"):
             fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=cutoff)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 1e300])
+    def test_robust_cutoff_at_or_beyond_the_span_is_domain_error(self, factor):
+        # the weights tend to 1 and the spatial standard error to 0
+        d = np.random.default_rng(0).uniform(1.0, 100.0, 200)
+        span = float(d.max() - d.min())
+        cutoff = factor * span
+        match = f"below the span of the distances, max - min = {span:.6g}, got {cutoff:.6g}"
+        with pytest.raises(DomainError, match=re.escape(match)):
+            fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=cutoff)
+        assert fit_loglinear(d, np.exp(-0.05 * d), robust_cutoff=0.99 * span).se_spatial >= 0.0
 
     def test_infinite_robust_cutoff_is_domain_error(self):
         # every Bartlett weight would be 1, and the score sum 0
@@ -301,6 +313,30 @@ class TestNonparametricFit:
         d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
         with np.errstate(all="raise"), pytest.raises(DataError, match="every window is empty"):
             nonparametric_fit(d, y, bandwidth=bandwidth)
+
+
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e300, 1.7976931348623157e308])
+    def test_bandwidth_whose_sums_leave_the_float_range_is_domain_error(self, bandwidth):
+        # 0.75 h^2 is inf, and the window moments it multiplies have underflowed
+        # to 0: the sums were NaN, and the curve came out flat at the sample mean.
+        # No overflow or invalid flag comes before the error (underflow is expected)
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(
+                DomainError, match="sums leave the float range"):
+            nonparametric_fit(d, y, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e155, 1e163])
+    def test_bandwidth_whose_square_overflows_keeps_its_curve(self, bandwidth):
+        # S2 = 0.75 h^2 x moment is inf there, and those windows are summed directly
+        from plumefront.montecarlo import STANDARD_DGPS, generate_dgp
+
+        d, y = generate_dgp(STANDARD_DGPS["strong_decay"], 500, 1)
+        wide = nonparametric_fit(d, y, bandwidth=1e100).m_hat
+        np.testing.assert_allclose(nonparametric_fit(d, y, bandwidth=bandwidth).m_hat, wide,
+                                   rtol=0, atol=1e-13)
+        assert np.ptp(wide) > 0.5
 
 
 class TestDetectBoundary:

@@ -15,6 +15,7 @@ from plumefront.errors import DomainError, NumericalError, PlumefrontError
 from plumefront.fields import (
     BesselField,
     DecayingSourceField,
+    FieldEval,
     FieldParams,
     GaussianField,
     KummerField,
@@ -86,6 +87,24 @@ class TestGaussianField:
         for r, t in [(0.0, 1.0), (0.5, 1.0), (2.0, 0.7), (4.0, 3.0), (30.0, 0.2)]:
             ev = g.eval(r, t)
             assert (ev.value, ev.d_dr, ev.d_dt) == (g.value(r, t), g.d_dr(r, t), g.d_dt(r, t))
+
+    @pytest.mark.parametrize("nu", [1e-300, 1e-10, 0.7, 1e10, 1e300])
+    def test_one_pass_eval_is_bitwise_the_edge_path_and_value(self, nu):
+        # eval's one pass covers the normal range; _eval_edges, through
+        # _heat_kernel, is the reference everywhere, and value reads the same bits
+        g = GaussianField(FieldParams(nu=nu, q=1.3))
+        for r in [0.0, 1e-300, 1e-8, 0.5, 2.0, 30.0, 1e8, 1e150, 1e300]:
+            for t in [1e-320, 1e-300, 1e-200, 1e-8, 0.7, 3.0, 1e8, 1e200, 1e300]:
+                try:
+                    ref = g._eval_edges(r, t)
+                except PlumefrontError as exc:
+                    with pytest.raises(type(exc)):
+                        g.eval(r, t)
+                    continue
+                ev = g.eval(r, t)
+                assert type(ev) is FieldEval
+                assert [v.hex() for v in ev] == [v.hex() for v in ref], (r, t)
+                assert ev.value.hex() == g.value(r, t).hex(), (r, t)
 
     def test_diffusion_residual_vanishes(self):
         # d tau/dt = nu (tau'' + (2/r) tau') checked with central differences.
@@ -458,6 +477,11 @@ class TestDomainEdges:
         return [gauss.value, gauss.eval, bessel.value, bessel.eval, kummer.value, kummer.eval,
                 decaying.value, decaying.eval,
                 lambda r, t: _unit_event((r, 0.0, 0.0), t, (0.0, 0.0, 0.0), 0.0, nu)]
+
+    def test_every_eval_is_a_field_eval(self):
+        for call in self._calls(1.0)[1:8:2]:
+            ev = call(1.0, 1.0)
+            assert type(ev) is FieldEval and ev == (ev.value, ev.d_dr, ev.d_dt)
 
     def test_no_nan_and_no_raw_exception(self):
         bad = []

@@ -3,7 +3,9 @@
 Expected values are frozen from independent oracles: closed-form Gaussian
 integrals for exposure/energy/moments, the analytic boundary formula for
 threshold crossings, and brute-force quadrature where no closed form is
-used by the implementation path.
+used by the implementation path.  The Gaussian offers its moments, energy
+and exposure in closed form; `VIEW`, the same field seen through `value`
+alone, keeps the quadrature path under test.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from plumefront import functionals
 from plumefront.errors import DomainError, NonMonotoneFieldWarning, NumericalError
 from plumefront.fields import (
     BesselField,
@@ -39,6 +42,18 @@ GAUSS = GaussianField(UNIT)
 EPS01 = BoundarySpec(mode="decay_by_epsilon", epsilon=0.1)
 
 XI_STAR = 2.0 * math.sqrt(math.log(10.0 / 9.0))  # 0.6491856919...
+
+
+class _ValueOnly:
+    """A field seen through value and diffusion_scale alone: without its closed
+    forms, every moment, energy and exposure of it goes through quadrature."""
+
+    def __init__(self, field):
+        self.value = field.value
+        self.diffusion_scale = field.diffusion_scale
+
+
+VIEW = _ValueOnly(GAUSS)
 
 
 class _ExponentialProfile:
@@ -414,7 +429,7 @@ class TestExposureAtSmallRadii:
 
     def test_time_underflow_raises(self):
         with pytest.raises(DomainError):
-            cumulative_exposure(GAUSS, 1e-300)
+            cumulative_exposure(VIEW, 1e-300)
 
     def test_inverse_distance_law_far_outside_a_diffusion_length(self):
         assert cumulative_exposure(GAUSS, 1e100) == pytest.approx(1.0 / (4.0 * math.pi * 1e100),
@@ -432,7 +447,7 @@ class TestExposureAtSmallRadii:
         # fail to converge from 1e104 to 1e107, and give 0.0 for 7.2e-112 at
         # 1e110, where t tau(r, t) underflows everywhere
         with pytest.raises(NumericalError, match="underflows"):
-            cumulative_exposure(GAUSS, r)
+            cumulative_exposure(VIEW, r)
 
     @pytest.mark.parametrize("horizon", [math.inf, 3.0])
     def test_field_that_is_zero_has_zero_exposure(self, horizon):
@@ -471,3 +486,127 @@ class TestDivergentExposureToInfinity:
                                           for c, n in coeffs) / t, [0.2, 1, 10, mp.inf])
         got = cumulative_exposure(KummerField(coeffs, FieldParams(nu=1.0)), 2.0, t_min=0.2)
         assert got == pytest.approx(float(exact), rel=1e-8)
+
+
+class TestQuadratureOracle:
+    """The criteria read the Gaussian's closed forms; here the same tolerances
+    (criteria 3, 4 and 5) and the closed forms check quadrature on VIEW."""
+
+    def test_criterion_3_tolerances(self):
+        assert abs(spatial_moment(VIEW, 0, 3.0).value - 1.0) <= 1e-6
+        ts = np.arange(1.0, 9.0)
+        slope = np.polyfit(ts, [spatial_moment(VIEW, 2, float(t)).value for t in ts], 1)[0]
+        assert abs(slope - 6.0) / 6.0 <= 0.005
+        for t in (1.0, 2.0, 4.0):
+            assert abs(spatial_moment(VIEW, 4, t).value / t**2 - 60.0) / 60.0 <= 0.01
+
+    def test_criterion_4_tolerances(self):
+        ts = np.linspace(0.5, 8.0, 16)
+        vals = np.array([energy(VIEW, float(t)) for t in ts])
+        assert np.all(np.diff(vals) < 0)
+        assert np.max(np.abs(vals / (8.0 * math.pi * ts) ** -1.5 - 1.0)) <= 1e-6
+
+    def test_criterion_5_tolerances(self):
+        for r in (0.1, 1.0, 10.0):
+            assert abs(cumulative_exposure(VIEW, r) * 4.0 * math.pi * r - 1.0) <= 0.005
+
+    @pytest.mark.parametrize("nu,q,t", [(1.0, 1.0, 1.0), (0.63, 0.92, 3.7), (2.0, 1.5, 0.2)])
+    def test_quadrature_agrees_with_the_closed_forms(self, nu, q, t):
+        field = GaussianField(FieldParams(nu=nu, q=q))
+        view = _ValueOnly(field)
+        for k in range(9):
+            quad_res, exact = spatial_moment(view, k, t), spatial_moment(field, k, t)
+            assert abs(quad_res.value - exact.value) <= max(quad_res.quadrature_error,
+                                                            1e-9 * exact.value)
+        assert energy(view, t) == pytest.approx(energy(field, t), rel=1e-7)
+        r = 1.3 * math.sqrt(nu * t)
+        for horizon in (0.5 * t, t, 4.0 * t, math.inf):
+            assert cumulative_exposure(view, r, horizon=horizon) == pytest.approx(
+                cumulative_exposure(field, r, horizon=horizon), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [1e-100, 1e-50, 1e-8, 1e100, 1e101])
+    def test_quadrature_keeps_the_inverse_distance_law(self, r):
+        assert cumulative_exposure(VIEW, r) == pytest.approx(1.0 / (4.0 * math.pi * r), rel=1e-12)
+
+    def test_gaussian_functionals_call_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(functionals, "quadrature", refuse)
+        spatial_moment(GAUSS, 2, 1.0)
+        energy(GAUSS, 1.0)
+        cumulative_exposure(GAUSS, 1.0)
+        cumulative_exposure(GAUSS, 1.0, horizon=2.0)
+        # from t_min > 0 the erfc difference would cancel: quadrature it is
+        with pytest.raises(AssertionError, match="quadrature called"):
+            cumulative_exposure(GAUSS, 1.0, t_min=0.5)
+
+
+def _mp_gaussian(nu, q, r, t):
+    return mp.mpf(q) * (4 * mp.pi * mp.mpf(nu) * t) ** -1.5 * mp.exp(-mp.mpf(r) ** 2 / (4 * nu * t))
+
+
+class TestGaussianClosedForms:
+    """Gaussian moments, energy and exposure against 40-digit mpmath."""
+
+    PARAMS = [(1.0, 1.0, 1.0), (0.63, 0.92, 3.7), (2.0, 1.5, 0.2), (1e-3, 5.0, 40.0)]
+
+    @pytest.mark.parametrize("nu,q,t", PARAMS)
+    def test_moments_against_mpmath(self, nu, q, t):
+        field = GaussianField(FieldParams(nu=nu, q=q))
+        with mp.workdps(40):
+            scale = mp.sqrt(4 * mp.mpf(nu) * t)
+            for k in range(9):
+                exact = mp.quad(lambda r: 4 * mp.pi * r ** (k + 2) * _mp_gaussian(nu, q, r, t),
+                                [0, scale, 4 * scale, mp.inf])
+                res = spatial_moment(field, k, t)
+                err = abs(res.value - exact)
+                assert err <= 1e-14 * exact, k
+                assert res.quadrature_error >= err, k
+
+    @pytest.mark.parametrize("nu,q,t", PARAMS)
+    def test_energy_against_mpmath(self, nu, q, t):
+        field = GaussianField(FieldParams(nu=nu, q=q))
+        with mp.workdps(40):
+            scale = mp.sqrt(4 * mp.mpf(nu) * t)
+            exact = mp.quad(lambda r: 4 * mp.pi * r * r * _mp_gaussian(nu, q, r, t) ** 2,
+                            [0, scale, 4 * scale, mp.inf])
+            assert abs(energy(field, t) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("r", [10.0 ** e for e in range(-100, 301, 25)] + [0.37, 2.9])
+    def test_unit_exposure_is_the_inverse_distance_law(self, r):
+        with mp.workdps(40):
+            exact = 1 / (4 * mp.pi * mp.mpf(r))
+            assert abs(cumulative_exposure(GAUSS, r) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("nu,q,r,horizon", [
+        (1.0, 1.0, 1.5, 3.0), (0.63, 0.92, 0.5, 1.35), (2.0, 1.5, 4.0, 0.7),
+        (1e-3, 5.0, 0.02, 1e4), (1.0, 1.0, 1e-100, 1e-150), (1.0, 1.0, 1e150, 1e299)])
+    def test_finite_horizon_exposure_against_mpmath(self, nu, q, r, horizon):
+        field = GaussianField(FieldParams(nu=nu, q=q))
+        with mp.workdps(40):
+            x = mp.mpf(r) / mp.sqrt(4 * mp.mpf(nu) * mp.mpf(horizon))
+            exact = mp.mpf(q) / (4 * mp.pi * mp.mpf(nu) * r) * mp.erfc(x)
+            if 1e-3 < r < 10:  # the erfc form itself, against the time integral
+                integral = mp.quad(lambda t: _mp_gaussian(nu, q, r, t),
+                                   [0, r * r / (4 * nu), horizon])
+                assert abs(integral - exact) <= mp.mpf(10) ** -30 * exact
+            assert abs(cumulative_exposure(field, r, horizon=horizon) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("call", [
+        lambda: spatial_moment(GAUSS, 400, 1.0),  # Gamma(201.5) overflows
+        lambda: spatial_moment(GAUSS, 8, 1e100),  # (4 nu t)^4 overflows
+        lambda: spatial_moment(GAUSS, 8, 1e-100),  # (4 nu t)^4 underflows
+        lambda: energy(GAUSS, 1e-300),
+        lambda: cumulative_exposure(GaussianField(FieldParams(nu=1e10)), 1e300),
+        lambda: cumulative_exposure(GAUSS, 1e300, horizon=1e-300),  # erfc underflows
+    ], ids=["moment-gamma", "moment-power-over", "moment-power-under", "energy-over",
+            "exposure-denominator", "exposure-erfc"])
+    def test_closed_form_leaving_the_floats_raises(self, call):
+        with pytest.raises(NumericalError, match="leaves the normal floats"):
+            call()
+
+    def test_energy_underflow_raises(self):
+        # Q^2 (8 pi nu t)^(-3/2) is 1e-452 at t = 1e300, but positive
+        with pytest.raises(NumericalError, match="leaves the normal floats"):
+            energy(GAUSS, 1e300)

@@ -3,7 +3,8 @@
 `import plumefront` loads no submodule and no dataclasses: every export
 resolves on first use to its home module's attribute, loading that module
 alone, and is not cached in the package.  The closed-form commands (`field`
-and `boundary` for every profile) load no numpy, scipy or statistics.
+and `boundary` for every profile, `moments` and `exposure` for the Gaussian)
+load no numpy, scipy or statistics.
 Selecting a profile model on Gaussian data loads neither scipy nor
 statistics; with the cylindrical hint it loads `scipy.special` for K0 and
 no other scipy subpackage.  `ingest` loads no estimation, montecarlo or
@@ -102,6 +103,11 @@ for argv in (["boundary", "--profile", "gaussian", "--nu", "1", "--epsilon", "0.
               "--t", "30"]):
     assert plumefront.cli.dispatch(argv) == 0, argv
     assert not loaded("numpy", "scipy", "statistics"), (argv, loaded("numpy"))
+# the Gaussian's moments and exposure are closed forms: no scipy.integrate
+for argv in (["moments", "--t", "1,2", "--k", "0,2,4"], ["exposure", "--r", "0.5,2"],
+             ["exposure", "--r", "1e-300,1e110"], ["exposure", "--r", "1,2", "--horizon", "3"]):
+    assert plumefront.cli.dispatch(argv) == 0, argv
+    assert not loaded("numpy", "scipy", "statistics"), (argv, loaded("scipy"))
 
 # the rest of the namespace resolves on first use, to its home module's object
 assert "plumefront.dynamics" not in sys.modules
