@@ -1,13 +1,11 @@
 """Boundary evolution beyond self-similarity.
 
 The threshold condition tau(d*(t), t) = c(t) differentiates to the boundary
-ODE  dd*/dt = -(tau_t - c'(t)) / tau_r.  For an absolute threshold c is
-constant; for relative thresholds c(t) tracks the source value and the
-correction term uses the field's temporal derivative at the source.  The
-integrator is a fixed-step classical 4th-order scheme: the right-hand side
-is smooth on the monotone region and fixed steps keep convergence-order
-tests clean.  It reads the field only through `eval(r, t)`, and a boundary
-that shrinks onto the source ends the run as "boundary_vanished".
+ODE dd*/dt = -(tau_t - c'(t)) / tau_r, `functionals._boundary_rate`; c' is 0
+for an absolute threshold and frac tau_t(0, t) for a relative one, which
+tracks the source value.  The integrator is a fixed-step classical 4th-order
+scheme: the right-hand side is smooth on the monotone region and fixed steps
+keep convergence-order tests clean.
 """
 
 from __future__ import annotations
@@ -18,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .functionals import BoundarySpec
+from .errors import DomainError
+from .functionals import BoundarySpec, _boundary_rate, _source_term, _Vanished
 
 # Dimensionless stall criterion: |dd*/dt| t / d* below this for 10
 # consecutive steps declares a steady state.
 STALL_RATE = 1e-6
 STALL_STEPS = 10
-
-GRADIENT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -42,10 +38,6 @@ class BoundaryTrajectory:
             raise DomainError("times must be strictly increasing")
 
 
-class _Vanished(Exception):
-    """A radius of the boundary ODE reached the source (r <= 0)."""
-
-
 @dataclass(frozen=True)
 class AdiabaticBoundary:
     """Boundary radii under slow diffusion growth (adiabatic_boundary)."""
@@ -55,27 +47,19 @@ class AdiabaticBoundary:
     integrated: float
 
 
-def boundary_ode_integrate(
-    field,
-    d0: float,
-    t0: float,
-    t1: float,
-    steps: int,
-    spec: BoundarySpec | None = None,
-) -> BoundaryTrajectory:
-    """Integrate dd*/dt = -(tau_t - frac * tau_t(0)) / tau_r with RK4.
+def boundary_ode_integrate(field, d0: float, t0: float, t1: float, steps: int,
+                           spec: BoundarySpec | None = None) -> BoundaryTrajectory:
+    """Integrate dd*/dt = `functionals._boundary_rate` with RK4.
 
     The field's whole protocol is `eval(r, t)`, a `FieldEval` with `d_dr`
     and `d_dt`: one call per stage, 4 * steps in a run.  `spec` supplies the
     threshold convention; None or an absolute spec gives the plain ratio
-    form.  A relative spec also reads tau_t at the source, r = 0 (the source
-    value reference), once per distinct stage time t0 + (i + c) dt:
-    2 * steps + 1 calls in a run that reaches t1.
+    form.  A relative spec also reads tau_t at the source once per distinct
+    stage time t0 + (i + c) dt: 2 * steps + 1 calls in a run that reaches t1.
 
-    A shrinking boundary that reaches the source ends the run with
-    terminated_reason "boundary_vanished" as soon as a stage or step radius
-    is <= 0; the field is not evaluated there, and the points before it are
-    kept.
+    A boundary that reaches the source ends the run with terminated_reason
+    "boundary_vanished" as soon as a stage or step radius is <= 0; the field
+    is not evaluated there, and the points before it are kept.
     """
     if not d0 > 0:
         raise DomainError(f"initial radius must be > 0, got {d0}")
@@ -86,38 +70,19 @@ def boundary_ode_integrate(
 
     frac = spec.relative_fraction(field) if spec is not None else 0.0
     evaluate = field.eval  # bound once: the stages below are the run's hot loop
-
-    def source_rate(t: float) -> float:
-        return frac * evaluate(0.0, t)[2] if frac != 0.0 else 0.0
-
-    def rhs(t: float, r: float, source: float) -> float:
-        if r <= 0.0:
-            raise _Vanished
-        _, den, rate = evaluate(r, t)  # FieldEval(value, d_dr, d_dt)
-        num = rate - source
-        if abs(den) <= GRADIENT_FLOOR * abs(num):
-            raise NumericalError(
-                f"singular gradient at t={t:.6g}, r={r:.6g}: threshold crossed "
-                "over a flat region"
-            )
-        return -num / den
-
     dt = (t1 - t0) / steps
-    times = [t0]
-    radii = [d0]
-    r = d0
-    stall_count = 0
+    times, radii, r, stall_count = [t0], [d0], d0, 0
     reason = "horizon_reached"
-    source = source_rate(t0)
+    source = _source_term(evaluate, frac, t0)
     for i in range(steps):
         t, t_half, t_new = t0 + i * dt, t0 + (i + 0.5) * dt, t0 + (i + 1) * dt
-        try:
-            k1 = rhs(t, r, source)
-            source_half = source_rate(t_half)
-            k2 = rhs(t_half, r + 0.5 * dt * k1, source_half)
-            k3 = rhs(t_half, r + 0.5 * dt * k2, source_half)
-            source = source_rate(t_new)
-            k4 = rhs(t_new, r + dt * k3, source)
+        try:  # each stage is the rate at (t, r), FieldEval(value, d_dr, d_dt)
+            k1 = _boundary_rate(evaluate, t, r, source)
+            source_half = _source_term(evaluate, frac, t_half)
+            k2 = _boundary_rate(evaluate, t_half, r + 0.5 * dt * k1, source_half)
+            k3 = _boundary_rate(evaluate, t_half, r + 0.5 * dt * k2, source_half)
+            source = _source_term(evaluate, frac, t_new)
+            k4 = _boundary_rate(evaluate, t_new, r + dt * k3, source)
             r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except _Vanished:
             r_new = 0.0

@@ -1,10 +1,10 @@
 """Derived functionals of an intensity field.
 
 Boundary radius and velocity, cumulative exposure, spatial moments, energy
-and parameter sensitivity.  All operations accept any object with a
-``value(r, t)`` method; derivative-free fields are fine.  Radial symmetry is
-assumed throughout, which keeps every integral one-dimensional.  The
-boundary radius refines its scan bracket by Brent's method to rounding.
+and parameter sensitivity.  Each reads a field through ``value(r, t)``, and
+velocity and sensitivity, implicit derivatives at one root, also read tau_r
+from ``eval(r, t)``.  Radial symmetry, assumed throughout, keeps every
+integral one-dimensional.  Brent's method refines the boundary to rounding.
 
 A field that offers moment(k, t), energy(t) or exposure(r, horizon) (the
 Gaussian) gives that functional in closed form; exposure from t_min > 0 is
@@ -104,7 +104,7 @@ class BoundarySpec:
         return self.relative_fraction(field) * field.value(0.0, t)
 
     # Relative modes compare against the source value, which moves with t;
-    # the boundary ODE needs that fraction to differentiate the condition.
+    # the boundary rate needs that fraction to differentiate the condition.
     def relative_fraction(self, field) -> float:
         if self.mode == "absolute":
             return 0.0
@@ -232,19 +232,45 @@ def boundary_radius(field, spec: BoundarySpec, t: float) -> float | None:
     return _zeroin(lambda r: field.value(r, t) - thr, lo, samples[first])
 
 
-def _central_difference(g, x: float, message: str) -> float:
-    """(g(x + h) - g(x - h)) / 2h, h = 1e-5 x; NumericalError if either is None."""
-    h = 1e-5 * x
-    plus, minus = g(x + h), g(x - h)
-    if plus is None or minus is None:
-        raise NumericalError(message)
-    return (plus - minus) / (2.0 * h)
+GRADIENT_FLOOR = 1e-14  # |tau_r| at most this fraction of the rate's numerator is singular
+
+
+class _Vanished(Exception):
+    """The boundary rate was asked for at r <= 0: the boundary reached the source."""
+
+
+def _boundary_rate(evaluate, t: float, r: float, source: float) -> float:
+    """dd*/dtheta = -(tau_theta - source) / tau_r at (r, t), the implicit derivative
+    of tau(d*, theta) = c(theta): evaluate(r, t) gives (tau, tau_r, tau_theta) and
+    source is c's derivative.  Raises _Vanished at r <= 0, unevaluated."""
+    if r <= 0.0:
+        raise _Vanished
+    _, den, rate = evaluate(r, t)
+    num = rate - source
+    if abs(den) <= GRADIENT_FLOOR * abs(num):
+        raise NumericalError(f"singular gradient at t={t:.6g}, r={r:.6g}: threshold crossed "
+                             "over a flat region")
+    return -num / den
+
+
+def _source_term(evaluate, frac: float, t: float) -> float:
+    """frac * tau_theta(0, t), a relative threshold's derivative; 0 for an absolute one."""
+    return frac * evaluate(0.0, t)[2] if frac != 0.0 else 0.0
+
+
+def _rate_at_root(field, spec: BoundarySpec, t: float, evaluate=None) -> float:
+    """`_boundary_rate` on `evaluate` (None: field.eval) at d*; NumericalError if no d*."""
+    d_star = boundary_radius(field, spec, t)
+    if d_star is None:
+        raise NumericalError(f"no boundary at t={t}: its rate of motion is undefined")
+    ev = evaluate or field.eval
+    return _boundary_rate(ev, t, d_star, _source_term(ev, spec.relative_fraction(field), t))
 
 
 def boundary_velocity(field, spec: BoundarySpec, t: float) -> float:
-    """Central finite difference of the boundary radius, step 1e-5 t."""
-    return _central_difference(lambda s: boundary_radius(field, spec, s), t,
-                               f"boundary not differentiable at t={t}: absent at t +/- h")
+    """dd*/dt by implicit differentiation at one root: `_boundary_rate` on
+    field.eval at d* and, for a relative spec, at the source."""
+    return _rate_at_root(field, spec, t)
 
 
 def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = math.inf) -> float:
@@ -255,7 +281,7 @@ def cumulative_exposure(field, r: float, t_min: float = 0.0, horizon: float = ma
     Gaussian integrand is a multiple of exp(-s^2 / 4) at every r.  Raises
     NumericalError if it diverges, the (dropped) error estimate exceeds 1e-6
     or the field at s = 1 is subnormal or 0 where the profile there is not
-    (the unit Gaussian from r = 1e102), and DomainError where t underflows.
+    (lam = 1 decaying source at r = 1e103), DomainError where t underflows.
     """
     if not r > 0:
         raise DomainError("exposure requires r > 0 (the integral diverges at the source)")
@@ -306,17 +332,20 @@ def _radial_integral(field, f, t: float, what: str) -> tuple[float, float]:
     RADIAL_SPLIT_SCALES diffusion lengths out."""
     dim = getattr(field, "dim", 3)
     omega = unit_sphere_area(dim)
-    val, err = quadrature(lambda r: r ** (dim - 1) * f(r), 0.0, math.inf,
-                          split=RADIAL_SPLIT_SCALES * _field_scale(field, t),
-                          reltol=RADIAL_RELTOL, what=f"{what} at t={t}")
+    try:
+        val, err = quadrature(lambda r: r ** (dim - 1) * f(r), 0.0, math.inf,
+                              split=RADIAL_SPLIT_SCALES * _field_scale(field, t),
+                              reltol=RADIAL_RELTOL, what=f"{what} at t={t}")
+    except OverflowError:  # float ** raises where r^k passes the floats
+        raise NumericalError(f"{what} at t={t} overflows the floats") from None
     return omega * val, omega * err
 
 
 def spatial_moment(field, k: int, t: float) -> MomentResult:
     """k-th radial moment M_k(t) = omega_d int_0^inf r^(k+d-1) tau(r, t) dr,
     over [0, inf) with no cutoff, from field.moment where the field has it.
-    Raises NumericalError if it diverges or quadrature_error, QUADPACK's
-    estimate, exceeds 1e-7 of the value."""
+    Raises NumericalError if it diverges, r^k overflows, or quadrature_error,
+    QUADPACK's estimate, exceeds 1e-7 of the value."""
     if not (k >= 0 and float(k).is_integer()):
         raise DomainError(f"moment order must be a non-negative integer, got {k}")
     _check_time(t)
@@ -328,19 +357,24 @@ def spatial_moment(field, k: int, t: float) -> MomentResult:
 def energy(field, t: float) -> float:
     """Squared-intensity integral E(t) = int tau^2 dx over R^d, radially over
     [0, inf) with no cutoff, from field.energy where the field has it.  Raises
-    NumericalError if it diverges or the (dropped) error estimate exceeds 1e-7
-    of the value."""
+    NumericalError if it diverges, tau^2 overflows, or the (dropped) error
+    estimate exceeds 1e-7 of the value."""
     _check_time(t)
     if hasattr(field, "energy"):
         return field.energy(t)
-    # v * v overflows to inf, where v ** 2 would raise OverflowError
-    return _radial_integral(field, lambda r: (v := field.value(r, t)) * v, t, "energy")[0]
+    return _radial_integral(field, lambda r: field.value(r, t) ** 2, t, "energy")[0]
 
 
 def boundary_sensitivity(field_factory, nu: float, spec: BoundarySpec, t: float) -> float:
-    """d(boundary radius)/d(nu) by central differences with relative step 1e-5.
+    """dd*/dnu at the one root of field_factory(nu), a map from nu to a field:
+    `_boundary_rate` with tau_r from eval and tau_nu a central difference of
+    value, step 1e-5 nu, at d* and, for a relative spec, at the source."""
+    field = field_factory(nu)
+    h = 1e-5 * nu
+    plus, minus = field_factory(nu + h), field_factory(nu - h)
 
-    field_factory maps a diffusion coefficient to a field object.
-    """
-    return _central_difference(lambda v: boundary_radius(field_factory(v), spec, t), nu,
-                               f"boundary absent near nu={nu}, t={t}")
+    def evaluate(r, s):  # (tau, tau_r, tau_nu)
+        value, d_dr, _ = field.eval(r, s)
+        return value, d_dr, (plus.value(r, s) - minus.value(r, s)) / (2.0 * h)
+
+    return _rate_at_root(field, spec, t, evaluate)

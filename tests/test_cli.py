@@ -510,6 +510,18 @@ class TestFunctionalArguments:
         assert code == 2
         assert "did not converge" in err and out == ""
 
+    @pytest.mark.parametrize("profile,k", [
+        (["--profile", "bessel"], "400"),
+        (["--profile", "kummer"], "400"),
+        (["--profile", "decaying", "--lam", "1"], "400"),
+        (["--profile", "decaying", "--lam", "1"], "200"),
+    ], ids=["bessel", "kummer", "decaying-400", "decaying-200"])
+    def test_moment_whose_power_overflows_is_exit_two(self, capsys, profile, k):
+        # the quadrature integrand r^k tau raises OverflowError past the floats
+        code, out, err = run_cli(["moments", *profile, "--k", k, "--t", "1"], capsys)
+        assert code == 2 and out == ""
+        assert f"moment k={k} at t=1.0 overflows" in err
+
     def test_nan_horizon_is_exit_two(self, capsys):
         code, out, err = run_cli(["exposure", "--r", "1", "--horizon", "nan"], capsys)
         assert code == 2

@@ -78,6 +78,9 @@ class _ExponentialProfile:
     def d_dr(self, r, t):
         return -self.kappa * self.value(r, t)
 
+    def eval(self, r, t):
+        return self.value(r, t), self.d_dr(r, t), self.d_dt(r, t)
+
 
 class _ConstantField:
     r_min = 0.0
@@ -204,28 +207,49 @@ class TestBoundaryRadius:
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.5, 2.0), st.floats(1.0, 8.0), st.floats(0.05, 0.3))
 def test_gaussian_boundary_functionals_match_closed_forms(nu, t, eps):
-    # The central differences divide the root error by their step 2e-5, so
-    # the velocity and sensitivity bounds hold only if the radius is found
-    # to near rounding.
+    # The velocity is the implicit rate at the root, so it inherits the
+    # root's rounding-level error; the sensitivity's tau_nu is a central
+    # difference in nu, step 1e-5 nu, and keeps the looser bound.
     spec = BoundarySpec(mode="decay_by_epsilon", epsilon=eps)
     d_star = 2.0 * math.sqrt(nu * t * math.log(1.0 / (1.0 - eps)))
     field = GaussianField(FieldParams(nu=nu, q=1.0))
     assert boundary_radius(field, spec, t) == pytest.approx(d_star, rel=1e-13, abs=0.0)
-    assert boundary_velocity(field, spec, t) == pytest.approx(d_star / (2.0 * t), rel=1e-7)
+    assert boundary_velocity(field, spec, t) == pytest.approx(d_star / (2.0 * t), rel=1e-12)
     factory = lambda v: GaussianField(FieldParams(nu=v, q=1.0))  # noqa: E731
     assert boundary_sensitivity(factory, nu, spec, t) == pytest.approx(d_star / (2.0 * nu),
                                                                        rel=1e-7)
 
 
+def _absolute_gaussian_root(tau_min, t):
+    """(d*, L) of the unit Gaussian at an absolute threshold: d*^2 = 4 t L."""
+    log_term = math.log(1.0 / tau_min) - 1.5 * math.log(4.0 * math.pi * t)
+    return math.sqrt(4.0 * t * log_term), log_term
+
+
+class _CountingGaussian(GaussianField):
+    """The unit Gaussian, counting `eval` calls at the source and elsewhere."""
+
+    def __init__(self):
+        super().__init__(UNIT)
+        self.at_source = self.elsewhere = 0
+
+    def eval(self, r, t):
+        if r == 0.0:
+            self.at_source += 1
+        else:
+            self.elsewhere += 1
+        return super().eval(r, t)
+
+
 class TestBoundaryVelocity:
     def test_gaussian_closed_form(self):
         # v(t) = xi*/(2 sqrt(t)); at t = 1 that is xi*/2
-        assert boundary_velocity(GAUSS, EPS01, 1.0) == pytest.approx(XI_STAR / 2.0, rel=1e-5)
+        assert boundary_velocity(GAUSS, EPS01, 1.0) == pytest.approx(XI_STAR / 2.0, rel=1e-12)
 
     def test_velocity_halves_when_t_quadruples(self):
         v1 = boundary_velocity(GAUSS, EPS01, 1.0)
         v4 = boundary_velocity(GAUSS, EPS01, 4.0)
-        assert v4 == pytest.approx(v1 / 2.0, rel=1e-5)
+        assert v4 == pytest.approx(v1 / 2.0, rel=1e-12)
 
     def test_steady_profile_has_zero_velocity(self):
         field = _ExponentialProfile(kappa=0.1)
@@ -235,6 +259,44 @@ class TestBoundaryVelocity:
     def test_error_when_boundary_absent(self):
         with pytest.raises(NumericalError):
             boundary_velocity(_ConstantField(), EPS01, 1.0)
+
+    @pytest.mark.parametrize("tau_min", [1e-3, 1e-6])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_absolute_threshold_closed_form(self, tau_min, t):
+        # d*^2 = 4 nu t L, L = ln(Q / tau_min) - 1.5 ln(4 pi nu t), so
+        # v = (2 nu L - 3 nu) / d*: negative (shrinking) at tau_min = 1e-3, t = 5
+        spec = BoundarySpec(mode="absolute", tau_min=tau_min)
+        d_star, log_term = _absolute_gaussian_root(tau_min, t)
+        v = (2.0 * log_term - 3.0) / d_star
+        assert boundary_velocity(GAUSS, spec, t) == pytest.approx(v, rel=1e-12)
+        if (tau_min, t) == (1e-3, 5.0):
+            assert v == pytest.approx(-0.430, abs=1e-3)
+
+    @pytest.mark.parametrize("spec,at_source", [(EPS01, 1),
+                                                (BoundarySpec("absolute", tau_min=1e-3), 0)],
+                             ids=["relative", "absolute"])
+    def test_one_eval_at_the_root_and_one_at_the_source(self, spec, at_source):
+        field = _CountingGaussian()
+        boundary_velocity(field, spec, 1.0)
+        assert (field.elsewhere, field.at_source) == (1, at_source)
+
+    def test_singular_gradient_raises(self):
+        # tau = (1 - r)^3 + (t - 1) at t = 1 crosses 1e-30 at r = 1 - 1e-10, where
+        # tau_r = -3e-20 is within 1e-14 of tau_t = 1
+        class FlatCrossing:
+            def value(self, r, t):
+                return (1.0 - r) ** 3 + (t - 1.0)
+
+            def eval(self, r, t):
+                return self.value(r, t), -3.0 * (1.0 - r) ** 2, 1.0
+
+            def diffusion_scale(self, t):
+                return 1.0
+
+        spec = BoundarySpec(mode="absolute", tau_min=1e-30)
+        with pytest.raises(NumericalError, match="singular gradient .* flat region"):
+            boundary_velocity(FlatCrossing(), spec, 1.0)
+
 
 
 class TestCumulativeExposure:
@@ -348,6 +410,15 @@ class TestBoundarySensitivity:
             d_star = boundary_radius(self.FACTORY(nu), EPS01, 4.0)
             assert nu / d_star * s == pytest.approx(0.5, rel=1e-5)
 
+    @pytest.mark.parametrize("tau_min", [1e-3, 1e-6])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_absolute_threshold_closed_form(self, tau_min, t):
+        # d*^2 = 4 nu t L with L_nu = -1.5 / nu gives S_nu = (2 t L - 3 t) / d* at nu = 1
+        spec = BoundarySpec(mode="absolute", tau_min=tau_min)
+        d_star, log_term = _absolute_gaussian_root(tau_min, t)
+        s = boundary_sensitivity(self.FACTORY, 1.0, spec, t)
+        assert s == pytest.approx((2.0 * t * log_term - 3.0 * t) / d_star, rel=1e-8)
+
     def test_quadrupled_nu_doubles_boundary(self):
         d1 = boundary_radius(self.FACTORY(1.0), EPS01, 4.0)
         d4 = boundary_radius(self.FACTORY(4.0), EPS01, 4.0)
@@ -399,6 +470,12 @@ class TestQuadratureToInfinity:
     def test_exposure_bounds_are_checked(self, bounds):
         with pytest.raises(DomainError):
             cumulative_exposure(GAUSS, 1.0, **bounds)
+
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_moment_whose_power_overflows_raises(self, k):
+        # float r ** k raises OverflowError where r^k passes the floats
+        with pytest.raises(NumericalError, match=f"moment k={k} at t=1.0 overflows"):
+            spatial_moment(VIEW, k, 1.0)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf])
     def test_moment_order_must_be_an_integer(self, k):
