@@ -42,6 +42,7 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 Z05_ONESIDED = 1.6448536269514722
 CHI2_1_99 = 6.6348966010212145
 SCAN_HALF_WIDTH = 12.0  # the field fits scan log nu over log median r^2 / 4t +- this
+_SCAN_BLOCK = 1 << 16  # most profile values one model call of a field fit evaluates
 _LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 CV_GRID_SIZE = 10
@@ -580,6 +581,44 @@ def _bootstrap_curves(d, y, h, grid, n_boot, rng):
     return _loclin_solve(_loclin_sums(centers, counts, ysum, grid, h))[0]
 
 
+def _quantiles(a: np.ndarray, qs) -> list[float]:
+    """np.quantile(a, qs), numpy's default linear method, as a list, or for
+    qs = "median" [np.median(a)], bitwise, from the partition of the 1-D
+    float array a that numpy makes.  Those numpy functions import numpy.ma
+    (through np.unique and np.ma.isMaskedArray), 10-25 ms once per process;
+    this does not.  As in numpy, q sits at v = (n - 1) q of the sorted
+    sample, gamma = v - lo past lo = floor(v) (v + 1 at the top, where
+    numpy reads index -1 twice), and is read from the nearer order
+    statistic: a[lo] + (a[lo+1] - a[lo]) gamma, or from gamma = 1/2 on
+    a[lo+1] - (a[lo+1] - a[lo]) (1 - gamma).  The median is np.mean of the
+    middle one or two, summed from +0.0.  Every value is NaN where a holds a
+    NaN; np.nanquantile(a, qs) is this of a[~np.isnan(a)], except that numpy
+    compacts a in another order, so where +0 and -0 tie the sign of a zero
+    quantile may differ."""
+    n = a.size
+    if qs == "median":
+        picks, kth = [((n - 1) // 2, n // 2, None)], {n - 1}
+    else:
+        picks, kth = [], {0, n - 1}  # (lo, hi, gamma) of each q
+        for q in qs:
+            v = (n - 1) * q
+            lo = math.floor(v)
+            picks.append((n - 1, n - 1, v + 1.0) if v >= n - 1 else (lo, lo + 1, v - lo))
+    part = np.partition(a, sorted(kth.union(*(p[:2] for p in picks))))
+    if math.isnan(part[-1]):  # NaN sorts last
+        return [math.nan] * len(picks)
+    out = []
+    for lo, hi, gamma in picks:
+        x, y = float(part[lo]), float(part[hi])
+        if gamma is None:
+            out.append((0.0 + x + y) / 2.0 if hi > lo else 0.0 + x)
+        elif gamma >= 0.5:
+            out.append(y - (y - x) * (1.0 - gamma))
+        else:
+            out.append(x + (y - x) * gamma)
+    return out
+
+
 def _check_bootstrap_args(fraction, n_boot):
     if not 0 < fraction < 1:
         raise DomainError(f"fraction must be in (0,1), got {fraction}")
@@ -616,7 +655,7 @@ def detect_boundary(
         raise DataError(f"decline gate: no resample has a binned observation within the "
                         f"bandwidth {fit.bandwidth:.4g} km of both range endpoints "
                         f"(bin width {width:.4g} km)")
-    reject = bool(np.nanquantile(declines, ALPHA) > 0.0)
+    reject = _quantiles(declines[~np.isnan(declines)], [ALPHA])[0] > 0.0
     if reject and not math.isnan(cand):
         return float(cand), True
     return None, reject
@@ -640,8 +679,8 @@ def bootstrap_boundary_interval(
     ok = samples[~np.isnan(samples)]
     if ok.size < max(10, n_boot // 2):
         return None
-    lo, hi = np.quantile(ok, [ALPHA / 2.0, 1.0 - ALPHA / 2.0])
-    return float(lo), float(hi)
+    lo, hi = _quantiles(ok, [ALPHA / 2.0, 1.0 - ALPHA / 2.0])
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +802,10 @@ def regional_heterogeneity(distances, outcomes, split_distance: float) -> Region
 # ---------------------------------------------------------------------------
 
 
+# A profile row function takes nu as a float, giving the profile at every
+# (r, t), or as a column of nu values, giving one row per nu.
+
+
 def _gaussian_model(r, t, nu):
     return np.exp(-r * r / (4.0 * nu * t)) / (4.0 * math.pi * nu * t) ** 1.5
 
@@ -776,19 +819,24 @@ def _bessel_model(r, t, nu):
 
 def _kummer_model(r, t, nu):
     """M(1/2, 1, z) / t, z = r^2 / 4 nu t, as e^x I0(x) / t, x = z/2 (DLMF
-    13.6.9), with numpy's I0; all inf when the value at the largest z squares
-    to inf.  M grows with z, so then g.g overflows whatever the other points
-    give, and the row's rss is inf.  The largest z goes through scalar
-    kummer_m, which gives inf past the floats without a floating-point
-    overflow."""
+    13.6.9), with numpy's I0: one row for a float nu, one per nu of a
+    column.  A row is all inf when its value at its largest z squares to
+    inf.  M grows with z, so then g.g overflows whatever the other points
+    give, and the row's rss is inf.  Each row's largest z goes through one
+    scalar kummer_m call, which gives inf past the floats without a
+    floating-point overflow; only the other rows are evaluated, in one
+    array call, so no overflow is ever computed."""
     z = r * r / (4.0 * nu * t)
-    top = int(np.argmax(z))
-    m_top = kummer_m(0.5, 1.0, float(z[top])).value
-    g_top = m_top / float(t[top])
-    if g_top * g_top == math.inf:
-        return np.full(z.shape, math.inf)
-    x = 0.5 * z
-    return np.exp(x) * np.i0(x) / t
+    rows = z.reshape(-1, r.size)
+    keep = []
+    for z_top, t_top in zip(rows.max(axis=1).tolist(), t[np.argmax(rows, axis=1)].tolist()):
+        g_top = kummer_m(0.5, 1.0, z_top).value / t_top
+        keep.append(g_top * g_top != math.inf)
+    keep = np.array(keep)
+    out = np.full(rows.shape, math.inf)
+    x = 0.5 * rows[keep]
+    out[keep] = np.exp(x) * np.i0(x) / t
+    return out.reshape(z.shape)
 
 
 _MODELS = {"gaussian": _gaussian_model, "bessel": _bessel_model, "kummer": _kummer_model}
@@ -800,7 +848,7 @@ def _scan_centre(r, t) -> float:
     under- or overflow."""
     with np.errstate(over="ignore", under="ignore"):
         q = (r * r / (4.0 * t))[r != 0]
-    mid, lo, hi = float(np.median(q)), float(q.min()), float(q.max())
+    (mid,), lo, hi = _quantiles(q, "median"), float(q.min()), float(q.max())
     ok = sys.float_info.min <= lo and hi < math.inf
     if ok:
         centre = math.log(mid)
@@ -851,8 +899,14 @@ def fit_field_nls(
     The amplitude is closed form for each nu, so the rss with it projected
     out is scanned at 49 points of log nu (log median r^2 / 4t, r != 0, +- 12) and
     minimised by golden sections inside the best cell to 1e-10 (Golub and
-    Pereyra 1973).  cov = sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with
-    dg/dnu a central difference.  Where g.g underflows the normal floats, as
+    Pereyra 1973).  The profile is evaluated as rows, one per nu: the model
+    takes a column of nu and gives a (rows, n) array, so the scan is one
+    model call (blocks of at most _SCAN_BLOCK values, one row for n past
+    it), each golden section one row, and dg/dnu and g at the minimum one
+    call of three rows; each row's g.y and res.res stay separate dot
+    products, so the fit is that of one call per nu, bitwise.  cov =
+    sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with dg/dnu a central
+    difference.  Where g.g underflows the normal floats, as
     with distances x s and times x s^2, g is projected scaled by a power of
     two and cov unscaled after, so nu, se_nu and se_q do not depend on the
     units; se_q comes from the scaled cov, so only an amplitude's variance,
@@ -861,9 +915,9 @@ def fit_field_nls(
     or J'J is singular at the minimum: the single-term Kummer profile grows
     with r, so on decaying data its least squares lie at nu -> infinity.  A
     Kummer row is M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z =
-    r^2 / 4 nu t, with numpy's I0; one whose value at the largest z squares
-    to inf has rss inf without its other points being evaluated; n_iter
-    still counts it.  A Bessel row is K0(r / 2 sqrt(nu t)) / t with
+    r^2 / 4 nu t, with numpy's I0; one whose value at the largest z (one
+    scalar kummer_m call per row) squares to inf has rss inf without its
+    other points being evaluated; n_iter still counts it.  A Bessel row is K0(r / 2 sqrt(nu t)) / t with
     scipy.special.k0, imported on the first Bessel fit.  The fit is
     deterministic; seed is unused.
 
@@ -887,7 +941,7 @@ def fit_field_nls(
         raise DomainError(f"the Bessel profile needs every distance > 0 (K0 is infinite "
                           f"at r = 0): {n_bad} of {r.size} distances are 0")
     centre = _scan_centre(r, t)
-    if np.unique(t).size < 2:
+    if t.min() == t.max():
         warnings.warn(
             "all observations share one time: nu and q are only weakly "
             "identified from a single snapshot",
@@ -895,36 +949,44 @@ def fit_field_nls(
         )
 
     model = _MODELS[field_class]
+    per_block = max(1, _SCAN_BLOCK // r.size)
     evals = []  # (rss, log nu, amplitude) of every evaluation
 
-    def rss_at(log_nu):
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
-            g, gg, scale = _normal_scaled(model(r, t, math.exp(log_nu)))
-        amp, rss = math.nan, math.inf
-        if 0.0 < gg < math.inf:
-            # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
-            amp = float(g @ y) / gg
-            res = y - amp * g
-            rss = float(res @ res)
-            if scale:
-                with np.errstate(over="ignore"):  # inf: the amplitude is past the floats
-                    amp = float(np.ldexp(amp, scale))
-        evals.append((rss, log_nu, amp))
-        return rss
+    def rss_rows(log_nus):
+        """The rss of each log nu, amplitude projected out, from one model call
+        per block of rows; each evaluation joins evals."""
+        for start in range(0, len(log_nus), per_block):
+            block = log_nus[start : start + per_block]
+            nu = np.array([[math.exp(x)] for x in block])
+            with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
+                scaled = [_normal_scaled(g) for g in model(r, t, nu)]
+            for log_nu, (g, gg, scale) in zip(block, scaled):
+                amp, rss = math.nan, math.inf
+                if 0.0 < gg < math.inf:
+                    # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
+                    amp = float(g @ y) / gg
+                    res = y - amp * g
+                    rss = float(res @ res)
+                    if scale:
+                        with np.errstate(over="ignore"):  # inf: the amplitude is past the floats
+                            amp = float(np.ldexp(amp, scale))
+                evals.append((rss, log_nu, amp))
+        return [e[0] for e in evals[-len(log_nus):]]
 
-    grid = centre + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 49)
-    i = int(np.argmin([rss_at(x) for x in grid]))
-    inside = 0 < i < grid.size - 1
+    grid = (centre + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 49)).tolist()
+    i = int(np.argmin(rss_rows(grid)))
+    inside = 0 < i < len(grid) - 1
     if inside:
-        _golden_section(rss_at, grid[i - 1], grid[i + 1])
+        _golden_section(lambda x: rss_rows([x])[0], grid[i - 1], grid[i + 1])
     rss, log_nu, amp = min(evals)
     if not (inside and math.isfinite(rss) and 0 < amp < math.inf):
         raise FitError(f"{field_class} field fit failed at nu={math.exp(log_nu):.6e} "
                        f"(scan edge: {not inside}), rss={rss:.6e}, amplitude={amp:.6e}")
 
     nu = math.exp(log_nu)
-    dg = (model(r, t, nu * (1.0 + 1e-6)) - model(r, t, nu * (1.0 - 1e-6))) / (2e-6 * nu)
-    g, _, scale = _normal_scaled(model(r, t, nu))
+    up, down, g = model(r, t, nu * np.array([[1.0 + 1e-6], [1.0 - 1e-6], [1.0]]))
+    dg = (up - down) / (2e-6 * nu)
+    g, _, scale = _normal_scaled(g)
     jac = np.column_stack([amp * dg, g])  # the columns of nu and of 2^-scale amplitude
     try:
         cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)

@@ -356,7 +356,9 @@ def sample_rows(obs: dict, sources, max_distance_km: float = 200.0,
     period = obs["period"][rows]
     years, year = np.unique(period // 12, return_inverse=True)
     cell_years, cell_year = np.unique(cell * len(years) + year, return_inverse=True)
-    months = np.bincount(np.unique(cell_year * 12 + period % 12) // 12, minlength=len(cell_years))
+    seen = np.zeros((len(cell_years), 12), dtype=bool)
+    seen[cell_year, period % 12] = True
+    months = np.count_nonzero(seen, axis=1)
     keep = months[cell_year] >= min_monthly_obs_per_year
     return rows[keep], idx[keep], dist[keep]
 

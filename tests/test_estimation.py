@@ -414,6 +414,50 @@ class TestDetectBoundary:
             bootstrap_boundary_interval(fit, **{"fraction": 0.1, "seed": 1, **bad})
 
 
+class TestQuantiles:
+    """estimation._quantiles against numpy's quantile, nanquantile and median,
+    bitwise: the gate's, the interval's and a few other levels, on seeded
+    arrays with and without ties, n = 1 and 2, odd and even n."""
+
+    QS = [estimation.ALPHA, estimation.ALPHA / 2.0, 1.0 - estimation.ALPHA / 2.0,
+          0.0, 0.25, 0.5, 1.0 / 3.0, 0.9, 1.0]
+
+    @staticmethod
+    def _arrays(signed_zeros=True):
+        rng = np.random.default_rng(41)
+        for n in [1, 2, 3, 4, 5, 6, 7, 8, 199, 200, 201, 400]:
+            for _ in range(5):
+                yield rng.standard_normal(n)
+                yield rng.integers(-2, 3, n).astype(float)  # ties
+                yield rng.choice([0.0, 1.5, -2.25, 7.0], n)
+                yield rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                if signed_zeros:
+                    yield rng.choice([0.0, -0.0, 1.0], n)
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    def test_equals_np_quantile_and_np_median(self):
+        for a in self._arrays():
+            assert self._bits(estimation._quantiles(a, self.QS)) == self._bits(np.quantile(a, self.QS))
+            assert self._bits(estimation._quantiles(a, "median")) == self._bits(np.median(a)), a
+
+    def test_equals_np_nanquantile_without_the_nans(self):
+        rng = np.random.default_rng(42)
+        for a in self._arrays(signed_zeros=False):
+            a = np.where(rng.random(a.size) < 0.2, math.nan, a)
+            if np.isnan(a).all():
+                continue
+            got = estimation._quantiles(a[~np.isnan(a)], self.QS)
+            assert self._bits(got) == self._bits(np.nanquantile(a, self.QS)), a
+
+    def test_a_nan_gives_nan(self):
+        a = np.array([1.0, math.nan, 3.0, 2.0])
+        assert all(math.isnan(v) for v in estimation._quantiles(a, self.QS))
+        assert math.isnan(estimation._quantiles(a, "median")[0])
+
+
 class TestDiagnostics:
     def test_perfectly_decreasing(self):
         d = np.linspace(1, 100, 200)
@@ -688,14 +732,15 @@ class TestFieldNls:
     @staticmethod
     def _full_row_kummer(r, t, nu):
         """The Kummer profile e^x I0(x) / t, x = z/2, z = r^2 / 4 nu t, at
-        every point of the row, overflowing or not."""
+        every point of each row (one per nu of a column), overflowing or not."""
         x = 0.5 * (r * r / (4.0 * nu * t))
         return np.exp(x) * np.i0(x) / t
 
     @staticmethod
     def _scalar_row_kummer(r, t, nu):
-        """The Kummer profile from scalar kummer_m at every point of the row."""
-        return np.array([kummer_m(0.5, 1.0, z).value for z in r * r / (4.0 * nu * t)]) / t
+        """The Kummer profile from scalar kummer_m at every point of each row."""
+        z = r * r / (4.0 * nu * t)
+        return np.array([kummer_m(0.5, 1.0, x).value for x in z.ravel().tolist()]).reshape(z.shape) / t
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("nu", [0.3, 2.0, 7.0])
@@ -723,7 +768,7 @@ class TestFieldNls:
 
         def spy(r, t, nu):
             g = estimation._kummer_model(r, t, nu)
-            rows.append(bool(np.isinf(g).all()))
+            rows.extend(np.isinf(g).all(axis=-1).reshape(-1).tolist())  # one per nu
             return g
 
         monkeypatch.setitem(estimation._MODELS, "kummer", spy)
@@ -851,7 +896,7 @@ class TestSelectProfileModel:
     def test_unhinted_selection_kummer_m_call_budget(self, monkeypatch):
         # The Kummer fit fails on this decaying sample after its 49-row scan.  Each
         # row makes one scalar call, at its largest z: 17 rows overflow there and
-        # are skipped, and the array kernel evaluates the other 32.  The
+        # are skipped, and numpy evaluates the other 32 in one call.  The
         # benchmark's tracer patches this global.
         r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
         calls = []
@@ -911,6 +956,108 @@ class TestFieldFitUnits:
         fit = fit_field_nls(r * s, t * s * s, y)
         assert fit.cov[1, 1] == math.inf
         assert fit.se_q == pytest.approx(base.se_q * s ** 3, rel=1e-6)
+
+
+class TestFieldScanOracle:
+    """fit_field_nls scans log nu in blocks of rows, one model call per block;
+    a reference written here makes one call per log nu, with nu a float, and
+    gives bitwise the same fit, or the same FitError."""
+
+    @staticmethod
+    def _reference_fit(r, t, y, field_class):
+        """The fit by the per-point scan: (nu, q, rss, cov, n_iter) or the
+        FitError message, and the number of rows whose top overflows and of
+        rows that g was scaled by a power of two for."""
+        model = estimation._MODELS[field_class]
+        evals, counts = [], {"inf": 0, "scaled": 0}
+
+        def rss_at(log_nu):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = model(r, t, math.exp(log_nu))
+                counts["inf"] += bool(np.isinf(g).all())
+                g, gg, scale = estimation._normal_scaled(g)
+            counts["scaled"] += scale != 0
+            amp, rss = math.nan, math.inf
+            if 0.0 < gg < math.inf:
+                amp = float(g @ y) / gg
+                res = y - amp * g
+                rss = float(res @ res)
+                if scale:
+                    with np.errstate(over="ignore"):
+                        amp = float(np.ldexp(amp, scale))
+            evals.append((rss, log_nu, amp))
+            return rss
+
+        half = estimation.SCAN_HALF_WIDTH
+        grid = estimation._scan_centre(r, t) + np.linspace(-half, half, 49)
+        i = int(np.argmin([rss_at(x) for x in grid]))
+        if 0 < i < 48:
+            estimation._golden_section(rss_at, grid[i - 1], grid[i + 1])
+        rss, log_nu, amp = min(evals)
+        nu = math.exp(log_nu)
+        if not (0 < i < 48 and math.isfinite(rss) and 0 < amp < math.inf):
+            return (f"{field_class} field fit failed at nu={nu:.6e} (scan edge: {not 0 < i < 48}), "
+                    f"rss={rss:.6e}, amplitude={amp:.6e}"), counts
+        dg = (model(r, t, nu * (1.0 + 1e-6)) - model(r, t, nu * (1.0 - 1e-6))) / (2e-6 * nu)
+        g, _, scale = estimation._normal_scaled(model(r, t, nu))
+        jac = np.column_stack([amp * dg, g])
+        cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
+        if scale:
+            with np.errstate(over="ignore"):
+                cov = np.ldexp(cov, scale * np.array([[0, 1], [1, 2]]))
+        return (nu, amp, rss, cov.tobytes(), len(evals)), counts
+
+    @staticmethod
+    def _sample(kind):
+        if kind == "kummer":
+            return TestFieldNls._kummer_sample(2.0, 0)
+        if kind == "bessel":
+            return TestFieldFitUnits._bessel_sample()
+        return simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["blocks", "one_row_blocks"])
+    @pytest.mark.parametrize("field_class, data, s", [
+        # the units of TestFieldFitUnits, where g is scaled by a power of two
+        ("gaussian", "gaussian", 1.0), ("gaussian", "gaussian", 1e60),
+        ("gaussian", "gaussian", 1e100), ("bessel", "bessel", 1.0), ("bessel", "bessel", 1e100),
+        ("bessel", "bessel", 1e140),
+        # Kummer rows whose top overflows, in a fit and in the failure on decaying data
+        ("kummer", "kummer", 1.0), ("kummer", "gaussian", 1.0),
+    ])
+    def test_block_scan_equals_the_per_point_scan(self, field_class, data, s, one_row_blocks,
+                                                  monkeypatch):
+        r, t, y = self._sample(data)
+        r, t = r * s, t * s * s
+        want, counts = self._reference_fit(r, t, y, field_class)
+        assert (counts["scaled"] > 0) == (s > 1.0)
+        assert (counts["inf"] > 0) == (field_class == "kummer")
+        if one_row_blocks:
+            monkeypatch.setattr(estimation, "_SCAN_BLOCK", 1)
+        if isinstance(want, str):
+            with pytest.raises(FitError) as err:
+                fit_field_nls(r, t, y, field_class=field_class)
+            assert str(err.value) == want
+        else:
+            fit = fit_field_nls(r, t, y, field_class=field_class)
+            assert (fit.nu, fit.q, fit.rss, fit.cov.tobytes(), fit.n_iter) == want
+
+    def test_a_block_holds_the_whole_scan_at_n_300(self, monkeypatch):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        shapes = []
+
+        def spy(r, t, nu):
+            shapes.append(np.shape(nu))
+            return estimation._gaussian_model(r, t, nu)
+
+        monkeypatch.setitem(estimation._MODELS, "gaussian", spy)
+        fit = fit_field_nls(r, t, y)
+        # the scan, each golden section, and nu(1 +- 1e-6) with nu for cov
+        assert shapes == [(49, 1)] + [(1, 1)] * (fit.n_iter - 49) + [(3, 1)]
+        monkeypatch.setattr(estimation, "_SCAN_BLOCK", 300 * 20)
+        shapes.clear()
+        fit_field_nls(r, t, y)
+        assert shapes[:3] == [(20, 1), (20, 1), (9, 1)]
 
 
 class TestKummerSelection:

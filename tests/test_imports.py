@@ -9,7 +9,9 @@ Selecting a profile model on Gaussian data loads neither scipy nor
 statistics; with the cylindrical hint it loads `scipy.special` for K0 and
 no other scipy subpackage.  `ingest` loads no estimation, montecarlo or
 dynamics, and no scipy at any size, and `estimate` and `diagnose` no
-montecarlo or dynamics."""
+montecarlo or dynamics.  None of these, nor the Gaussian selection, loads
+`numpy.ma` (np.quantile, np.median and a plain np.unique would); importing
+`scipy.special` does, so the cylindrical selection is not held to that."""
 
 import os
 import subprocess
@@ -145,6 +147,7 @@ from plumefront.estimation import select_profile_model, simulate_gaussian_field_
 r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
 assert select_profile_model(r, y, t).model == "gaussian"
 assert not lazy_modules(), lazy_modules()
+assert "numpy.ma" not in sys.modules
 
 # the cylindrical fit takes K0 from scipy.special, and nothing else from scipy
 import numpy as np
@@ -203,6 +206,7 @@ for argv, unused in (
     assert not scipy, (argv[0], scipy)
     loaded = [m for m in unused if "plumefront." + m in sys.modules]
     assert not loaded, (argv[0], loaded)
+    assert "numpy.ma" not in sys.modules, argv[0]
 """
 
 
@@ -232,6 +236,7 @@ with tempfile.TemporaryDirectory() as work:
     assert plumefront.cli.dispatch(argv) == 0
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not scipy, scipy
+assert "numpy.ma" not in sys.modules
 """
 
 
