@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FitError, InsufficientDataError
 from .fields import FieldParams
+from .functionals import _zeroin
 from .specfun import kummer_m
 
 LN10 = math.log(10.0)
@@ -118,7 +119,7 @@ class FieldFitResult:
     q: float
     cov: np.ndarray
     rss: float
-    n_iter: int  # rss evaluations
+    n_iter: int  # rss evaluations: 49 scan rows, then one per slope of the root search
     se_nu: float
     se_q: float  # finite even where cov[1, 1] = se_q^2 overflows
 
@@ -875,20 +876,11 @@ def _normal_scaled(g):
     return g, float(g @ g), scale
 
 
-def _golden_section(f, a, b):
-    """Shrink [a, b] around a minimum of f to 1e-10 by golden sections."""
-    w = 0.5 * (math.sqrt(5.0) - 1.0)  # inverse golden ratio
-    c, d = b - w * (b - a), a + w * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - w * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + w * (b - a)
-            fd = f(d)
+def _unit_scaled(y):
+    """(y 2^k, k) with max |y| 2^k in [0.5, 1), k = 0 for y = 0: exact, so
+    the fits' sums of squares stay normal floats whatever the units of y."""
+    k = -math.frexp(float(np.max(np.abs(y))))[1]
+    return np.ldexp(y, k), k
 
 
 def fit_field_nls(
@@ -897,28 +889,31 @@ def fit_field_nls(
     """Least-squares fit of amplitude * g(r, t; nu) by variable projection.
 
     The amplitude is closed form for each nu, so the rss with it projected
-    out is scanned at 49 points of log nu (log median r^2 / 4t, r != 0, +- 12) and
-    minimised by golden sections inside the best cell to 1e-10 (Golub and
-    Pereyra 1973).  The profile is evaluated as rows, one per nu: the model
-    takes a column of nu and gives a (rows, n) array, so the scan is one
-    model call (blocks of at most _SCAN_BLOCK values, one row for n past
-    it), each golden section one row, and dg/dnu and g at the minimum one
-    call of three rows; each row's g.y and res.res stay separate dot
-    products, so the fit is that of one call per nu, bitwise.  cov =
-    sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], with dg/dnu a central
-    difference.  Where g.g underflows the normal floats, as
-    with distances x s and times x s^2, g is projected scaled by a power of
-    two and cov unscaled after, so nu, se_nu and se_q do not depend on the
-    units; se_q comes from the scaled cov, so only an amplitude's variance,
-    cov[1, 1], past the floats is inf.  FitError when the minimum is on the
-    scan edge, the rss is not finite, the amplitude is not a positive float
-    or J'J is singular at the minimum: the single-term Kummer profile grows
-    with r, so on decaying data its least squares lie at nu -> infinity.  A
-    Kummer row is M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z =
-    r^2 / 4 nu t, with numpy's I0; one whose value at the largest z (one
-    scalar kummer_m call per row) squares to inf has rss inf without its
-    other points being evaluated; n_iter still counts it.  A Bessel row is K0(r / 2 sqrt(nu t)) / t with
-    scipy.special.k0, imported on the first Bessel fit.  The fit is
+    out is scanned at 49 points of log nu (log median r^2 / 4t, r != 0, +- 12),
+    and inside the best cell its slope, d rss / d log nu = -2 amplitude
+    (dg / d log nu).res (Golub and Pereyra 1973), is taken to zero by Brent's
+    zeroin, stopping at 1e-10 in log nu.  The profile is evaluated as rows,
+    one per nu: the model takes a column of nu and gives a (rows, n) array, so
+    the scan is one model call (blocks of at most _SCAN_BLOCK values, one row
+    for n past it) and each slope one call of the rows nu (1 +- 1e-6) and nu,
+    whose central difference is dg/dnu; each row's g.y and res.res stay
+    separate dot products, so the fit is that of one call per nu, bitwise.
+    An rss of inf counts as rising away from the scan's best point.  cov =
+    sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], from the root's rows.  y is
+    projected scaled by a power of two, and so is g where g.g underflows the
+    normal floats, as with distances x s and times x s^2; both are exact, so
+    nu and se_nu do not depend on the units.  q, se_q, cov and rss are in the
+    units of y and g: past the floats they read 0 or inf (se_q comes from the
+    scaled cov, so it is finite where cov[1, 1] is not).  FitError when the
+    minimum is on the scan edge, the slope does not change sign across the
+    best cell, the rss is not finite, the amplitude is not positive or J'J is
+    singular at the root: the single-term Kummer profile grows with r, so on
+    decaying data its least squares lie at nu -> infinity.  A Kummer row is
+    M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z = r^2 / 4 nu t,
+    with numpy's I0; one whose value at the largest z (one scalar kummer_m
+    call per row) squares to inf has rss inf without its other points being
+    evaluated; n_iter still counts it.  A Bessel row is K0(r / 2 sqrt(nu t))
+    / t with scipy.special.k0, imported on the first Bessel fit.  The fit is
     deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
@@ -949,55 +944,70 @@ def fit_field_nls(
         )
 
     model = _MODELS[field_class]
-    per_block = max(1, _SCAN_BLOCK // r.size)
-    evals = []  # (rss, log nu, amplitude) of every evaluation
+    y, k_y = _unit_scaled(y)
+    evals = []  # (rss, log nu, amplitude, scale) of every evaluation: y 2^k_y, g 2^scale
+    slopes = {}  # log nu -> (slope, its evaluation, J'J) of every slope
 
-    def rss_rows(log_nus):
-        """The rss of each log nu, amplitude projected out, from one model call
-        per block of rows; each evaluation joins evals."""
-        for start in range(0, len(log_nus), per_block):
-            block = log_nus[start : start + per_block]
-            nu = np.array([[math.exp(x)] for x in block])
-            with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
-                scaled = [_normal_scaled(g) for g in model(r, t, nu)]
-            for log_nu, (g, gg, scale) in zip(block, scaled):
-                amp, rss = math.nan, math.inf
-                if 0.0 < gg < math.inf:
-                    # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
-                    amp = float(g @ y) / gg
-                    res = y - amp * g
-                    rss = float(res @ res)
-                    if scale:
-                        with np.errstate(over="ignore"):  # inf: the amplitude is past the floats
-                            amp = float(np.ldexp(amp, scale))
-                evals.append((rss, log_nu, amp))
-        return [e[0] for e in evals[-len(log_nus):]]
+    def project(log_nu, g):
+        """(amplitude, g, residuals) of one row, g scaled by _normal_scaled;
+        the evaluation joins evals."""
+        g, gg, scale = _normal_scaled(g)
+        amp, rss, res = math.nan, math.inf, None
+        if 0.0 < gg < math.inf:
+            # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
+            amp = float(g @ y) / gg
+            res = y - amp * g
+            rss = float(res @ res)
+        evals.append((rss, log_nu, amp, scale))
+        return amp, g, res
+
+    def slope(log_nu):
+        """d rss / d log nu x 1e-6 from the rows nu (1 +- 1e-6) and nu; where it
+        is not finite, inf of the sign of log nu - grid[i]."""
+        if log_nu not in slopes:
+            nu = math.exp(log_nu)
+            up, down, g = model(r, t, nu * np.array([[1.0 + 1e-6], [1.0 - 1e-6], [1.0]]))
+            amp, g, res = project(log_nu, g)
+            diff = np.ldexp(up - down, evals[-1][3])  # (g+ - g-) 2^scale
+            jac = np.column_stack([amp / (2e-6 * nu) * diff, g])  # nu and the scaled amplitude
+            s = -amp * float(diff @ res) if res is not None else math.nan
+            if not math.isfinite(s):
+                s = math.copysign(math.inf, log_nu - grid[i])
+            slopes[log_nu] = (s, evals[-1], jac.T @ jac)
+        return slopes[log_nu][0]
 
     grid = (centre + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 49)).tolist()
-    i = int(np.argmin(rss_rows(grid)))
-    inside = 0 < i < len(grid) - 1
-    if inside:
-        _golden_section(lambda x: rss_rows([x])[0], grid[i - 1], grid[i + 1])
-    rss, log_nu, amp = min(evals)
+    per_block = max(1, _SCAN_BLOCK // r.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
+        for start in range(0, len(grid), per_block):
+            block = grid[start : start + per_block]
+            for log_nu, g in zip(block, model(r, t, np.array([[math.exp(x)] for x in block]))):
+                project(log_nu, g)
+        i = int(np.argmin([e[0] for e in evals]))
+        inside = 0 < i < len(grid) - 1
+        if inside:
+            lo, hi = grid[i - 1], grid[i + 1]
+            if not slope(lo) <= 0.0 < slope(hi):
+                raise FitError(f"{field_class} field fit: the rss slope does not change sign "
+                               f"across the best scan cell, nu = {math.exp(lo):.6e} to "
+                               f"{math.exp(hi):.6e}")
+            _, (rss, log_nu, amp, scale), jtj = slopes[_zeroin(slope, hi, lo, 1e-10)]
+        else:
+            rss, log_nu, amp, scale = min(evals)
+    e, nu = scale - k_y, math.exp(log_nu)  # 2^e takes the amplitude to the units of y and g
+    with np.errstate(over="ignore"):  # inf past the floats
+        q, rss_y = float(np.ldexp(amp, e)), float(np.ldexp(rss, -2 * k_y))
     if not (inside and math.isfinite(rss) and 0 < amp < math.inf):
-        raise FitError(f"{field_class} field fit failed at nu={math.exp(log_nu):.6e} "
-                       f"(scan edge: {not inside}), rss={rss:.6e}, amplitude={amp:.6e}")
-
-    nu = math.exp(log_nu)
-    up, down, g = model(r, t, nu * np.array([[1.0 + 1e-6], [1.0 - 1e-6], [1.0]]))
-    dg = (up - down) / (2e-6 * nu)
-    g, _, scale = _normal_scaled(g)
-    jac = np.column_stack([amp * dg, g])  # the columns of nu and of 2^-scale amplitude
+        raise FitError(f"{field_class} field fit failed at nu={nu:.6e} (scan edge: {not inside}), "
+                       f"rss={rss_y:.6e}, amplitude={q:.6e}")
     try:
-        cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
+        cov = rss / (r.size - 2) * np.linalg.inv(jtj)
     except np.linalg.LinAlgError as err:
         raise FitError(f"{field_class} field fit: J'J is singular at nu={nu:.6e} ({err})") from None
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))  # of nu and of the scaled amplitude
-    if scale:
-        with np.errstate(over="ignore"):
-            cov = np.ldexp(cov, scale * np.array([[0, 1], [1, 2]]))
-            se = np.ldexp(se, [0, scale])
-    return FieldFitResult(nu=nu, q=amp, cov=cov, rss=rss, n_iter=len(evals),
+    with np.errstate(over="ignore"):
+        cov, se = np.ldexp(cov, e * np.array([[0, 1], [1, 2]])), np.ldexp(se, [0, e])
+    return FieldFitResult(nu=nu, q=q, cov=cov, rss=rss_y, n_iter=len(evals),
                           se_nu=float(se[0]), se_q=float(se[1]))
 
 
@@ -1025,7 +1035,8 @@ def select_profile_model(
     on a likelihood-ratio-style statistic (Gaussian errors assumed); lr_stat
     is None when the Kummer fit fails, as it does on decaying data (see
     `fit_field_nls`).  A runs test on the distance-ordered residuals is
-    reported alongside.  The fits are variable-projection searches, so the
+    reported alongside.  The amplitude and rss are in the units of y, 0 or
+    inf past the floats.  The fits are variable-projection searches, so the
     result is deterministic; seed is unused.
     """
     if geometry_hint not in ("cylindrical", "none"):
@@ -1034,42 +1045,25 @@ def select_profile_model(
     if r.size < 100:
         raise InsufficientDataError(f"model selection needs n >= 100, got {r.size}")
 
+    y, k_y = _unit_scaled(y)  # the fits' own scaling, so lr_stat does not depend on it
     if geometry_hint == "cylindrical":
-        fit = fit_field_nls(r, t, y, field_class="bessel")
-        return ProfileSelection(
-            model="bessel",
-            params={"nu": fit.nu, "amplitude": fit.q},
-            rss=fit.rss,
-            runs_z=None,
-            lr_stat=None,
-        )
-
-    gauss = fit_field_nls(r, t, y, field_class="gaussian")
-    m = gauss.q * _gaussian_model(r, t, gauss.nu)
-    order = np.argsort(r, kind="stable")
-    runs_z = _runs_z((y - m)[order])
-
-    try:
-        kum = fit_field_nls(r, t, y, field_class="kummer")
-        lr = r.size * math.log(gauss.rss / kum.rss) if kum.rss > 0 else math.inf
-    except (FitError, DataError):
-        kum, lr = None, -math.inf
-
-    if kum is not None and lr > CHI2_1_99:
-        return ProfileSelection(
-            model="kummer",
-            params={"nu": kum.nu, "c0": kum.q},
-            rss=kum.rss,
-            runs_z=runs_z,
-            lr_stat=lr,
-        )
-    return ProfileSelection(
-        model="gaussian",
-        params={"nu": gauss.nu, "q": gauss.q},
-        rss=gauss.rss,
-        runs_z=runs_z,
-        lr_stat=lr if kum is not None else None,
-    )
+        model, amplitude, fit = "bessel", "amplitude", fit_field_nls(r, t, y, "bessel")
+        runs_z = lr = None
+    else:
+        model, amplitude, fit = "gaussian", "q", fit_field_nls(r, t, y, "gaussian")
+        m = fit.q * _gaussian_model(r, t, fit.nu)
+        runs_z = _runs_z((y - m)[np.argsort(r, kind="stable")])
+        try:
+            kum = fit_field_nls(r, t, y, "kummer")
+            lr = r.size * math.log(fit.rss / kum.rss) if kum.rss > 0 else math.inf
+        except (FitError, DataError):
+            lr = None
+        if lr is not None and lr > CHI2_1_99:
+            model, amplitude, fit = "kummer", "c0", kum
+    with np.errstate(over="ignore"):  # inf past the floats
+        q, rss = float(np.ldexp(fit.q, -k_y)), float(np.ldexp(fit.rss, -2 * k_y))
+    return ProfileSelection(model=model, params={"nu": fit.nu, amplitude: q}, rss=rss,
+                            runs_z=runs_z, lr_stat=lr)
 
 
 def simulate_gaussian_field_sample(

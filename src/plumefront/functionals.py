@@ -135,12 +135,12 @@ def _field_scale(field, t: float) -> float:
     return 1.0
 
 
-def _zeroin(g, a: float, b: float) -> float:
+def _zeroin(g, a: float, b: float, xtol: float = 0.0) -> float:
     """A root of g in [a, b], g(a) > 0 >= g(b), by Brent's zeroin (Brent 1973,
     Algorithms for Minimization without Derivatives, ch. 4): inverse quadratic
     or secant steps that stay well inside the bracket, bisection otherwise.
     Returns the end b of the bracket [b, c] where |g| is smaller once
-    |c - b| <= 4 eps |b| or g(b) = 0.
+    |c - b| <= 4 eps |b| + xtol or g(b) = 0.
     """
     ga, gb = g(a), g(b)
     c, gc = a, ga
@@ -152,7 +152,7 @@ def _zeroin(g, a: float, b: float) -> float:
         if abs(gc) < abs(gb):
             a, b, c = b, c, b
             ga, gb, gc = gb, gc, gb
-        tol = 2.0 * sys.float_info.epsilon * max(abs(b), 1e-300)
+        tol = 2.0 * sys.float_info.epsilon * max(abs(b), 1e-300) + 0.5 * xtol
         m = 0.5 * (c - b)
         if abs(m) <= tol or gb == 0.0:
             break

@@ -30,6 +30,7 @@ from plumefront.estimation import (
     simulate_gaussian_field_sample,
     spearman_correlation,
 )
+from plumefront.functionals import _zeroin
 from plumefront.specfun import kummer_m
 
 
@@ -835,7 +836,7 @@ class TestFieldFitDomain:
         r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
         base = fit_field_nls(r, t, y)
         fit = fit_field_nls(r, t * scale, y)
-        # the golden sections stop at 1e-10 in log nu, on a shifted grid
+        # the root search stops at 1e-10 in log nu, on a shifted grid
         assert fit.nu * scale == pytest.approx(base.nu, rel=1e-8)
         assert fit.q == pytest.approx(base.q, rel=1e-8)
         assert fit.se_nu * scale == pytest.approx(base.se_nu, rel=1e-6)
@@ -920,11 +921,11 @@ class TestFieldFitUnits:
     power of two, which is exact, and gets nu and its standard error back."""
 
     @staticmethod
-    def _bessel_sample():
+    def _bessel_sample(seed=100):
         from plumefront.fields import BesselField, FieldParams
 
         field = BesselField(FieldParams(nu=0.8, q=1.0, dim=2, source_pos=(0.0, 0.0)), 0.7)
-        rng = np.random.default_rng(100)
+        rng = np.random.default_rng(seed)
         t = rng.choice([0.5, 1.0, 2.0], size=300)
         r = rng.uniform(0.1, 4.0, size=300)
         clean = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
@@ -947,6 +948,54 @@ class TestFieldFitUnits:
         assert fit.q == pytest.approx(base.q * (s ** 3 if field_class == "gaussian" else s * s),
                                       rel=1e-8)
 
+    @staticmethod
+    def _kummer_selection_sample():
+        from plumefront.fields import FieldParams, KummerField
+
+        field = KummerField([(1.0, 0)], FieldParams(nu=1.0, q=1.0))
+        rng = np.random.default_rng(0)
+        t = rng.choice([0.5, 1.0, 2.0], size=300)
+        r = rng.uniform(0.0, 0.5, size=300)
+        clean = np.array([field.value(float(a), float(b)) for a, b in zip(r, t)])
+        return r, t, clean + 1e-3 * rng.standard_normal(300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-160, 1e-155, 1e160, 1e300])
+    @pytest.mark.parametrize("field_class", ["gaussian", "bessel"])
+    def test_fit_does_not_depend_on_the_units_of_y(self, field_class, s):
+        # y is projected scaled by a power of two; q and rss read in the units of y
+        if field_class == "gaussian":
+            r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        else:
+            r, t, y = self._bessel_sample()
+        base = fit_field_nls(r, t, y, field_class=field_class)
+        fit = fit_field_nls(r, t, y * s, field_class=field_class)
+        assert abs(fit.nu - base.nu) <= 1e-9
+        assert fit.q / s == pytest.approx(base.q, rel=1e-8)
+        assert fit.se_nu == pytest.approx(base.se_nu, rel=1e-6)
+        # in the units of y: subnormal, or inf, past the floats
+        assert fit.rss == pytest.approx(base.rss * s * s, rel=1e-9, abs=1e-320)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-160, 1e-155, 1e160, 1e300])
+    @pytest.mark.parametrize("data", ["gaussian", "bessel", "kummer"])
+    def test_selection_does_not_depend_on_the_units_of_y(self, data, s):
+        hint = "cylindrical" if data == "bessel" else "none"
+        if data == "gaussian":
+            r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        else:
+            r, t, y = self._bessel_sample() if data == "bessel" else self._kummer_selection_sample()
+        base = select_profile_model(r, y, t, geometry_hint=hint)
+        sel = select_profile_model(r, y * s, t, geometry_hint=hint)
+        assert sel.model == base.model == data
+        assert abs(sel.params["nu"] - base.params["nu"]) <= 1e-9
+        amplitude = {"gaussian": "q", "bessel": "amplitude", "kummer": "c0"}[data]
+        assert sel.params[amplitude] / s == pytest.approx(base.params[amplitude], rel=1e-8)
+        if data == "kummer":
+            assert sel.lr_stat == pytest.approx(base.lr_stat, rel=1e-12)
+        else:
+            assert sel.lr_stat is base.lr_stat is None
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s", [1e60, 1e100])
     def test_amplitude_standard_error_is_a_float_where_its_variance_is_not(self, s):
@@ -959,53 +1008,75 @@ class TestFieldFitUnits:
 
 
 class TestFieldScanOracle:
-    """fit_field_nls scans log nu in blocks of rows, one model call per block;
-    a reference written here makes one call per log nu, with nu a float, and
-    gives bitwise the same fit, or the same FitError."""
+    """fit_field_nls scans log nu in blocks of rows, one model call per block,
+    and takes each slope of its root search from one call of three rows; a
+    reference written here makes one call per nu, with nu a float, and gives
+    bitwise the same fit, or the same FitError."""
 
     @staticmethod
     def _reference_fit(r, t, y, field_class):
-        """The fit by the per-point scan: (nu, q, rss, cov, n_iter) or the
-        FitError message, and the number of rows whose top overflows and of
-        rows that g was scaled by a power of two for."""
+        """The fit by the per-point search, each slope from three model calls
+        with nu a float: (nu, q, rss, cov, n_iter) or the FitError message,
+        and the number of rows whose top overflows and of rows that g was
+        scaled by a power of two for."""
         model = estimation._MODELS[field_class]
-        evals, counts = [], {"inf": 0, "scaled": 0}
+        k = -math.frexp(float(np.max(np.abs(y))))[1]
+        y = np.ldexp(y, k)
+        evals, slopes, counts = [], {}, {"inf": 0, "scaled": 0}
 
-        def rss_at(log_nu):
+        def row(nu):
             with np.errstate(over="ignore", invalid="ignore"):
-                g = model(r, t, math.exp(log_nu))
-                counts["inf"] += bool(np.isinf(g).all())
-                g, gg, scale = estimation._normal_scaled(g)
+                g = model(r, t, nu)
+            counts["inf"] += bool(np.isinf(g).all())
+            return g
+
+        def project(log_nu):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g, gg, scale = estimation._normal_scaled(row(math.exp(log_nu)))
             counts["scaled"] += scale != 0
-            amp, rss = math.nan, math.inf
+            amp, rss, res = math.nan, math.inf, None
             if 0.0 < gg < math.inf:
                 amp = float(g @ y) / gg
                 res = y - amp * g
                 rss = float(res @ res)
-                if scale:
-                    with np.errstate(over="ignore"):
-                        amp = float(np.ldexp(amp, scale))
-            evals.append((rss, log_nu, amp))
-            return rss
+            evals.append((rss, log_nu, amp, scale))
+            return amp, g, res
+
+        def slope(log_nu):
+            if log_nu not in slopes:
+                nu = math.exp(log_nu)
+                up, down = row(nu * (1.0 + 1e-6)), row(nu * (1.0 - 1e-6))
+                amp, g, res = project(log_nu)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diff = np.ldexp(up - down, evals[-1][3])
+                    jac = np.column_stack([amp / (2e-6 * nu) * diff, g])
+                    s = -amp * float(diff @ res) if res is not None else math.nan
+                if not math.isfinite(s):
+                    s = math.copysign(math.inf, log_nu - grid[i])
+                slopes[log_nu] = (s, evals[-1], jac.T @ jac)
+            return slopes[log_nu][0]
 
         half = estimation.SCAN_HALF_WIDTH
-        grid = estimation._scan_centre(r, t) + np.linspace(-half, half, 49)
-        i = int(np.argmin([rss_at(x) for x in grid]))
+        grid = (estimation._scan_centre(r, t) + np.linspace(-half, half, 49)).tolist()
+        for x in grid:
+            project(x)
+        i = int(np.argmin([e[0] for e in evals]))
         if 0 < i < 48:
-            estimation._golden_section(rss_at, grid[i - 1], grid[i + 1])
-        rss, log_nu, amp = min(evals)
+            assert slope(grid[i - 1]) <= 0.0 < slope(grid[i + 1])
+            _, (rss, log_nu, amp, scale), jtj = slopes[_zeroin(slope, grid[i + 1], grid[i - 1],
+                                                               1e-10)]
+        else:
+            rss, log_nu, amp, scale = min(evals)
         nu = math.exp(log_nu)
+        with np.errstate(over="ignore"):
+            q, rss_y = float(np.ldexp(amp, scale - k)), float(np.ldexp(rss, -2 * k))
         if not (0 < i < 48 and math.isfinite(rss) and 0 < amp < math.inf):
             return (f"{field_class} field fit failed at nu={nu:.6e} (scan edge: {not 0 < i < 48}), "
-                    f"rss={rss:.6e}, amplitude={amp:.6e}"), counts
-        dg = (model(r, t, nu * (1.0 + 1e-6)) - model(r, t, nu * (1.0 - 1e-6))) / (2e-6 * nu)
-        g, _, scale = estimation._normal_scaled(model(r, t, nu))
-        jac = np.column_stack([amp * dg, g])
-        cov = rss / (r.size - 2) * np.linalg.inv(jac.T @ jac)
-        if scale:
-            with np.errstate(over="ignore"):
-                cov = np.ldexp(cov, scale * np.array([[0, 1], [1, 2]]))
-        return (nu, amp, rss, cov.tobytes(), len(evals)), counts
+                    f"rss={rss_y:.6e}, amplitude={q:.6e}"), counts
+        cov = rss / (r.size - 2) * np.linalg.inv(jtj)
+        with np.errstate(over="ignore"):
+            cov = np.ldexp(cov, (scale - k) * np.array([[0, 1], [1, 2]]))
+        return (nu, q, rss_y, cov.tobytes(), len(evals)), counts
 
     @staticmethod
     def _sample(kind):
@@ -1052,12 +1123,102 @@ class TestFieldScanOracle:
 
         monkeypatch.setitem(estimation._MODELS, "gaussian", spy)
         fit = fit_field_nls(r, t, y)
-        # the scan, each golden section, and nu(1 +- 1e-6) with nu for cov
-        assert shapes == [(49, 1)] + [(1, 1)] * (fit.n_iter - 49) + [(3, 1)]
+        # the scan, then nu (1 +- 1e-6) with nu for each slope of the root search
+        assert shapes == [(49, 1)] + [(3, 1)] * (fit.n_iter - 49)
         monkeypatch.setattr(estimation, "_SCAN_BLOCK", 300 * 20)
         shapes.clear()
         fit_field_nls(r, t, y)
         assert shapes[:3] == [(20, 1), (20, 1), (9, 1)]
+
+
+class TestFieldRootSearch:
+    """The root of the rss slope against the least rss of a dense scan and
+    golden sections, on the data of the benchmark's profile fits, and the
+    search's edge cases."""
+
+    @staticmethod
+    def _golden_log_nu(r, t, y, field_class):
+        """log nu at the least rss, amplitude projected out: 481 points of log
+        median r^2 / 4t +- 12, then golden sections to 1e-12 in the best cell."""
+        model = estimation._MODELS[field_class]
+
+        def rss(x):
+            g = model(r, t, math.exp(x))
+            res = y - (g @ y) / (g @ g) * g
+            return float(res @ res)
+
+        xs = math.log(np.median(r * r / (4.0 * t))) + np.linspace(-12.0, 12.0, 481)
+        i = int(np.argmin([rss(x) for x in xs]))
+        a, b = xs[i - 1], xs[i + 1]
+        w = 0.5 * (math.sqrt(5.0) - 1.0)
+        c, d = b - w * (b - a), a + w * (b - a)
+        fc, fd = rss(c), rss(d)
+        while b - a > 1e-12:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - w * (b - a)
+                fc = rss(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + w * (b - a)
+                fd = rss(d)
+        return 0.5 * (a + b)
+
+    @pytest.mark.parametrize("field_class, seed", [("gaussian", s) for s in range(12)]
+                             + [("bessel", s) for s in range(100, 105)])
+    def test_root_is_the_least_rss_within_a_few_evaluations(self, field_class, seed):
+        if field_class == "gaussian":
+            r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed)
+        else:
+            r, t, y = TestFieldFitUnits._bessel_sample(seed)
+        fit = fit_field_nls(r, t, y, field_class=field_class)
+        assert abs(fit.nu - math.exp(self._golden_log_nu(r, t, y, field_class))) <= 1e-8
+        assert fit.n_iter <= 49 + 14
+
+    @staticmethod
+    def _best_cell(r, t, y):
+        """The scan's log nu grid and the index of its least rss."""
+        half = estimation.SCAN_HALF_WIDTH
+        grid = estimation._scan_centre(r, t) + np.linspace(-half, half, 49)
+        rows = estimation._gaussian_model(r, t, np.exp(grid)[:, None])
+        res = [y - (g @ y) / (g @ g) * g for g in rows]
+        return grid, int(np.argmin([float(e @ e) for e in res]))
+
+    def test_slope_without_a_sign_change_is_fit_error(self, monkeypatch):
+        # a bump in log nu just below the best cell's lower end, far from the
+        # least rss, turns the rss up there: both ends of the cell have a rising rss
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        grid, i = self._best_cell(r, t, y)
+        bottom = grid[i - 1] - 0.05
+
+        def bumped(r, t, nu):
+            log_nu = np.log(nu)
+            bump = 0.2 * np.exp(-0.5 * ((log_nu - bottom) / 0.05) ** 2)
+            return estimation._gaussian_model(r, t, np.exp(log_nu + bump))
+
+        monkeypatch.setitem(estimation._MODELS, "gaussian", bumped)
+        with pytest.raises(FitError) as err:
+            fit_field_nls(r, t, y)
+        assert str(err.value) == ("gaussian field fit: the rss slope does not change sign across "
+                                  f"the best scan cell, nu = {math.exp(grid[i - 1]):.6e} to "
+                                  f"{math.exp(grid[i + 1]):.6e}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_inf_end_row_counts_as_a_rising_rss(self, monkeypatch):
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        base = fit_field_nls(r, t, y)
+        grid, i = self._best_cell(r, t, y)
+        cut, inf_rows = math.exp(grid[i - 1] + 0.1), []
+
+        def overflowing(r, t, nu):
+            g = np.where(nu < cut, math.inf, estimation._gaussian_model(r, t, nu))
+            inf_rows.extend(np.isinf(g).all(axis=-1).reshape(-1).tolist())
+            return g
+
+        monkeypatch.setitem(estimation._MODELS, "gaussian", overflowing)
+        fit = fit_field_nls(r, t, y)
+        assert sum(inf_rows[:49]) == i  # every scan row up to the cell's lower end
+        assert abs(fit.nu - base.nu) <= 1e-9 and fit.n_iter <= 49 + 14
 
 
 class TestKummerSelection:

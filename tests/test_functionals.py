@@ -220,6 +220,36 @@ def test_gaussian_boundary_functionals_match_closed_forms(nu, t, eps):
                                                                        rel=1e-7)
 
 
+class TestZeroin:
+    # roots of the zeroin without an absolute tolerance, which every boundary uses
+    CASES = [
+        (lambda x: 2.0 - x * x, 0.0, 2.0, "0x1.6a09e667f3bccp+0"),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, "0x1.7a695dd83ce2ep-1"),
+        (lambda x: math.exp(-x) - 1e-3, 0.0, 50.0, "0x1.ba18a998fffa1p+2"),
+        (lambda x: 1e-300 - x**3, 0.0, 1e-90, "0x1.bff2ee48e0530p-333"),
+        (lambda x: 1.0 / (x + 1e-3) - 7.0, 0.0, 1e3, "0x1.2285ff6a3413ep-3"),
+    ]
+
+    @pytest.mark.parametrize("g, a, b, root", CASES)
+    def test_default_tolerance_keeps_the_relative_rule_bitwise(self, g, a, b, root):
+        assert functionals._zeroin(g, a, b).hex() == root
+        assert functionals._zeroin(g, a, b, 0.0).hex() == root
+
+    def test_absolute_tolerance_stops_near_zero(self):
+        # a triple root at 0: the relative rule alone chases it for its 200 steps
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return -x**3
+
+        loose = functionals._zeroin(g, -1.0, 0.5, 1e-10)
+        n_loose, calls[:] = len(calls), []
+        tight = functionals._zeroin(g, -1.0, 0.5)
+        assert abs(loose) <= 1e-10 and abs(tight) <= 1e-19
+        assert n_loose <= 110 and len(calls) == 202
+
+
 def _absolute_gaussian_root(tau_min, t):
     """(d*, L) of the unit Gaussian at an absolute threshold: d*^2 = 4 t L."""
     log_term = math.log(1.0 / tau_min) - 1.5 * math.log(4.0 * math.pi * t)
