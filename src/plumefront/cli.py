@@ -39,12 +39,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(values) -> list[str]:
-    """`_fmt` of every value, with the formatter picked once for the column."""
+def _format_column(values, delimiter) -> list[str]:
+    """`_fmt` of every value, with the formatter picked once for the column.
+    Fields that hold the delimiter, a quote or a line break are quoted, their
+    quotes doubled, as csv.QUOTE_MINIMAL writes them.  A float's .10g text
+    holds none, so only other columns are searched, once on their joined text."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return [f"{v:.10g}" for v in values]
-    return values if kinds == {str} else list(map(_fmt, values))
+    cells = values if kinds == {str} else list(map(_fmt, values))
+    special, joined = (delimiter, '"', "\r", "\n"), "".join(cells)
+    if any(c in joined for c in special):
+        cells = ['"' + c.replace('"', '""') + '"' if any(x in c for x in special) else c
+                 for c in cells]
+    return cells
 
 
 def _table(names, rows) -> dict:
@@ -65,7 +73,7 @@ def _write_table(table, out, fmt, delimiter=","):
         payload = [dict(zip(table, row)) for row in zip(*table.values())]
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     else:
-        cells = zip(*map(_format_column, table.values()))
+        cells = zip(*(_format_column(values, delimiter) for values in table.values()))
         text = "\n".join([delimiter.join(table), *map(delimiter.join, cells)]) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:

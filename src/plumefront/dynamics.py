@@ -105,9 +105,12 @@ def steady_state_boundary(nu: float, lam: float, q0: float, tau_min: float) -> f
 
     Returns None when the logarithm's argument is <= 1, i.e. the threshold
     exceeds the entire steady profile and no positive boundary exists.
+    DomainError names the first argument that is not finite and > 0.
     """
-    if not nu > 0 or not lam > 0 or not q0 > 0 or not tau_min > 0:
-        raise DomainError("steady_state_boundary requires nu, lam, q0, tau_min > 0")
+    for name, value in (("nu", nu), ("lam", lam), ("q0", q0), ("tau_min", tau_min)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"steady_state_boundary requires nu, lam, q0, tau_min > 0 and "
+                              f"finite, got {name}={value}")
     length = math.sqrt(nu / lam)
     arg = q0 / (lam * length * tau_min)
     if arg <= 1.0:
@@ -128,16 +131,17 @@ def adiabatic_boundary(
                 grows with int_0^t nu (Carslaw and Jaeger 1959)
 
     first_order expands exact, not integrated: against integrated it is off
-    by 2.5% at alpha t = 0.1.
+    by 2.5% at alpha t = 0.1.  DomainError names an argument that is not
+    finite or outside its range.
     """
-    if not nu0 > 0:
-        raise DomainError(f"nu0 must be > 0, got {nu0}")
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0 < nu0 < math.inf:
+        raise DomainError(f"nu0 must be > 0 and finite, got {nu0}")
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be >= 0 and finite, got {alpha}")
     if not 0 < eps_threshold < 1:
         raise DomainError(f"eps_threshold must be in (0,1), got {eps_threshold}")
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be >= 0 and finite, got {t}")
     log_term = math.log(1.0 / (1.0 - eps_threshold))
     base = 2.0 * math.sqrt(nu0 * t * log_term)
     exact = 2.0 * math.sqrt(nu0 * (1.0 + alpha * t) * t * log_term)

@@ -164,8 +164,13 @@ def boundary_from_kappa(kappa: float, se: float) -> tuple[float | None, tuple[fl
     """10%-decay boundary ln(10)/kappa with delta-method 95% interval.
 
     The half-width is 1.96 ln(10) se / kappa^2; no boundary is implied for
-    kappa <= 0.
+    kappa <= 0.  DomainError for a kappa that is not finite or an se that is
+    negative or not finite.
     """
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa must be finite, got {kappa}")
+    if not 0 <= se < math.inf:
+        raise DomainError(f"se must be >= 0 and finite, got {se}")
     if kappa <= 0:
         return None, None
     d_star = LN10 / kappa
@@ -821,18 +826,18 @@ def _bessel_model(r, t, nu):
 def _kummer_model(r, t, nu):
     """M(1/2, 1, z) / t, z = r^2 / 4 nu t, as e^x I0(x) / t, x = z/2 (DLMF
     13.6.9), with numpy's I0: one row for a float nu, one per nu of a
-    column.  A row is all inf when its value at its largest z squares to
-    inf.  M grows with z, so then g.g overflows whatever the other points
-    give, and the row's rss is inf.  Each row's largest z goes through one
-    scalar kummer_m call, which gives inf past the floats without a
-    floating-point overflow; only the other rows are evaluated, in one
-    array call, so no overflow is ever computed."""
+    column.  A row is all inf when its value at its largest z is inf, past
+    the floats, so the fit gives it rss inf; a row whose values are finite
+    stays in, and the fit scales it where g.g overflows.  Each row's largest
+    z goes through one scalar kummer_m call, which gives inf past the floats
+    without a floating-point overflow; only the other rows are evaluated, in
+    one array call."""
     z = r * r / (4.0 * nu * t)
     rows = z.reshape(-1, r.size)
     keep = []
     for z_top, t_top in zip(rows.max(axis=1).tolist(), t[np.argmax(rows, axis=1)].tolist()):
         g_top = kummer_m(0.5, 1.0, z_top).value / t_top
-        keep.append(g_top * g_top != math.inf)
+        keep.append(g_top != math.inf)
     keep = np.array(keep)
     out = np.full(rows.shape, math.inf)
     x = 0.5 * rows[keep]
@@ -864,22 +869,10 @@ def _scan_centre(r, t) -> float:
     return centre
 
 
-def _normal_scaled(g):
-    """(g 2^k, its g.g, k): k = 0 unless g.g is below the normal floats, as
-    when r and t are in units that make every profile value tiny; then k
-    brings max |g| into [0.5, 1), and scaling by it is exact."""
-    gg = float(g @ g)
-    if not gg < sys.float_info.min:
-        return g, gg, 0
-    scale = -math.frexp(float(np.max(np.abs(g))))[1]
-    g = np.ldexp(g, scale)
-    return g, float(g @ g), scale
-
-
 def _unit_scaled(y):
     """(y 2^k, k) with max |y| 2^k in [0.5, 1), k = 0 for y = 0: exact, so
     the fits' sums of squares stay normal floats whatever the units of y."""
-    k = -math.frexp(float(np.max(np.abs(y))))[1]
+    k = -math.frexp(float(np.abs(y).max()))[1]
     return np.ldexp(y, k), k
 
 
@@ -899,22 +892,23 @@ def fit_field_nls(
     whose central difference is dg/dnu; each row's g.y and res.res stay
     separate dot products, so the fit is that of one call per nu, bitwise.
     An rss of inf counts as rising away from the scan's best point.  cov =
-    sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], from the root's rows.  y is
-    projected scaled by a power of two, and so is g where g.g underflows the
-    normal floats, as with distances x s and times x s^2; both are exact, so
-    nu and se_nu do not depend on the units.  q, se_q, cov and rss are in the
-    units of y and g: past the floats they read 0 or inf (se_q comes from the
-    scaled cov, so it is finite where cov[1, 1] is not).  FitError when the
-    minimum is on the scan edge, the slope does not change sign across the
-    best cell, the rss is not finite, the amplitude is not positive or J'J is
-    singular at the root: the single-term Kummer profile grows with r, so on
-    decaying data its least squares lie at nu -> infinity.  A Kummer row is
-    M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF 13.6.9), z = r^2 / 4 nu t,
-    with numpy's I0; one whose value at the largest z (one scalar kummer_m
-    call per row) squares to inf has rss inf without its other points being
-    evaluated; n_iter still counts it.  A Bessel row is K0(r / 2 sqrt(nu t))
-    / t with scipy.special.k0, imported on the first Bessel fit.  The fit is
-    deterministic; seed is unused.
+    sigma^2 (J'J)^-1, J = [amplitude dg/dnu, g], from the root's rows.  One
+    range rule decides every row: y, and each row g whose g.g is not a normal
+    float, is projected scaled by the power of two that takes its max |.|
+    into [0.5, 1) (_unit_scaled), and a row has rss inf only where its own
+    values leave the floats.  The scalings are exact, so nu and se_nu do not
+    depend on the units of y, nor on distances x s with times x s^2; q, se_q,
+    cov and rss are in the units of y and g, 0 or inf past the floats.
+    FitError when the minimum is on the scan edge, the slope does not change
+    sign across the best cell, the rss is not finite, the amplitude is not
+    positive or J'J is singular at the root: the single-term Kummer profile
+    grows with r, so on decaying data its least squares lie at nu ->
+    infinity.  A Kummer row is M(1/2, 1, z) / t = e^(z/2) I0(z/2) / t (DLMF
+    13.6.9), z = r^2 / 4 nu t, with numpy's I0; one whose value at its
+    largest z (one scalar kummer_m call per row) is inf has rss inf without
+    its other points being evaluated; n_iter still counts it.  A Bessel row
+    is K0(r / 2 sqrt(nu t)) / t with scipy.special.k0, imported on the first
+    Bessel fit.  The fit is deterministic; seed is unused.
 
     Domain: distances >= 0 (> 0 for Bessel), times > 0, some distance
     nonzero.  Every nonzero r^2 / 4t, the scanned nu and nu^2 (the scale of
@@ -949,9 +943,12 @@ def fit_field_nls(
     slopes = {}  # log nu -> (slope, its evaluation, J'J) of every slope
 
     def project(log_nu, g):
-        """(amplitude, g, residuals) of one row, g scaled by _normal_scaled;
-        the evaluation joins evals."""
-        g, gg, scale = _normal_scaled(g)
+        """(amplitude, g, residuals) of one row, which joins evals: g is scaled by
+        _unit_scaled where g.g is not a normal float; rss is inf where g leaves the floats."""
+        gg, scale = float(g @ g), 0
+        if not sys.float_info.min <= gg < math.inf:
+            g, scale = _unit_scaled(g)
+            gg = float(g @ g)
         amp, rss, res = math.nan, math.inf, None
         if 0.0 < gg < math.inf:
             # from the residuals: sum y^2 - (g.y)^2 / g.g cancels on noiseless data
@@ -978,7 +975,7 @@ def fit_field_nls(
 
     grid = (centre + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 49)).tolist()
     per_block = max(1, _SCAN_BLOCK // r.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows get rss inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # such rows get rss inf
         for start in range(0, len(grid), per_block):
             block = grid[start : start + per_block]
             for log_nu, g in zip(block, model(r, t, np.array([[math.exp(x)] for x in block]))):

@@ -499,6 +499,60 @@ class TestIngestCommand:
         assert len(lines) == 13  # header + 12 kept months
         assert all(line.split(",")[4] == "big" for line in lines[1:])
 
+    @staticmethod
+    def _round_trip(tmp_path, capsys, source_id, delimiter):
+        """ingest with one source named source_id and observations delimited by
+        delimiter, then estimate on its output: (the rows csv reads back from
+        the ingest output, the estimate output)."""
+        import csv
+
+        src, obs, sample = (tmp_path / name for name in ("sources.csv", "obs.txt", "out.csv"))
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("id", "lat", "lon", "capacity_mw"),
+                                      (source_id, 30, -95, 500)])
+        rows = [("lat", "lon", "period", "outcome")]
+        rows += [(30 + 0.1 * k, -95, f"2019-{m:02d}", math.exp(-0.1 * k) + 0.01 * (m % 3))
+                 for k in range(1, 16) for m in range(1, 13)]
+        obs.write_text("".join(delimiter.join(map(str, row)) + "\n" for row in rows))
+        code, _, _ = run_cli(["ingest", "--sources", str(src), "--observations", str(obs),
+                              "--out", str(sample)], capsys)
+        assert code == 0
+        with open(sample, newline="", encoding="utf-8") as fh:
+            read = list(csv.DictReader(fh, delimiter=delimiter))
+        code, out, err = run_cli(["estimate", "--input", str(sample)], capsys)
+        assert (code, err.count("error")) == (0, 0)
+        return read, out
+
+    @pytest.mark.parametrize("delimiter, source_id", [
+        (",", "Plant, Unit 1"), ("\t", "Plant\tUnit 1"), (",", '"A" plant'), ("\t", '"A" plant'),
+    ], ids=["comma", "tab", "leading-quote", "leading-quote-tab"])
+    def test_ids_that_need_quotes_survive_a_round_trip(self, tmp_path, capsys, delimiter,
+                                                       source_id):
+        read, out = self._round_trip(tmp_path, capsys, source_id, delimiter)
+        plain_read, plain_out = self._round_trip(tmp_path, capsys, "plain", delimiter)
+        assert len(read) == 180 and {row["nearest_source_id"] for row in read} == {source_id}
+        assert [row["distance_km"] for row in read] == [row["distance_km"] for row in plain_read]
+        assert out == plain_out
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_fields_are_quoted_as_csv_quotes_them(self, tmp_path, delimiter):
+        import csv
+        import io
+
+        from plumefront.cli import _write_table
+
+        ids = ["a", "a,b", 'a"b', '"A" plant', "a\tb", "a\nb", "a\rb", " a", "", "none"]
+        xs = [0.1 * i for i in range(len(ids))]
+        _write_table({"id": ids, "x": xs, "n": list(range(len(ids)))}, tmp_path / "t.csv",
+                     "csv", delimiter)
+        lines = []
+        rows = [(a, f"{x:.10g}", n) for n, (a, x) in enumerate(zip(ids, xs))]
+        for row in [("id", "x", "n")] + rows:
+            buf = io.StringIO()  # csv's own dialect, whose line end "\r\n" quotes "\r" too
+            csv.writer(buf, delimiter=delimiter).writerow(row)
+            lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+        assert (tmp_path / "t.csv").read_bytes().decode() == "".join(lines)
+
 
 class TestFunctionalArguments:
     @pytest.mark.parametrize("argv", [

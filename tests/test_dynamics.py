@@ -215,6 +215,14 @@ class TestSteadyStateBoundary:
         with pytest.raises(DomainError, match="nu, lam, q0, tau_min > 0"):
             steady_state_boundary(*args)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("position, name", enumerate(["nu", "lam", "q0", "tau_min"]))
+    def test_non_finite_argument_rejected(self, position, name, value):
+        args = [1.0, 1.0, 1.0, 1e-3]
+        args[position] = value
+        with pytest.raises(DomainError, match=f"> 0 and finite, got {name}={value}"):
+            steady_state_boundary(*args)
+
     def test_constructed_identity(self):
         # nu = lam = tau_min = 1, q0 = e makes the log argument e
         assert steady_state_boundary(1.0, 1.0, math.e, 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -279,6 +287,14 @@ class TestAdiabaticBoundary:
     def test_bad_argument_rejected(self, nu0, alpha, eps, t, message):
         with pytest.raises(DomainError, match=message):
             adiabatic_boundary(nu0, alpha, eps, t)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("position, name", enumerate(["nu0", "alpha", "eps_threshold", "t"]))
+    def test_non_finite_argument_rejected(self, position, name, value):
+        args = [1.0, 0.1, 0.1, 1.0]
+        args[position] = value
+        with pytest.raises(DomainError, match=f"^{name} must be .*, got {value}$"):
+            adiabatic_boundary(*args)
 
     def test_reduces_to_static_case(self):
         res = adiabatic_boundary(1.0, 0.0, 0.1, 4.0)

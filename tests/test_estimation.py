@@ -3,6 +3,7 @@ boundary detection."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestFitLoglinear:
         assert d_star == pytest.approx(571.6, abs=0.1)
         half = 0.5 * (ci[1] - ci[0])
         assert half / 1.96 == pytest.approx(1.703, abs=0.01)
+
+    @pytest.mark.parametrize("kappa, se, message", [
+        (math.nan, 0.1, "kappa must be finite, got nan"),
+        (math.inf, 0.1, "kappa must be finite, got inf"),
+        (-math.inf, 0.1, "kappa must be finite, got -inf"),
+        (0.1, math.nan, "se must be >= 0 and finite, got nan"),
+        (0.1, math.inf, "se must be >= 0 and finite, got inf"),
+        (0.1, -1e-3, "se must be >= 0 and finite, got -0.001"),
+        (-0.1, math.nan, "se must be >= 0 and finite, got nan"),
+    ])
+    def test_boundary_from_kappa_rejects_bad_arguments(self, kappa, se, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            boundary_from_kappa(kappa, se)
 
     def test_no_boundary_for_rising_outcome(self):
         d = np.arange(1.0, 51.0)
@@ -777,8 +791,8 @@ class TestFieldNls:
             fit_field_nls(r, t, y, field_class="kummer")
         assert str(err.value) == ("kummer field fit failed at nu=3.531417e+05 (scan edge: True), "
                                   "rss=4.065522e-02, amplitude=6.117900e-03")
-        # all 49 scan points are evaluated and counted, 17 of them skipped as overflowing
-        assert len(rows) == 49 and sum(rows) == 17
+        # all 49 scan points are evaluated and counted, the 15 whose top leaves the floats skipped
+        assert len(rows) == 49 and sum(rows) == 15
 
     def test_singular_jacobian_is_fit_error(self, monkeypatch):
         def singular(a):
@@ -896,8 +910,8 @@ class TestSelectProfileModel:
 
     def test_unhinted_selection_kummer_m_call_budget(self, monkeypatch):
         # The Kummer fit fails on this decaying sample after its 49-row scan.  Each
-        # row makes one scalar call, at its largest z: 17 rows overflow there and
-        # are skipped, and numpy evaluates the other 32 in one call.  The
+        # row makes one scalar call, at its largest z: 15 rows overflow there and
+        # are skipped, and numpy evaluates the other 34 in one call.  The
         # benchmark's tracer patches this global.
         r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
         calls = []
@@ -917,8 +931,9 @@ class TestSelectProfileModel:
 
 class TestFieldFitUnits:
     """Distances x s and times x s^2 leave r^2 / 4t, and so nu, unchanged, while
-    every profile value shrinks until g.g underflows; the fit scales g by a
-    power of two, which is exact, and gets nu and its standard error back."""
+    every profile value shrinks (s > 1) or grows (s < 1) until g.g leaves the
+    normal floats; the fit scales such a row by a power of two, which is
+    exact, and gets nu and its standard error back."""
 
     @staticmethod
     def _bessel_sample(seed=100):
@@ -934,12 +949,16 @@ class TestFieldFitUnits:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("field_class, s", [
         ("gaussian", 1e60), ("gaussian", 1e100), ("bessel", 1e100), ("bessel", 1e140),
+        # g.g overflows near the least rss
+        ("gaussian", 1e-52), ("gaussian", 1e-60), ("gaussian", 1e-100), ("bessel", 1e-100),
+        ("bessel", 1e-150), ("kummer", 1e-100), ("kummer", 1e100),
     ])
     def test_fit_does_not_depend_on_units(self, field_class, s):
         if field_class == "gaussian":
             r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
         else:
-            r, t, y = self._bessel_sample()
+            r, t, y = self._bessel_sample() if field_class == "bessel" else \
+                self._kummer_selection_sample()
         base = fit_field_nls(r, t, y, field_class=field_class)
         fit = fit_field_nls(r * s, t * s * s, y, field_class=field_class)
         assert abs(fit.nu - base.nu) <= 1e-9
@@ -997,6 +1016,36 @@ class TestFieldFitUnits:
             assert sel.lr_stat is base.lr_stat is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-100, 1e-60, 1e-52, 1e60, 1e100])
+    @pytest.mark.parametrize("data", ["gaussian", "bessel", "kummer"])
+    def test_selection_does_not_depend_on_the_units(self, data, s):
+        hint = "cylindrical" if data == "bessel" else "none"
+        if data == "gaussian":
+            r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        else:
+            r, t, y = self._bessel_sample() if data == "bessel" else self._kummer_selection_sample()
+        base = select_profile_model(r, y, t, geometry_hint=hint)
+        sel = select_profile_model(r * s, y, t * s * s, geometry_hint=hint)
+        assert sel.model == base.model == data
+        assert abs(sel.params["nu"] - base.params["nu"]) <= 1e-9
+        amplitude, power = {"gaussian": ("q", 3), "bessel": ("amplitude", 2),
+                            "kummer": ("c0", 2)}[data]
+        assert sel.params[amplitude] / s ** power == pytest.approx(base.params[amplitude],
+                                                                  rel=1e-8)
+        if data == "kummer":
+            assert sel.lr_stat == pytest.approx(base.lr_stat, rel=1e-12)
+        else:
+            assert sel.lr_stat is base.lr_stat is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normaliser_that_underflows_is_fit_error(self):
+        # at distances x 1e-150 and times x 1e-300, (4 pi nu t)^1.5 underflows to 0
+        # on every scan row, so every row leaves the floats: no divide warning
+        r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
+        with pytest.raises(FitError, match=r"\(scan edge: True\), rss=inf, amplitude=nan"):
+            fit_field_nls(r * 1e-150, t * 1e-300, y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s", [1e60, 1e100])
     def test_amplitude_standard_error_is_a_float_where_its_variance_is_not(self, s):
         # se_q is near 1.5e178 and 1.5e298, so cov[1, 1] = se_q^2 overflows to inf
@@ -1017,22 +1066,27 @@ class TestFieldScanOracle:
     def _reference_fit(r, t, y, field_class):
         """The fit by the per-point search, each slope from three model calls
         with nu a float: (nu, q, rss, cov, n_iter) or the FitError message,
-        and the number of rows whose top overflows and of rows that g was
-        scaled by a power of two for."""
+        and the number of rows whose top overflows and of rows scaled by a
+        power of two because their g.g is not a normal float."""
         model = estimation._MODELS[field_class]
         k = -math.frexp(float(np.max(np.abs(y))))[1]
         y = np.ldexp(y, k)
         evals, slopes, counts = [], {}, {"inf": 0, "scaled": 0}
 
         def row(nu):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 g = model(r, t, nu)
             counts["inf"] += bool(np.isinf(g).all())
             return g
 
         def project(log_nu):
+            g, scale = row(math.exp(log_nu)), 0
             with np.errstate(over="ignore", invalid="ignore"):
-                g, gg, scale = estimation._normal_scaled(row(math.exp(log_nu)))
+                gg = float(g @ g)
+                if not sys.float_info.min <= gg < math.inf:
+                    scale = -math.frexp(float(np.max(np.abs(g))))[1]
+                    g = np.ldexp(g, scale)
+                    gg = float(g @ g)
             counts["scaled"] += scale != 0
             amp, rss, res = math.nan, math.inf, None
             if 0.0 < gg < math.inf:
@@ -1093,6 +1147,8 @@ class TestFieldScanOracle:
         ("gaussian", "gaussian", 1.0), ("gaussian", "gaussian", 1e60),
         ("gaussian", "gaussian", 1e100), ("bessel", "bessel", 1.0), ("bessel", "bessel", 1e100),
         ("bessel", "bessel", 1e140),
+        # the small units, where g.g overflows near the least rss
+        ("gaussian", "gaussian", 1e-60), ("bessel", "bessel", 1e-100),
         # Kummer rows whose top overflows, in a fit and in the failure on decaying data
         ("kummer", "kummer", 1.0), ("kummer", "gaussian", 1.0),
     ])
@@ -1101,7 +1157,8 @@ class TestFieldScanOracle:
         r, t, y = self._sample(data)
         r, t = r * s, t * s * s
         want, counts = self._reference_fit(r, t, y, field_class)
-        assert (counts["scaled"] > 0) == (s > 1.0)
+        # at unit scale only Kummer rows (two in each fit here) have g.g past the floats
+        assert (counts["scaled"] > 0) == (s != 1.0 or field_class == "kummer")
         assert (counts["inf"] > 0) == (field_class == "kummer")
         if one_row_blocks:
             monkeypatch.setattr(estimation, "_SCAN_BLOCK", 1)
