@@ -111,7 +111,7 @@ def steady_state_boundary(nu: float, lam: float, q0: float, tau_min: float) -> f
         if not 0 < value < math.inf:
             raise DomainError(f"steady_state_boundary requires nu, lam, q0, tau_min > 0 and "
                               f"finite, got {name}={value}")
-    length = math.sqrt(nu / lam)
+    length = math.sqrt(nu) / math.sqrt(lam)  # nu / lam alone may leave the floats
     arg = q0 / (lam * length * tau_min)
     if arg <= 1.0:
         return None

@@ -163,9 +163,9 @@ def _check_varies(d, y):
 def boundary_from_kappa(kappa: float, se: float) -> tuple[float | None, tuple[float, float] | None]:
     """10%-decay boundary ln(10)/kappa with delta-method 95% interval.
 
-    The half-width is 1.96 ln(10) se / kappa^2; no boundary is implied for
-    kappa <= 0.  DomainError for a kappa that is not finite or an se that is
-    negative or not finite.
+    The half-width is 1.96 ln(10) se / kappa^2, inf where that overflows; no
+    boundary is implied for kappa <= 0.  DomainError for a kappa that is not
+    finite or an se that is negative or not finite.
     """
     if not math.isfinite(kappa):
         raise DomainError(f"kappa must be finite, got {kappa}")
@@ -174,7 +174,7 @@ def boundary_from_kappa(kappa: float, se: float) -> tuple[float | None, tuple[fl
     if kappa <= 0:
         return None, None
     d_star = LN10 / kappa
-    half = Z95 * LN10 * se / (kappa * kappa)
+    half = Z95 * LN10 * se / kappa / kappa  # kappa * kappa may underflow to 0
     return d_star, (d_star - half, d_star + half)
 
 
@@ -812,8 +812,21 @@ def regional_heterogeneity(distances, outcomes, split_distance: float) -> Region
 # (r, t), or as a column of nu values, giving one row per nu.
 
 
+def _gaussian_normaliser(t, nu):
+    return (4.0 * math.pi * nu * t) ** 1.5
+
+
 def _gaussian_model(r, t, nu):
-    return np.exp(-r * r / (4.0 * nu * t)) / (4.0 * math.pi * nu * t) ** 1.5
+    return np.exp(-r * r / (4.0 * nu * t)) / _gaussian_normaliser(t, nu)
+
+
+def _failed_fit_cause(field_class, t, nu):
+    """Why the rows of a failed fit left the floats, where the profile knows
+    it ('' otherwise): a Gaussian normaliser that underflows to 0."""
+    t_min = float(t.min())
+    if field_class == "gaussian" and _gaussian_normaliser(t_min, nu) == 0.0:
+        return f": the normaliser (4 pi nu t)^1.5 underflows to 0 at t={t_min:.6e}"
+    return ""
 
 
 def _bessel_model(r, t, nu):
@@ -996,7 +1009,8 @@ def fit_field_nls(
         q, rss_y = float(np.ldexp(amp, e)), float(np.ldexp(rss, -2 * k_y))
     if not (inside and math.isfinite(rss) and 0 < amp < math.inf):
         raise FitError(f"{field_class} field fit failed at nu={nu:.6e} (scan edge: {not inside}), "
-                       f"rss={rss_y:.6e}, amplitude={q:.6e}")
+                       f"rss={rss_y:.6e}, amplitude={q:.6e}"
+                       f"{_failed_fit_cause(field_class, t, nu)}")
     try:
         cov = rss / (r.size - 2) * np.linalg.inv(jtj)
     except np.linalg.LinAlgError as err:

@@ -12,10 +12,22 @@ interval (`estimation.ALPHA`).
 All randomness flows through numpy's seeded default generator (PCG64);
 replication r uses base_seed + r, so results are independent of execution
 order and bitwise reproducible.
+
+A campaign runs its replications in worker processes, by default one per
+CPU this process may use.  The workers are forked for each call, inherit
+the caller's state at the call and have exited when the call returns.
+Numpy's OpenBLAS is held at one thread for the call, in process as in the
+workers (the caller sets it before forking and restores it after), so its
+sums split the same way on every path.  With one worker, without fork, in
+a daemonic process (which may not have children) or without an OpenBLAS
+thread setter, the replications run in process; the results are bitwise
+the same.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +214,87 @@ def _summarize(spec, method, records, n_obs):
     )
 
 
+def _replicate(spec, rep, seed, methods, n_obs, fraction, n_boot, n_grid):
+    """One replication: a DGP sample at `seed`, and one record per method."""
+    d, y = generate_dgp(spec, n_obs, seed)
+    records = []
+    for method in methods:
+        estimate = ci = None
+        failed = False
+        try:
+            if method == "parametric":
+                estimate, ci = _parametric_detect(d, y)
+            else:
+                estimate, ci = _nonparametric_detect(d, y, fraction, n_boot, n_grid, seed)
+        except PlumefrontError:
+            failed = True
+        records.append(
+            ReplicationRecord(
+                dgp_id=spec.id,
+                method=method,
+                rep=rep,
+                seed=seed,
+                estimate=estimate,
+                ci_lo=None if ci is None else ci[0],
+                ci_hi=None if ci is None else ci[1],
+                failed=failed,
+            )
+        )
+    return records
+
+
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                        "openblas_{}_num_threads")
+
+
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS numpy calls, or None."""
+    import ctypes
+
+    ext = (sys.modules.get("numpy._core._multiarray_umath")
+           or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except (AttributeError, OSError):
+        return None
+    for symbol in _BLAS_THREAD_SYMBOLS:
+        get = getattr(lib, symbol.format("get"), None)
+        put = getattr(lib, symbol.format("set"), None)
+        if get is not None and put is not None:
+            get.restype = ctypes.c_int
+            put.argtypes = [ctypes.c_int]
+            return get, put
+    return None
+
+
+def _map_replications(tasks, workers):
+    """[_replicate(*task) for task in tasks] with numpy's OpenBLAS held at one
+    thread, so that its sums split the same way on every path: in `workers`
+    forked processes, which inherit that setting, where there is more than one
+    and this process may fork children (it has fork and is not daemonic), in
+    process otherwise.  Without an OpenBLAS thread setter, in process as it is."""
+    blas = _blas_thread_calls()
+    if blas is None:
+        return [_replicate(*task) for task in tasks]
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        if workers > 1:
+            import multiprocessing
+
+            if ("fork" in multiprocessing.get_all_start_methods()
+                    and not multiprocessing.current_process().daemon):
+                from concurrent.futures import ProcessPoolExecutor
+
+                context = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(_replicate, *zip(*tasks)))
+        return [_replicate(*task) for task in tasks]
+    finally:
+        set_threads(threads)
+
+
 def run_campaign(
     specs,
     n_reps: int,
@@ -212,15 +305,25 @@ def run_campaign(
     n_boot: int = 200,
     n_grid: int = 512,
     keep_replications: bool = False,
+    workers: int | None = None,
 ):
     """Run every method on every DGP over seeded replications and aggregate.
 
-    The methods (at least one, none repeated) and the detector arguments
-    are checked before the first replication.
+    The methods (at least one, none repeated), the detector arguments and
+    `workers` are checked before the first replication.
     Per-replication failures are recorded, not fatal; the summary carries the
     failure count, and the flat DGP's rates count only the replications that
     did not fail (None if all did).  Returns the summaries, plus the
     per-replication records when keep_replications is set.
+
+    The replications run in `workers` processes (an integer >= 1; None takes
+    the CPUs this process may use), never more than there are replications.
+    The workers are forked for this call and have exited when it returns;
+    they see the caller's state at the call.  Numpy's OpenBLAS is held at one
+    thread for the call, in this process and in the workers.  With one
+    worker, or where there is no fork, this process is daemonic or there is
+    no OpenBLAS thread setter, the replications run in this process.
+    Summaries and records are bitwise the same for every worker count.
     """
     if n_reps < 10:
         raise DomainError(f"n_reps must be >= 10, got {n_reps}")
@@ -230,39 +333,24 @@ def run_campaign(
                           f"repeated: got {list(methods)}")
     _check_bootstrap_args(fraction, n_boot)
     _check_grid_size(n_grid)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    elif not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+
+    specs = list(specs)
+    tasks = [(spec, rep, base_seed + rep, methods, n_obs, fraction, n_boot, n_grid)
+             for spec in specs for rep in range(n_reps)]
+    replications = _map_replications(tasks, min(workers, len(tasks)))
 
     summaries = []
     all_records = []
-    for spec in specs:
-        per_method = {m: [] for m in methods}
-        for rep in range(n_reps):
-            seed = base_seed + rep
-            d, y = generate_dgp(spec, n_obs, seed)
-            for method in methods:
-                estimate = ci = None
-                failed = False
-                try:
-                    if method == "parametric":
-                        estimate, ci = _parametric_detect(d, y)
-                    else:
-                        estimate, ci = _nonparametric_detect(d, y, fraction, n_boot, n_grid, seed)
-                except PlumefrontError:
-                    failed = True
-                per_method[method].append(
-                    ReplicationRecord(
-                        dgp_id=spec.id,
-                        method=method,
-                        rep=rep,
-                        seed=seed,
-                        estimate=estimate,
-                        ci_lo=None if ci is None else ci[0],
-                        ci_hi=None if ci is None else ci[1],
-                        failed=failed,
-                    )
-                )
-        for method in methods:
-            summaries.append(_summarize(spec, method, per_method[method], n_obs))
-            all_records.extend(per_method[method])
+    for i, spec in enumerate(specs):
+        per_spec = replications[i * n_reps:(i + 1) * n_reps]
+        for j, method in enumerate(methods):
+            records = [rep_records[j] for rep_records in per_spec]
+            summaries.append(_summarize(spec, method, records, n_obs))
+            all_records.extend(records)
     if keep_replications:
         return summaries, all_records
     return summaries

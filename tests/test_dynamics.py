@@ -241,6 +241,13 @@ class TestSteadyStateBoundary:
         assert d4 == pytest.approx(l4 * math.log(q0 / (lam * l4 * tau)), rel=1e-12)
         assert d1 == pytest.approx(l1 * math.log(q0 / (lam * l1 * tau)), rel=1e-12)
 
+    @pytest.mark.parametrize("nu, lam", [(1e200, 1e-200), (1e-200, 1e200), (1e-300, 1e100)])
+    def test_length_whose_square_leaves_the_floats(self, nu, lam):
+        # nu / lam overflows or underflows, but l = sqrt(nu / lam) is a normal float
+        length = 10.0 ** ((math.log10(nu) - math.log10(lam)) / 2.0)
+        expected = length * math.log(1.0 / (lam * length * 1e-3))
+        assert steady_state_boundary(nu, lam, 1.0, 1e-3) == pytest.approx(expected, rel=1e-12)
+
     def test_threshold_above_profile_returns_none(self):
         assert steady_state_boundary(1.0, 1.0, 0.5, 1.0) is None
 

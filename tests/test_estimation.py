@@ -74,6 +74,14 @@ class TestFitLoglinear:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             boundary_from_kappa(kappa, se)
 
+    @pytest.mark.parametrize("kappa, se, half", [(1e-200, 1e-3, math.inf), (1e-200, 0.0, 0.0),
+                                                 (1e-155, 1e-3, estimation.Z95 * LN10 * 1e307)])
+    def test_boundary_from_kappa_where_kappa_squared_underflows(self, kappa, se, half):
+        # kappa * kappa is 0 or subnormal; se / kappa / kappa is the half-width or inf
+        d_star, ci = boundary_from_kappa(kappa, se)
+        assert d_star == LN10 / kappa
+        assert (d_star - ci[0], ci[1] - d_star) == pytest.approx((half, half), rel=1e-12)
+
     def test_no_boundary_for_rising_outcome(self):
         d = np.arange(1.0, 51.0)
         y = np.exp(0.01 * d)
@@ -1042,7 +1050,8 @@ class TestFieldFitUnits:
         # at distances x 1e-150 and times x 1e-300, (4 pi nu t)^1.5 underflows to 0
         # on every scan row, so every row leaves the floats: no divide warning
         r, t, y = simulate_gaussian_field_sample(1.0, 1.0, 300, (0.5, 1.0, 2.0), 0.001, seed=0)
-        with pytest.raises(FitError, match=r"\(scan edge: True\), rss=inf, amplitude=nan"):
+        with pytest.raises(FitError, match=r"\(scan edge: True\), rss=inf, amplitude=nan: the "
+                           r"normaliser \(4 pi nu t\)\^1\.5 underflows to 0 at t=5\.0+e-301$"):
             fit_field_nls(r * 1e-150, t * 1e-300, y)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

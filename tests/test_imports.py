@@ -11,7 +11,9 @@ no other scipy subpackage.  `ingest` loads no estimation, montecarlo or
 dynamics, and no scipy at any size, and `estimate` and `diagnose` no
 montecarlo or dynamics.  None of these, nor the Gaussian selection, loads
 `numpy.ma` (np.quantile, np.median and a plain np.unique would); importing
-`scipy.special` does, so the cylindrical selection is not held to that."""
+`scipy.special` does, so the cylindrical selection is not held to that.
+A Monte Carlo campaign on one worker loads no multiprocessing or
+concurrent.futures."""
 
 import os
 import subprocess
@@ -242,3 +244,19 @@ assert "numpy.ma" not in sys.modules
 
 def test_ingest_above_a_million_pairs_loads_no_scipy():
     run_probe(LARGE_INGEST_PROBE)
+
+
+POOL_PROBE = r"""
+import sys
+
+from plumefront import montecarlo
+
+montecarlo.run_campaign([montecarlo.STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, n_boot=20,
+                        workers=1)
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+assert not pool, pool
+"""
+
+
+def test_one_worker_campaign_loads_no_process_pool():
+    run_probe(POOL_PROBE)

@@ -6,6 +6,11 @@ keeps replication counts small and checks the machinery itself.
 
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +153,128 @@ class TestRunCampaign:
             run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=100, methods=("magic",))
         with pytest.raises(DomainError):
             run_campaign([STANDARD_DGPS["flat"]], n_reps=5, n_obs=100)
+
+
+# where a campaign cannot fork workers with one OpenBLAS thread, it runs in process
+forks_workers = pytest.mark.skipif(
+    montecarlo._blas_thread_calls() is None
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork or no OpenBLAS thread setter: campaigns run in process")
+
+
+def _logging_pids(monkeypatch, path):
+    """Make every replication append the pid of its process to `path`."""
+    generate = montecarlo.generate_dgp
+
+    def logged(spec, n, seed):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return generate(spec, n, seed)
+
+    monkeypatch.setattr(montecarlo, "generate_dgp", logged)
+
+
+def _campaign_in_a_daemon():
+    assert multiprocessing.current_process().daemon
+    return run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, n_boot=20,
+                        keep_replications=True, workers=2)
+
+
+class TestWorkers:
+    """Replications in forked worker processes give the in-process results."""
+
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch):
+        detect = montecarlo._nonparametric_detect
+
+        def fail_at_seed_3(d, y, fraction, n_boot, n_grid, seed):
+            if seed == 3:
+                raise FitError("replication failed")
+            return detect(d, y, fraction, n_boot, n_grid, seed)
+
+        monkeypatch.setattr(montecarlo, "_nonparametric_detect", fail_at_seed_3)
+        runs = [run_campaign(list(STANDARD_DGPS.values()), n_reps=10, n_obs=400, n_boot=40,
+                             keep_replications=True, workers=workers) for workers in (1, 2, 3)]
+        summaries, records = runs[0]
+        assert [s.n_failed for s in summaries] == [0, 1] * 4
+        assert [(r.dgp_id, r.method, r.rep) for r in records] == [
+            (dgp, method, rep) for dgp in STANDARD_DGPS
+            for method in ("parametric", "nonparametric") for rep in range(10)]
+        for run in runs[1:]:
+            assert run == runs[0]
+            assert repr(run) == repr(runs[0])  # float reprs round-trip: bitwise equal
+
+    def test_blas_sums_do_not_depend_on_the_worker_count(self):
+        # above 10,000 values, a multi-threaded OpenBLAS splits the rss dot product
+        # of fit_loglinear across threads; the campaign holds it at one on every path
+        runs = [run_campaign(list(STANDARD_DGPS.values()), n_reps=10, n_obs=12_000,
+                             methods=("parametric",), keep_replications=True, workers=workers)
+                for workers in (1, 2)]
+        assert repr(runs[1]) == repr(runs[0])
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
+    def test_bad_worker_count_raises_before_any_replication(self, monkeypatch, workers):
+        def unreachable(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "generate_dgp", unreachable)
+        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+            run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, workers=workers)
+
+    @forks_workers
+    def test_workers_run_in_other_processes_and_exit(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+        _logging_pids(monkeypatch, pids)
+        run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300, n_boot=20, workers=2)
+        assert multiprocessing.active_children() == []
+        seen = {int(pid) for pid in pids.read_text().split()}
+        assert 1 <= len(seen) <= 2 and os.getpid() not in seen  # a fast worker may run all
+
+    def test_without_a_blas_thread_setter_the_campaign_runs_in_process(self, monkeypatch,
+                                                                      tmp_path):
+        pids = tmp_path / "pids"
+        _logging_pids(monkeypatch, pids)
+        kwargs = dict(n_reps=10, n_obs=300, n_boot=20, keep_replications=True)
+        serial = run_campaign([STANDARD_DGPS["flat"]], workers=1, **kwargs)
+        monkeypatch.setattr(montecarlo, "_blas_thread_calls", lambda: None)
+        assert run_campaign([STANDARD_DGPS["flat"]], workers=2, **kwargs) == serial
+        assert {int(pid) for pid in pids.read_text().split()} == {os.getpid()}
+
+    def test_daemonic_caller_runs_the_campaign_in_process(self):
+        # a daemonic process may not have children: a Pool worker's campaign runs in it
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            run = pool.apply(_campaign_in_a_daemon)
+            pool.close()
+            pool.join()
+        assert multiprocessing.active_children() == []
+        assert repr(run) == repr(run_campaign([STANDARD_DGPS["flat"]], n_reps=10, n_obs=300,
+                                              n_boot=20, keep_replications=True, workers=1))
+
+    @forks_workers
+    def test_child_interpreter_leaves_no_process_behind(self):
+        # one write(2) per pid line, so the workers' lines do not interleave
+        script = ("import os\n"
+                  "def log_pid():\n"
+                  "    os.write(1, f'{os.getpid()}\\n'.encode())\n"
+                  "log_pid()\n"
+                  "from plumefront import montecarlo\n"
+                  "generate = montecarlo.generate_dgp\n"
+                  "def logged(spec, n, seed):\n"
+                  "    log_pid()\n"
+                  "    return generate(spec, n, seed)\n"
+                  "montecarlo.generate_dgp = logged\n"
+                  "montecarlo.run_campaign([montecarlo.STANDARD_DGPS['flat']], n_reps=10, "
+                  "n_obs=300, n_boot=20, workers=2)\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # a new session: every process the child starts shares its process group
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, start_new_session=True)
+        assert proc.returncode == 0, proc.stderr
+        child, *workers = map(int, proc.stdout.split())
+        assert 1 <= len(set(workers)) <= 2 and child not in workers
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child, 0)
 
 
 class TestParametricCoverageConvergence:
