@@ -11,8 +11,9 @@ The parser holds the usage rules: required options, boundary's one threshold,
 list and number types.  --config keys parse as flags ahead of the command
 line's, in one parse, so every usage error carries argparse's text.
 
-The closed-form subcommands need no numpy; estimate, diagnose, ingest and
-montecarlo import the modules that do when they run.
+Each subcommand imports the modules it runs on when it runs, so the
+closed-form ones (field, boundary, moments, exposure) load no numpy and
+ingest loads no field code.
 
 Exit codes: 0 success, 1 usage error, 2 data or numerical error.
 """
@@ -22,11 +23,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
-from . import functionals
 from .errors import PlumefrontError
-from .fields import BesselField, DecayingSourceField, FieldParams, GaussianField, KummerField
 
 
 def _fmt(value) -> str:
@@ -67,11 +67,17 @@ def _record_table(records, cls, km=()) -> dict:
             for f in dataclasses.fields(cls)}
 
 
+def _json_value(value):
+    """A value as JSON holds it: a float that is not finite as its CSV text."""
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_table(table, out, fmt, delimiter=","):
     """Write a table given as columns (name -> values) to the path out, or stdout."""
     if fmt == "json":
-        payload = [dict(zip(table, row)) for row in zip(*table.values())]
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        payload = [{name: _json_value(v) for name, v in zip(table, row)}
+                   for row in zip(*table.values())]
+        text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
     else:
         cells = zip(*(_format_column(values, delimiter) for values in table.values()))
         text = "\n".join([delimiter.join(table), *map(delimiter.join, cells)]) + "\n"
@@ -111,6 +117,8 @@ class _Usage(Exception):
 
 def _make_field(args):
     """The field of --profile; argparse admits no other."""
+    from .fields import BesselField, DecayingSourceField, FieldParams, GaussianField, KummerField
+
     if args.profile == "bessel":
         return BesselField(FieldParams(nu=args.nu, q=args.q, dim=2, source_pos=(0.0, 0.0)),
                            amplitude=args.amplitude)
@@ -124,11 +132,13 @@ def _make_field(args):
     return GaussianField(FieldParams(nu=args.nu, q=args.q))
 
 
-def _boundary_spec(args) -> functionals.BoundarySpec:
+def _boundary_spec(args):
     """The threshold of the one flag of --epsilon, --fraction, --tau-min that argparse admits."""
+    from .functionals import BoundarySpec
+
     mode = ("absolute" if args.tau_min is not None
             else "decay_by_epsilon" if args.epsilon is not None else "decay_to_fraction")
-    return functionals.BoundarySpec(mode, args.tau_min, args.epsilon, args.fraction)
+    return BoundarySpec(mode, args.tau_min, args.epsilon, args.fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +154,8 @@ def _run_field(args):
 
 
 def _run_boundary(args):
+    from . import functionals
+
     fld, spec = _make_field(args), _boundary_spec(args)
     rows = [(t, functionals.boundary_radius(fld, spec, t)) for t in args.t]
     if len(rows) == 1 and args.out is None and args.format == "csv":
@@ -154,6 +166,8 @@ def _run_boundary(args):
 
 
 def _run_moments(args):
+    from . import functionals
+
     fld = _make_field(args)
     results = [(t, functionals.spatial_moment(fld, k, t)) for t in args.t for k in args.k]
     rows = [(res.k, t, res.value, res.quadrature_error) for t, res in results]
@@ -162,6 +176,8 @@ def _run_moments(args):
 
 
 def _run_exposure(args):
+    from . import functionals
+
     fld = _make_field(args)
     rows = [(r, args.t_min, _fmt(args.horizon),
              functionals.cumulative_exposure(fld, r, args.t_min, args.horizon)) for r in args.r]
@@ -250,16 +266,32 @@ def _run_diagnose(args):
     return 0
 
 
+def _repeated_column(values, fmt) -> list:
+    """A float array whose values repeat, as _write_table takes it: for CSV the
+    .10g text of each value, formatting each distinct one once (told apart by
+    its bits, so -0.0 keeps its sign); for JSON the numbers."""
+    if fmt != "csv":
+        return values.tolist()
+    import numpy as np
+
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _run_ingest(args):
     from . import ingest
 
     sources = ingest.load_sources(args.sources, min_capacity=args.min_capacity)
     obs, delimiter = ingest.read_observation_columns(args.observations)
     rows, idx, dist = ingest.sample_rows(obs, sources, args.max_distance, args.min_months)
-    table = {c: obs[c][rows].tolist() for c in ingest.OBSERVATION_COLUMNS}
-    table["period"] = ingest.period_text(table["period"])
-    table["nearest_source_id"] = [sources[i].id for i in idx.tolist()]
-    table["distance_km"] = dist.tolist()
+    # a cell's lat, lon and distance repeat on each of its rows
+    table = {"lat": _repeated_column(obs["lat"][rows], args.format),
+             "lon": _repeated_column(obs["lon"][rows], args.format),
+             "period": ingest.period_text(obs["period"][rows].tolist()),
+             "outcome": obs["outcome"][rows].tolist(),
+             "nearest_source_id": [sources[i].id for i in idx.tolist()],
+             "distance_km": _repeated_column(dist, args.format)}
     # the output keeps the observation file's delimiter
     _write_table(table, args.out, args.format, delimiter=delimiter)
     sys.stderr.write(f"# ingested {rows.size} observations "

@@ -1,7 +1,10 @@
 """Load source sites and grid observations, match cells to nearest sources.
 
 Input files are delimited text with a header; columns are referenced by
-name, never by position.  The sources file carries id, lat, lon,
+name, never by position.  One reader serves every file: csv parses the
+header and numpy's C tokenizer the body, with csv's quoting; a body the
+tokenizer refuses (a row too short for a named field) is read by csv row by
+row instead, with the same result.  The sources file carries id, lat, lon,
 capacity_mw (finite, >= 0); the observations file carries lat, lon, period
 (YYYY-MM, month 01-12), outcome (usable when finite and >= 0; empty reads as
 NaN).  Distances are great-circle kilometres on the mean Earth radius
@@ -27,6 +30,7 @@ import itertools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,21 +111,25 @@ def _unit_vectors(lat, lon) -> np.ndarray:
 
 
 def _read_text_columns(path, names, label):
-    """(delimiter, the named columns as tuples of text, the line lookup).
+    """(delimiter, the named columns as sequences of text, the line lookup).
 
     names: two or more column names.  None for a file with no header.  The
-    delimiter is a tab when the first 4 kB hold more tabs than commas.  Blank
-    lines are skipped; a short row reads None past its end and a repeated
-    header name its last column, as csv.DictReader would.  Only the named
-    fields of a row are kept.  The lookup maps a row's index in the columns
-    to the file line it ends on; it reads the file again, so it is called
-    only for the row an error message cites.
+    delimiter is a tab when the first 4,096 characters hold more tabs than
+    commas.  Blank lines are skipped; a short row reads None past its end and
+    a repeated header name its last column, as csv.DictReader would.  Only
+    the named fields of a row are kept.  The lookup maps a row's index in the
+    columns to the file line it ends on; it reads the file again, so it is
+    called only for the row an error message cites.
+
+    The header is parsed by csv; the body by numpy's C tokenizer, with csv's
+    quoting.  Where that tokenizer refuses the body (a row too short for a
+    named field), a csv pass over the rows reads the whole file instead.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         sample = handle.read(4096)
         handle.seek(0)
         delimiter = "\t" if sample.count("\t") > sample.count(",") else ","
-        _, header, rows = _data_rows(handle, delimiter)
+        _, header, _ = _data_rows(handle, delimiter)
         if header is None:
             return None
         missing = [n for n in names if n not in header]
@@ -129,10 +137,25 @@ def _read_text_columns(path, names, label):
             raise DataError(f"{label} missing columns: {', '.join(missing)}")
         index = {n: i for i, n in enumerate(header)}
         position = [index[n] for n in names]
-        get, top, pad = operator.itemgetter(*position), max(position), [None] * len(header)
-        picked = [get(row if len(row) > top else row + pad) for row in rows]
-    columns = list(zip(*picked)) or [()] * len(names)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                columns = list(np.loadtxt(handle, delimiter=delimiter, usecols=position,
+                                          dtype=object, quotechar='"', comments=None,
+                                          ndmin=2).T)
+        except ValueError:
+            handle.seek(0)
+            columns = _csv_columns(handle, delimiter, position, len(header))
     return delimiter, columns, functools.partial(_line_number, path, delimiter)
+
+
+def _csv_columns(handle, delimiter, position, width):
+    """The columns at position of the rows after the header, by csv: the
+    row pass for a file whose body the C tokenizer refuses."""
+    _, _, rows = _data_rows(handle, delimiter)
+    get, top, pad = operator.itemgetter(*position), max(position), [None] * width
+    picked = [get(row if len(row) > top else row + pad) for row in rows]
+    return list(zip(*picked)) or [()] * len(position)
 
 
 def _data_rows(handle, delimiter):
@@ -155,15 +178,19 @@ def _line_number(path, delimiter, index):
 
 def _float_column(texts):
     """float() of every text (NaN where it fails) and the mask of failures."""
-    values, bad = np.full(len(texts), np.nan), np.zeros(len(texts), bool)
+    texts, bad = np.asarray(texts, dtype=object), np.zeros(len(texts), bool)
     try:
-        values[:] = list(map(float, texts))
-    except (TypeError, ValueError):
+        values = texts.astype(float)  # float() of each text, but NaN for None
+    except ValueError:
+        values = np.full(len(texts), np.nan)
         for i, text in enumerate(texts):
             try:
                 values[i] = float(text)
             except (TypeError, ValueError):
                 bad[i] = True
+        return values, bad
+    for i in np.flatnonzero(np.isnan(values)):
+        bad[i] = texts[i] is None
     return values, bad
 
 

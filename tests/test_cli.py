@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plumefront.cli import dispatch
+from plumefront.cli import _write_table, dispatch
 
 
 def run_cli(argv, capsys):
@@ -344,6 +344,28 @@ class TestOtherProfilesAndReports:
         assert code == 0
         assert "sign_reversal=true" in err
         assert len(out.strip().splitlines()) == 7  # header + 6 bins
+
+    def test_json_holds_a_float_that_is_not_finite_as_its_csv_text(self, tmp_path, capsys):
+        # the first bin's mean is 0, so every decline from it is NaN
+        d = np.linspace(1.0, 100.0, 80).tolist()
+        data = tmp_path / "zero.csv"
+        data.write_text("distance_km,outcome\n" + "".join(
+            f"{a!r},{0.0 if a < 13 else math.exp(-0.02 * a)!r}\n" for a in d))
+        code, out, _ = run_cli(["diagnose", "--input", str(data), "--format", "json"], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(out, parse_constant=refuse)
+        assert rows[0]["mean"] == 0.0
+        assert {row["pct_decline_from_first_bin"] for row in rows} == {"nan"}
+        code, out, _ = run_cli(["diagnose", "--input", str(data)], capsys)
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["nan"] * len(rows)
+        table = tmp_path / "table.json"
+        _write_table({"x": [math.inf, -math.inf, math.nan, 1.5]}, table, "json")
+        rows = json.loads(table.read_text(), parse_constant=refuse)
+        assert [row["x"] for row in rows] == ["inf", "-inf", "nan", 1.5]
 
 
 class TestMontecarloCommand:

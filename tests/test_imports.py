@@ -7,9 +7,9 @@ and `boundary` for every profile, `moments` and `exposure` for the Gaussian)
 load no numpy, scipy or statistics.
 Selecting a profile model on Gaussian data loads neither scipy nor
 statistics; with the cylindrical hint it loads `scipy.special` for K0 and
-no other scipy subpackage.  `ingest` loads no estimation, montecarlo or
-dynamics, and no scipy at any size, and `estimate` and `diagnose` no
-montecarlo or dynamics.  None of these, nor the Gaussian selection, loads
+no other scipy subpackage.  `ingest` loads no estimation, montecarlo,
+dynamics or field code, and no scipy at any size, and `estimate` and
+`diagnose` no montecarlo or dynamics.  None of these, nor the Gaussian selection, loads
 `numpy.ma` (np.quantile, np.median and a plain np.unique would); importing
 `scipy.special` does, so the cylindrical selection is not held to that.
 A Monte Carlo campaign on one worker loads no multiprocessing or
@@ -196,7 +196,7 @@ with open(obs, "w") as fh:
                 fh.write(f"{lat:.1f},{lon:.1f},2020-{month:02d},{value:.6g}\n")
 for argv, unused in (
     (["ingest", "--sources", src, "--observations", obs, "--out", sample],
-     ("estimation", "montecarlo", "dynamics")),
+     ("estimation", "montecarlo", "dynamics", "fields", "functionals", "specfun")),
     (["estimate", "--input", sample, "--method", "both", "--robust-cutoff", "50",
       "--out", os.devnull], ("montecarlo", "dynamics")),
     (["diagnose", "--input", sample, "--split", "30", "--out", os.devnull],

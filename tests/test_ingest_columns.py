@@ -115,6 +115,31 @@ def test_json_payload_has_numbers_and_equals_row_api(tmp_path, capsys):
         assert all(isinstance(record[c], float) for c in ("lat", "lon", "outcome", "distance_km"))
 
 
+def test_csv_table_equals_row_api_byte_for_byte(tmp_path, capsys):
+    # cells repeat over months, and two of them sit at lon -0.0000 and 0.0000:
+    # each keeps its own text, "-0" and "0"
+    src = tmp_path / "sources.tsv"
+    src.write_text("id\tlat\tlon\tcapacity_mw\nW\t51.5\t-0.2\t500\nE\t51.4\t0.3\t800\n")
+    rows = ["lat\tlon\tperiod\toutcome"]
+    for lat, lon in [("51.5000", "-0.0000"), ("51.5000", "0.0000"), ("-0.0000", "0.1000"),
+                     ("51.4500", "0.2500"), ("51.4500", "-0.1250")]:
+        rows += [f"{lat}\t{lon}\t2020-{m:02d}\t{1.0 + 0.1 * m:.3f}" for m in range(1, 13)]
+    obs = tmp_path / "obs.tsv"
+    obs.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "sample.tsv"
+    code, _, err = _run(["ingest", "--sources", str(src), "--observations", str(obs),
+                         "--out", str(out)], capsys)
+    assert code == 0, err
+    sample = _row_api_sample(src, obs)
+    assert len(sample) == 48  # the cell at the equator is over 200 km away
+    expected = "".join(
+        "\t".join([f"{o.lat:.10g}", f"{o.lon:.10g}", o.period, f"{o.outcome:.10g}",
+                   o.nearest_source_id, f"{o.distance_km:.10g}"]) + "\n"
+        for o in sample)
+    assert out.read_bytes() == ("\t".join(COLUMNS) + "\n" + expected).encode()
+    assert b"\t-0\t" in out.read_bytes() and b"\t0\t" in out.read_bytes()
+
+
 def _bad_file(tmp_path, k, bad_row):
     """An observations file whose row k (the header is row 1) is bad_row."""
     good = [f"30.{i},-95,2019-{i % 12 + 1:02d},1.5" for i in range(10)]
